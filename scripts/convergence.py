@@ -1,0 +1,210 @@
+#!/usr/bin/env python3
+"""Step-count convergence table of the monodromy kernel on the recipe shapes.
+
+For every shipped recipe shape and every step count it records the largest
+quasienergy deviation from the adaptive DOP853 oracle of tests/helpers.py
+on sampled points, verdict mismatches, the topological outputs (W^S,
+midgap modes, growth rate), the pseudo-unitarity residual and the time of
+the kernel call alone.  The recipes' ``numerics.steps`` are read off this
+table.
+
+    PYTHONPATH=src python3 scripts/convergence.py --out convergence.json
+    PYTHONPATH=src python3 scripts/convergence.py --plane 41 --steps 64 128
+
+The full 201x201 drive plane integrates 40401 propagators per step count
+and takes a few minutes at 2048 steps.
+"""
+
+import argparse
+import importlib.util
+import json
+import math
+import pathlib
+import time
+
+import numpy as np
+
+from floqbog.dynamics import chain_spectrum, detect_midgap, evolve_vacuum, growth_rate_fit
+from floqbog.floquet import (
+    TOL_IM,
+    classify_arrays,
+    eig_branches,
+    fold,
+    kgrid,
+    propagate,
+    sympl_residual,
+)
+from floqbog.model import SX, I2, ModelParams, bloch_blocks, chain_blocks, field_matrix
+from floqbog.topology import symplectic_winding
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RECIPES = ROOT / "src" / "floqbog" / "recipes"
+STEPS = (64, 128, 256, 512, 1024, 2048)
+#: sampled points per shape that are checked against the DOP853 oracle
+SAMPLES = 16
+
+
+def load_oracle():
+    spec = importlib.util.spec_from_file_location("helpers", ROOT / "tests" / "helpers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dop853_monodromy
+
+
+def recipe(name: str) -> dict:
+    return json.loads((RECIPES / f"{name}.json").read_text())
+
+
+def timed_propagate(h0, h1, omega, steps):
+    t0 = time.perf_counter()
+    prop = propagate(h0, h1, omega, steps)
+    return prop, time.perf_counter() - t0
+
+
+def eps_deviation(eps, ref, omega: float) -> float:
+    """Largest distance from a quasienergy of ``eps`` to the nearest one of ``ref``."""
+    dr = np.abs(fold(eps.real[..., :, None] - ref.real[..., None, :], omega))
+    di = np.abs(eps.imag[..., :, None] - ref.imag[..., None, :])
+    return float((dr + di).min(axis=-1).max())
+
+
+def oracle_branches(oracle, h0, h1, omega: float, idx):
+    """(eps, cnorm) of the DOP853 monodromy at the sampled batch indices."""
+    us = np.array([oracle(h0[i], h1[i], omega) for i in idx])
+    eps, cnorm, _, _ = eig_branches(us, omega)
+    return eps, cnorm
+
+
+def bulk(name: str, oracle, steps_list) -> list[dict]:
+    """Spectrum recipe: the k-grid at the recipe's nk, plus W^S where defined."""
+    cfg = recipe(name)
+    p = ModelParams(**cfg["model"])
+    nk = cfg["numerics"]["nk"]
+    h0, h1 = bloch_blocks(p, kgrid(nk))
+    idx = np.linspace(0, nk - 1, SAMPLES).astype(int)
+    ref, ref_cnorm = oracle_branches(oracle, h0, h1, p.omega, idx)
+    ref_codes = classify_arrays(ref, ref_cnorm, p.omega, TOL_IM, 1e-6 * p.omega)
+    rows = []
+    for steps in steps_list:
+        prop, seconds = timed_propagate(h0, h1, p.omega, steps)
+        eps, cnorm, _, _ = eig_branches(prop.u, p.omega)
+        codes = classify_arrays(eps, cnorm, p.omega, TOL_IM, 1e-6 * p.omega)
+        row = {
+            "steps": steps,
+            "max_deps": eps_deviation(eps[idx], ref, p.omega),
+            "verdict_mismatches": int((codes[idx] != ref_codes).sum()),
+            "sampled": len(idx),
+            "max_im": float(eps.imag.max()),
+            "sympl_residual": float(sympl_residual(prop.u).max()),
+            "kernel_s": seconds,
+        }
+        if (codes == 0).all():
+            ws = symplectic_winding(p, nk, steps)
+            row["ws"], row["ws_residual"] = ws.ws, ws.residual
+        rows.append(row)
+    return rows
+
+
+def plane(points: int, oracle, steps_list) -> list[dict]:
+    """fig2b drive plane at points x points cells."""
+    cfg = recipe("fig2b")
+    m, task = cfg["model"], cfg["task"]
+    hx1, hy1 = np.meshgrid(np.linspace(task["hx1"]["min"], task["hx1"]["max"], points),
+                           np.linspace(task["hy1"]["min"], task["hy1"]["max"], points))
+    h1 = field_matrix(hx1, hy1).reshape(-1, 4, 4)
+    h0 = field_matrix(-m["nu0"], 0.0) - m["mu"] * np.eye(4) + m["g"] * np.kron(SX, I2)
+    h0s = np.broadcast_to(h0, h1.shape)
+    omega = m["omega"]
+    idx = np.random.default_rng(points).choice(len(h1), SAMPLES, replace=False)
+    ref, _ = oracle_branches(oracle, h0s, h1, omega, idx)
+    ref_unstable = np.abs(ref.imag).max(axis=-1) > TOL_IM
+    finest = None
+    rows = []
+    for steps in sorted(steps_list, reverse=True):
+        prop, seconds = timed_propagate(h0, h1, omega, steps)
+        eps, cnorm, _, _ = eig_branches(prop.u, omega)
+        codes = classify_arrays(eps, cnorm, omega, TOL_IM, 1e-6 * omega)
+        unstable = codes == 2
+        finest = unstable if finest is None else finest
+        rows.append({
+            "steps": steps,
+            "max_deps": eps_deviation(eps[idx], ref, omega),
+            "verdict_mismatches": int((unstable[idx] != ref_unstable).sum()),
+            "sampled": len(idx),
+            "unstable_cells": int(unstable.sum()),
+            "cells": len(h1),
+            "flips_vs_finest": int((unstable != finest).sum()),
+            "stable_im_floor": float(np.abs(eps.imag[~unstable]).max()),
+            "max_step_norm": float(prop.step_norm.max()),
+            "sympl_residual": float(sympl_residual(prop.u).max()),
+            "kernel_s": seconds,
+        })
+    return rows[::-1]
+
+
+def chain(oracle, steps_list) -> tuple[list[dict], list[dict]]:
+    """fig3a chain spectrum and fig3b vacuum evolution at the recipe sizes."""
+    ca, cb = recipe("fig3a"), recipe("fig3b")
+    p = ModelParams(**ca["model"])
+    h0, h1 = chain_blocks(p, ca["task"]["cells"])
+    ref = eig_branches(oracle(h0, h1, p.omega), p.omega)[0]
+    spectra, evolutions = [], []
+    for steps in steps_list:
+        prop, seconds = timed_propagate(h0, h1, p.omega, steps)
+        spec = chain_spectrum(p, ca["task"]["cells"], steps)
+        _, (left, right) = detect_midgap(spec)
+        mid_im = spec.eps[list(spec.midgap)].imag
+        spectra.append({
+            "steps": steps,
+            "max_deps": eps_deviation(eig_branches(prop.u, p.omega)[0], ref, p.omega),
+            "midgap": len(spec.midgap),
+            "left_right": [left, right],
+            "min_midgap_im": float(np.abs(mid_im).min()) if len(mid_im) else None,
+            "max_midgap_im": float(mid_im.max()) if len(mid_im) else None,
+            "sympl_residual": float(sympl_residual(prop.u)),
+            "kernel_s": seconds,
+        })
+        task = cb["task"]
+        t0 = time.perf_counter()
+        trace = evolve_vacuum(p, task["cells"], task["t_max"], task["samples"], steps)
+        evolve_s = time.perf_counter() - t0
+        rate, target = growth_rate_fit(trace), 2.0 * float(mid_im.max())
+        resid = float(trace.sympl_residual.max())
+        evolutions.append({
+            "steps": steps,
+            "growth_rate": rate,
+            "growth_rel_err": abs(rate - target) / target,
+            "truncated": trace.truncated,
+            "max_block_residual": resid,
+            "accuracy_digits": -math.log10(resid),
+            "evolve_s": evolve_s,
+        })
+    return spectra, evolutions
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--steps", type=int, nargs="+", default=list(STEPS))
+    ap.add_argument("--plane", type=int, nargs="+", default=[41, 201],
+                    help="drive-plane grid sizes (points per axis)")
+    ap.add_argument("--out", type=pathlib.Path, help="write the table as JSON")
+    args = ap.parse_args()
+    oracle = load_oracle()
+    table = {"steps": args.steps, "sampled_points": SAMPLES}
+    for name in ("fig1b", "fig1c"):
+        table[name] = bulk(name, oracle, args.steps)
+    for points in args.plane:
+        table[f"fig2b_{points}x{points}"] = plane(points, oracle, args.steps)
+    table["fig3a"], table["fig3b"] = chain(oracle, args.steps)
+    for shape, rows in table.items():
+        if isinstance(rows, list) and rows and isinstance(rows[0], dict):
+            print(shape)
+            for row in rows:
+                print("  " + "  ".join(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
+                                       for k, v in row.items()))
+    if args.out:
+        args.out.write_text(json.dumps(table, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

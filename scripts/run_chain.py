@@ -12,6 +12,7 @@ import csv
 import pathlib
 
 from floqbog.dynamics import chain_spectrum, detect_midgap, evolve_vacuum, growth_rate_fit
+from floqbog.floquet import DEFAULT_STEPS
 from floqbog.model import ModelParams
 
 BENCH = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
@@ -20,7 +21,7 @@ BENCH = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--cells", type=int, default=20)
-    ap.add_argument("--steps", type=int, default=2048)
+    ap.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     ap.add_argument("--t-max", type=float, default=25.0, help="evolution length in drive periods")
     ap.add_argument("--samples", type=int, default=101)
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("results"))

@@ -15,6 +15,7 @@ import argparse
 import csv
 import pathlib
 
+from floqbog.floquet import DEFAULT_STEPS
 from floqbog.model import ModelParams
 from floqbog.sweep import (
     GridSpec,
@@ -36,7 +37,7 @@ def write_rows(path, header, rows):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=25, help="cells per axis of the amplitude grid")
-    ap.add_argument("--steps", type=int, default=1024)
+    ap.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     ap.add_argument("--nk", type=int, default=128)
     ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("results"))

@@ -10,7 +10,7 @@ import argparse
 import csv
 import pathlib
 
-from floqbog.floquet import classify_arrays, kgrid_solve
+from floqbog.floquet import DEFAULT_STEPS, classify_arrays, kgrid_solve
 from floqbog.model import ModelParams
 from floqbog.topology import symplectic_winding
 
@@ -23,7 +23,7 @@ POINTS = {
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nk", type=int, default=256)
-    ap.add_argument("--steps", type=int, default=2048)
+    ap.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("results"))
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)

@@ -29,9 +29,8 @@ from .floquet import (
     global_stability,
     kgrid,
     kgrid_solve,
-    monodromy,
+    propagate,
     quasienergies,
-    rk4_cosine,
     solve_bloch_k,
     symplectic_norms,
 )
@@ -114,11 +113,10 @@ __all__ = [
     "growth_rate_fit",
     "kgrid",
     "kgrid_solve",
-    "monodromy",
     "nambu_metric",
     "phase_diagram",
+    "propagate",
     "quasienergies",
-    "rk4_cosine",
     "scan_path",
     "select_band_set",
     "solve_bloch_k",

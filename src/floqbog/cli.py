@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .effective import choose_indices, effective_spectrum
 from .dynamics import chain_spectrum, detect_midgap, edge_weight, evolve_vacuum
-from .floquet import IntegrationError, TOL_IM, kgrid_solve
+from .floquet import DEFAULT_STEPS, IntegrationError, TOL_IM, kgrid_solve
 from .model import ModelParams
 from .sweep import GridSpec, effective_phase_overlay, phase_diagram, stability_grid
 from .topology import (
@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 
 
 MODEL_KEYS = ("nu0", "nu0p", "nu1", "nu1p", "mu", "omega", "g")
-NUMERICS_DEFAULTS = {"steps": 2048, "nk": 256, "tol_im": TOL_IM}
+NUMERICS_DEFAULTS = {"steps": DEFAULT_STEPS, "nk": 256, "tol_im": TOL_IM}
 
 AXIS_KEYS = {"min": float, "max": float, "points": int}
 TASK_SCHEMAS = {

@@ -22,11 +22,12 @@ from .floquet import (
     TOL_IM,
     IntegrationError,
     QuasienergyBranch,
+    check_propagation,
     eig_branches,
     kgrid_solve,
-    rk4_cosine,
+    propagate,
 )
-from .model import ModelParams, chain_blocks, nambu_metric
+from .model import ModelParams, chain_blocks
 
 #: occupation beyond which the linear Bogoliubov description is hopeless
 OVERFLOW_OCC = 1e12
@@ -102,10 +103,9 @@ def chain_spectrum(
     if cells < 8:
         raise ValueError(f"need at least 8 unit cells for edge separation, got {cells}")
     h0, h1 = chain_blocks(params, cells)
-    u = rk4_cosine(h0, h1, params.omega, steps)
-    if not np.isfinite(u).all():
-        raise IntegrationError("chain monodromy integration diverged")
-    eps, cnorm, states, defective = eig_branches(u, params.omega)
+    prop = propagate(h0, h1, params.omega, steps)
+    check_propagation(prop, "chain monodromy")
+    eps, cnorm, states, defective = eig_branches(prop.u, params.omega)
     branches = [
         QuasienergyBranch(eps[i], int(cnorm[i]), states[i], bool(defective[i]))
         for i in range(eps.shape[0])
@@ -169,30 +169,6 @@ def detect_midgap(
     return tuple(idx), (left, right)
 
 
-def _propagate_period(h0, h1, omega: float, steps: int, snap: set[int]):
-    """One-period RK4 sweep recording the propagator at selected steps."""
-    dim = h0.shape[0]
-    sz = nambu_metric(dim)
-    dt = 2.0 * math.pi / omega / steps
-
-    def gen(t):
-        return -1j * sz[:, None] * (h0 + math.cos(omega * t) * h1)
-
-    u = np.eye(dim, dtype=complex)
-    snaps = {0: u.copy()} if 0 in snap else {}
-    for s in range(steps):
-        t = s * dt
-        k1 = gen(t) @ u
-        g_half = gen(t + 0.5 * dt)
-        k2 = g_half @ (u + 0.5 * dt * k1)
-        k3 = g_half @ (u + 0.5 * dt * k2)
-        k4 = gen(t + dt) @ (u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if s + 1 in snap:
-            snaps[s + 1] = u.copy()
-    return u, snaps
-
-
 def _block_residual(u: np.ndarray) -> float:
     n = u.shape[0] // 2
     a, b = u[:n, :n], u[:n, n:]
@@ -211,9 +187,9 @@ def evolve_vacuum(
     """Evolve the bosonic vacuum of the open chain for t_max drive periods.
 
     The symplectic propagator is built stroboscopically, U(nT + tau) =
-    U(tau) U(T)^n, with the intra-period factors taken from a single RK4
-    sweep (sample times snap to the step grid; the recorded times are the
-    snapped ones).  Occupations follow from the anomalous block,
+    U(tau) U(T)^n, with the intra-period factors recorded while U(T) is
+    integrated (sample times snap to the step grid; the recorded times are
+    the snapped ones).  Occupations follow from the anomalous block,
     n_j = (B B^dagger)_jj.  The trace is truncated once any occupation
     exceeds 1e12, where exponential growth has left the linear regime.
     """
@@ -228,11 +204,9 @@ def evolve_vacuum(
     wraps, offs = np.divmod(marks, steps_per_period)
 
     h0, h1 = chain_blocks(params, cells)
-    mono, snaps = _propagate_period(
-        h0, h1, params.omega, steps_per_period, set(offs.tolist())
-    )
-    if not np.isfinite(mono).all():
-        raise IntegrationError("chain monodromy integration diverged")
+    prop = propagate(h0, h1, params.omega, steps_per_period, offs.tolist())
+    check_propagation(prop, "chain monodromy")
+    mono, snaps = prop.u, prop.snapshots
 
     n = h0.shape[0] // 2
     power = np.eye(h0.shape[0], dtype=complex)
@@ -285,7 +259,7 @@ def nudge_unstable_midgap(
     cells: int = 16,
     scale: float = 0.05,
     attempts: int = 12,
-    steps: int = 1024,
+    steps: int = DEFAULT_STEPS,
     seed: int = 0,
 ) -> ModelParams | None:
     """Search small parameter nudges making all midgap states unstable.

@@ -14,17 +14,29 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import BdGMatrix, ModelParams, bloch_blocks, nambu_metric
+from .model import ModelParams, bloch_blocks, nambu_metric
 
-DEFAULT_STEPS = 2048
+#: smallest power of two whose quasienergy error against an adaptive DOP853
+#: oracle stays below the 1e-6 omega resonance window of the classifier on
+#: every shipped recipe shape (scripts/convergence.py; 1.2e-6 at worst)
+DEFAULT_STEPS = 256
 TOL_SYMPL = 1e-8
 TOL_IM = 1e-8
 TOL_NORM = 1e-6
 #: eigenvector overlap above which an eigenproblem is treated as defective
 DEFECT_OVERLAP = 1.0 - 1e-8
+#: largest h (|H0| + |H1|) per step, a third of the Magnus convergence radius pi
+MAX_STEP_NORM = 1.0
+#: pseudo-unitarity residual above which a propagator is rejected
+TOL_RESIDUAL = 1e-4
+
+#: Gauss-Legendre nodes of one step and the coefficient of its commutator term
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_COMM = math.sqrt(3.0) / 12.0
 
 
 class IntegrationError(RuntimeError):
@@ -49,9 +61,7 @@ class Monodromy:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex)
         object.__setattr__(self, "u", u)
-        sz = nambu_metric(u.shape[-1])
-        res = np.abs(u.conj().T * sz @ u - np.diag(sz)).max()
-        object.__setattr__(self, "sympl_residual", float(res))
+        object.__setattr__(self, "sympl_residual", float(sympl_residual(u)))
 
 
 @dataclass(frozen=True)
@@ -80,75 +90,89 @@ def fold(x, omega: float):
     return omega / 2.0 - np.mod(omega / 2.0 - np.asarray(x), omega)
 
 
-def rk4_cosine(h0: np.ndarray, h1: np.ndarray, omega: float, steps: int) -> np.ndarray:
+class Propagation(NamedTuple):
+    """Output of ``propagate``: U(T), the recorded U(s h), and h (|H0| + |H1|)."""
+
+    u: np.ndarray
+    snapshots: dict[int, np.ndarray]
+    step_norm: np.ndarray
+
+
+def propagate(
+    h0: np.ndarray, h1: np.ndarray, omega: float, steps: int, snapshots=()
+) -> Propagation:
     """Propagate i dU/dt = Sigma_z (H0 + H1 cos(omega t)) U over one period.
 
-    h0, h1 have shape (..., d, d); the leading axes are batched so a full
-    k-grid integrates in one pass.  Classical fixed-step RK4.
+    h0, h1 have shape (..., d, d) and broadcast against each other; the
+    leading axes are batched so a whole k-grid or drive plane integrates
+    in one pass.  Each of the ``steps`` equal steps h is a fourth-order
+    Magnus step on the two Gauss points t1, t2 of the step,
+
+        Omega = (h/2)(A1 + A2) + (sqrt(3) h^2/12)[A2, A1],   A = -i Sigma_z H,
+
+    mapped onto the group by the diagonal (2,2) Pade approximant of exp,
+    applied as the increment U <- U + (1 - Omega/2 + Omega^2/12)^-1 Omega U.
+    That map sends the Lie algebra of U(n, n) into the group, so U stays
+    pseudo-unitary to round-off at any step size.  Since A(t) = M0 +
+    cos(omega t) M1, every commutator is a multiple of [M1, M0], which is
+    formed once.
+
+    ``snapshots`` lists step indices s in 0..steps at which U(s h) is
+    recorded.  ``step_norm`` is h (|H0| + |H1|) per propagator, in the
+    max-row-sum norm, which bounds the spectral norm of a Hermitian matrix;
+    above MAX_STEP_NORM the Magnus series is too close to its convergence
+    radius pi and U, while pseudo-unitary, is not accurate.
     """
     if steps < 64:
         raise ValueError(f"need at least 64 integrator steps, got {steps}")
     h0 = np.asarray(h0, dtype=complex)
     h1 = np.asarray(h1, dtype=complex)
-    d = h0.shape[-1]
+    shape = np.broadcast_shapes(h0.shape, h1.shape)
+    d = shape[-1]
     sz = nambu_metric(d)[:, None]
     m0 = -1j * sz * h0
     m1 = -1j * sz * h1
-    dt = 2.0 * math.pi / omega / steps
-    u = np.zeros(h0.shape, dtype=complex)
-    u[..., np.arange(d), np.arange(d)] = 1.0
-    for i in range(steps):
-        t = i * dt
-        a0 = m0 + math.cos(omega * t) * m1
-        ah = m0 + math.cos(omega * (t + 0.5 * dt)) * m1
-        a1 = m0 + math.cos(omega * (t + dt)) * m1
-        k1 = a0 @ u
-        k2 = ah @ (u + (0.5 * dt) * k1)
-        k3 = ah @ (u + (0.5 * dt) * k2)
-        k4 = a1 @ (u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return u
+    comm = m1 @ m0 - m0 @ m1
+    h = 2.0 * math.pi / omega / steps
+    norms = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
+    step_norm = np.broadcast_to(h * norms, shape[:-2])
+    eye = np.eye(d)
+    u = np.broadcast_to(eye, shape).astype(complex)
+    record = set(snapshots)
+    snaps = {0: u} if 0 in record else {}
+    for s in range(steps):
+        c1 = math.cos(omega * h * (s + _GAUSS[0]))
+        c2 = math.cos(omega * h * (s + _GAUSS[1]))
+        om = h * m0 + (0.5 * h * (c1 + c2)) * m1 + (_COMM * h * h * (c2 - c1)) * comm
+        u = u + np.linalg.solve(eye - 0.5 * om + (om @ om) / 12.0, om @ u)
+        if s + 1 in record:
+            snaps[s + 1] = u
+    return Propagation(u, snaps, step_norm)
 
 
-def monodromy(generator, omega: float, steps: int = DEFAULT_STEPS) -> Monodromy:
-    """Integrate the one-period propagator for an arbitrary generator.
+def sympl_residual(u) -> np.ndarray:
+    """max |U+ Sigma_z U - Sigma_z| per matrix of a (..., d, d) batch."""
+    u = np.asarray(u)
+    sz = nambu_metric(u.shape[-1])
+    return np.abs(np.swapaxes(u.conj(), -1, -2) * sz @ u - np.diag(sz)).max(axis=(-2, -1))
 
-    Parameters
-    ----------
-    generator : callable t -> BdGMatrix or (d, d) array
-        Hermitian Bogoliubov matrix H(t).
-    omega : drive frequency, period T = 2 pi / omega.
-    steps : RK4 step count, >= 64 (powers of two recommended).
-    """
-    if steps < 64:
-        raise ValueError(f"need at least 64 integrator steps, got {steps}")
 
-    def gen(t: float) -> np.ndarray:
-        h = generator(t)
-        return h.entries if isinstance(h, BdGMatrix) else np.asarray(h, dtype=complex)
-
-    h = gen(0.0)
-    d = h.shape[0]
-    sz = nambu_metric(d)[:, None]
-    dt = 2.0 * math.pi / omega / steps
-    u = np.eye(d, dtype=complex)
-    for i in range(steps):
-        t = i * dt
-        a0 = -1j * sz * h
-        ah = -1j * sz * gen(t + 0.5 * dt)
-        h = gen(t + dt)
-        a1 = -1j * sz * h
-        k1 = a0 @ u
-        k2 = ah @ (u + (0.5 * dt) * k1)
-        k3 = ah @ (u + (0.5 * dt) * k2)
-        k4 = a1 @ (u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    if not np.isfinite(u).all():
+def check_propagation(prop: Propagation, what: str) -> None:
+    """Raise IntegrationError, naming ``what``, if any propagator of the batch
+    fails the step-size guard, has non-finite entries or is not pseudo-unitary."""
+    coarse = float(prop.step_norm.max())
+    if coarse > MAX_STEP_NORM:
         raise IntegrationError(
-            f"monodromy integration produced non-finite entries at steps={steps}; "
-            "increase the step count or reduce the drive amplitude"
+            f"{what}: integrator step too coarse for the drive "
+            f"(h (|H0| + |H1|) = {coarse:.3g} > {MAX_STEP_NORM}); increase the step count"
         )
-    return Monodromy(u, omega, steps)
+    if not np.isfinite(prop.u).all():
+        raise IntegrationError(f"{what}: propagator has non-finite entries")
+    res = float(sympl_residual(prop.u).max())
+    if res > TOL_RESIDUAL:
+        raise IntegrationError(
+            f"{what}: pseudo-unitarity residual {res:.2e} exceeds {TOL_RESIDUAL}"
+        )
 
 
 def eig_branches(u, omega: float, tol_norm: float = TOL_NORM):
@@ -195,7 +219,7 @@ def eig_branches(u, omega: float, tol_norm: float = TOL_NORM):
 
 def quasienergies(m: Monodromy, tol_norm: float = TOL_NORM) -> list[QuasienergyBranch]:
     """Complex quasienergies of a monodromy, norms assigned, stably sorted."""
-    if m.sympl_residual > 1e-4:
+    if m.sympl_residual > TOL_RESIDUAL:
         raise IntegrationError(
             f"monodromy violates pseudo-unitarity (residual {m.sympl_residual:.2e}); "
             "increase the step count"
@@ -268,8 +292,9 @@ def solve_bloch_k(
 ) -> list[QuasienergyBranch]:
     """Monodromy + quasienergies of the 4x4 Bloch problem at momentum k."""
     h0, h1 = bloch_blocks(params, np.asarray(k, dtype=float))
-    u = rk4_cosine(h0, h1, params.omega, steps)
-    return quasienergies(Monodromy(u, params.omega, steps))
+    prop = propagate(h0, h1, params.omega, steps)
+    check_propagation(prop, f"k={k:+.6f}")
+    return quasienergies(Monodromy(prop.u, params.omega, steps))
 
 
 def kgrid_solve(params: ModelParams, nk: int, steps: int = DEFAULT_STEPS):
@@ -280,20 +305,9 @@ def kgrid_solve(params: ModelParams, nk: int, steps: int = DEFAULT_STEPS):
     """
     ks = kgrid(nk)
     h0, h1 = bloch_blocks(params, ks)
-    u = rk4_cosine(h0, h1, params.omega, steps)
-    if not np.isfinite(u).all():
-        bad = ks[~np.isfinite(u).all(axis=(-2, -1))]
-        raise IntegrationError(
-            f"monodromy integration diverged at k={bad[0]:+.6f} (steps={steps}); "
-            "increase the step count"
-        )
-    sz = nambu_metric(4)
-    res = np.abs(np.swapaxes(u.conj(), -1, -2) * sz @ u - np.diag(sz)).max()
-    if res > 1e-4:
-        raise IntegrationError(
-            f"pseudo-unitarity residual {res:.2e} on the k-grid; increase the step count"
-        )
-    eps, cnorm, states, _ = eig_branches(u, params.omega)
+    prop = propagate(h0, h1, params.omega, steps)
+    check_propagation(prop, "k-grid")
+    eps, cnorm, states, _ = eig_branches(prop.u, params.omega)
     return ks, eps, cnorm, states
 
 

@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .effective import choose_indices, effective_spectrum
-from .floquet import TOL_IM, classify_arrays, eig_branches, kgrid, rk4_cosine
+from .floquet import (
+    DEFAULT_STEPS,
+    MAX_STEP_NORM,
+    TOL_IM,
+    classify_arrays,
+    eig_branches,
+    kgrid,
+    propagate,
+)
 from .model import SX, I2, ModelParams, drive_amplitudes, field_matrix
 from .topology import evaluate_point
 
@@ -88,14 +96,16 @@ def stability_grid(
     mu: float,
     g: float,
     grid: GridSpec,
-    steps: int = 1024,
+    steps: int = DEFAULT_STEPS,
     tol_im: float = TOL_IM,
 ) -> list[StabilityCell]:
     """Stability diagram of the standalone 4x4 problem over the drive plane.
 
     Valid as a chain diagnostic when the static field is k-independent
     (nu0p = 0), in which case every momentum of the full model lands on
-    some point of this plane.  All cells integrate in one batched pass.
+    some point of this plane.  All cells integrate in one batched pass;
+    a cell whose propagator fails the step-size guard or is non-finite is
+    kept out of the eigensolver and reported through its ``error``.
     """
     if (grid.axis1, grid.axis2) != ("hx1", "hy1"):
         raise ValueError(
@@ -108,30 +118,28 @@ def stability_grid(
         - mu * np.eye(4)
         + g * np.kron(SX, I2)
     )
-    u = rk4_cosine(np.broadcast_to(static, h1.shape), h1, omega, steps)
-    eps, cnorm, _, _ = eig_branches(u, omega)
-    codes = classify_arrays(eps, cnorm, omega, tol_im, 1e-6 * omega)
-    bad = ~np.isfinite(u).all(axis=(-2, -1))
+    prop = propagate(static, h1, omega, steps)
+    ok = (prop.step_norm <= MAX_STEP_NORM) & np.isfinite(prop.u).all(axis=(-2, -1))
+    codes = np.full(ok.shape, 2)
+    max_im = np.full(ok.shape, math.nan)
+    eps, cnorm, _, _ = eig_branches(prop.u[ok], omega)
+    codes[ok] = classify_arrays(eps, cnorm, omega, tol_im, 1e-6 * omega)
+    max_im[ok] = eps.imag.max(axis=-1)
     out = []
     for j2 in range(grid.n2):
         for j1 in range(grid.n1):
-            if bad[j2, j1]:
-                out.append(
-                    StabilityCell(
-                        float(hx1[j2, j1]), float(hy1[j2, j1]), "Unstable", math.nan,
-                        "integration diverged",
-                    )
-                )
-                continue
-            verdict = "Unstable" if (codes[j2, j1] == 2).any() else "Stable"
-            out.append(
-                StabilityCell(
-                    float(hx1[j2, j1]),
-                    float(hy1[j2, j1]),
-                    verdict,
-                    float(eps[j2, j1].imag.max()),
-                )
-            )
+            x, y = float(hx1[j2, j1]), float(hy1[j2, j1])
+            if ok[j2, j1]:
+                verdict = "Unstable" if codes[j2, j1] == 2 else "Stable"
+                out.append(StabilityCell(x, y, verdict, float(max_im[j2, j1])))
+            elif prop.step_norm[j2, j1] > MAX_STEP_NORM:
+                out.append(StabilityCell(
+                    x, y, "Unstable", math.nan,
+                    f"integrator step too coarse for the drive (h (|H0| + |H1|) = "
+                    f"{prop.step_norm[j2, j1]:.3g} > {MAX_STEP_NORM}); increase the step count",
+                ))
+            else:
+                out.append(StabilityCell(x, y, "Unstable", math.nan, "non-finite propagator"))
     return out
 
 
@@ -164,7 +172,7 @@ def _cell_params(grid: GridSpec) -> list[ModelParams]:
 
 
 def phase_diagram(
-    grid: GridSpec, nk: int = 128, steps: int = 1024, threads: int = 1
+    grid: GridSpec, nk: int = 128, steps: int = DEFAULT_STEPS, threads: int = 1
 ) -> list[PhaseCell]:
     """Topological phase diagram over two model parameters.
 

@@ -224,7 +224,7 @@ def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelP
 
 
 def evaluate_point(
-    params: ModelParams, nk: int = 128, steps: int = 1024
+    params: ModelParams, nk: int = 128, steps: int = DEFAULT_STEPS
 ) -> tuple[bool, float, int | None, str | None]:
     """One-shot (stable, max_im, ws, error) summary of a parameter set.
 
@@ -254,7 +254,7 @@ def scan_path(
     params_end: ModelParams,
     n_points: int = 17,
     nk: int = 128,
-    steps: int = 1024,
+    steps: int = DEFAULT_STEPS,
 ) -> list[ScanPoint]:
     """Stability and W^S along a straight parameter path.
 

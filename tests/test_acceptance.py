@@ -20,13 +20,12 @@ from floqbog.dynamics import (
     growth_rate_fit,
 )
 from floqbog.effective import effective_quasienergies, effective_coefficients, effective_spectrum
-from floqbog.floquet import fold, global_stability, kgrid_solve, rk4_cosine
+from floqbog.floquet import fold, global_stability, kgrid_solve, propagate, sympl_residual
 from floqbog.model import (
     ModelParams,
     bloch_blocks,
     bloch_hamiltonian,
     chiral_residual,
-    nambu_metric,
 )
 from floqbog.topology import (
     _band_phase,
@@ -159,13 +158,11 @@ def test_acceptance_6_effective_agreement():
     assert (verdict_a, verdict_b) == ("Stable", "Unstable")
 
 
-def test_acceptance_7_property_suite():
-    rng = np.random.default_rng(2024)
-    sz = nambu_metric(4)
+def property_draws(rng, n: int = 1000):
+    """Random model draws with one random momentum each, as batched Bloch blocks.
 
-    # pseudo-unitarity: 1000 random draws, one batched integration
-    # (time is rescaled to a unit drive frequency so omega can vary per draw)
-    n = 1000
+    Time is rescaled to a unit drive frequency so omega can vary per draw.
+    """
     omegas = rng.uniform(4.0, 8.0, size=n)
     h0s, h1s, draws = [], [], []
     for i in range(n):
@@ -179,8 +176,15 @@ def test_acceptance_7_property_suite():
         h1s.append(h1)
         draws.append(p)
     scale = omegas[:, None, None]
-    u = rk4_cosine(np.array(h0s) / scale, np.array(h1s) / scale, 1.0, 1024)
-    pseudo = float(np.abs(np.swapaxes(u.conj(), -1, -2) * sz @ u - np.diag(sz)).max())
+    return np.array(h0s) / scale, np.array(h1s) / scale, draws
+
+
+def test_acceptance_7_property_suite():
+    rng = np.random.default_rng(2024)
+
+    # pseudo-unitarity: 1000 random draws, one batched integration
+    h0s, h1s, draws = property_draws(rng)
+    pseudo = float(sympl_residual(propagate(h0s, h1s, 1.0, 1024).u).max())
 
     # spectral closure at a stable and an unstable point
     def setdist(a, b, w):
@@ -264,6 +268,15 @@ def test_acceptance_7_property_suite():
     assert undriven < 1e-8
     assert ssh_ok
     assert gauge < 1e-9
+
+
+def test_acceptance_7_pseudo_unitary_at_64_steps():
+    """The Pade map keeps U(T) in the group at the coarsest allowed step count."""
+    h0s, h1s, _ = property_draws(np.random.default_rng(2024))
+    prop = propagate(h0s, h1s, 1.0, 64)
+    pseudo = float(sympl_residual(prop.u).max())
+    report(7, pseudo < 1e-12, f"64-step pseudo-unitarity {pseudo:.1e} (< 1e-12) on the same draws")
+    assert pseudo < 1e-12
 
 
 def test_acceptance_8_instability_separates_phases():

@@ -140,6 +140,11 @@ class TestWs:
 
 
 class TestSpectrum:
+    def test_coarse_step_exit_code(self, capsys):
+        cfg = write_cfg({"model": {**MODEL_A, "nu1p": 2e3}, "numerics": {"steps": 64, "nk": 64}})
+        assert entry(["spectrum", "--config", cfg]) == 3
+        assert "too coarse" in capsys.readouterr().err
+
     def test_zero_couplings(self):
         cfg = write_cfg({
             "model": {"nu0": 0.0, "nu0p": 0.0, "nu1": 0.0, "nu1p": 0.0, "mu": 0.0,

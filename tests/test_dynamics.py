@@ -13,6 +13,7 @@ from floqbog.dynamics import (
     growth_rate_fit,
     nudge_unstable_midgap,
 )
+from floqbog.floquet import IntegrationError
 from floqbog.model import ModelParams
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
@@ -97,6 +98,13 @@ class TestChainSpectrum:
     def test_rejects_tiny_chain(self):
         with pytest.raises(ValueError):
             chain_spectrum(PA, cells=4)
+
+    def test_coarse_step_raises(self):
+        loud = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=2e3, mu=-5.0, omega=5.2)
+        with pytest.raises(IntegrationError, match="too coarse"):
+            chain_spectrum(loud, cells=8, steps=64)
+        with pytest.raises(IntegrationError, match="too coarse"):
+            evolve_vacuum(loud, cells=8, t_max=1.0, n_samples=4, steps_per_period=64)
 
     def test_trivial_chain_has_no_midgap(self):
         p = ModelParams(nu0=3.0, nu0p=0.3, nu1=0, nu1p=0, mu=0.0, omega=9.0, g=0.5)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqbog.floquet import (
+    MAX_STEP_NORM,
     IntegrationError,
     Monodromy,
     Verdict,
+    check_propagation,
     classify_arrays,
     classify_stability,
     eig_branches,
@@ -16,13 +18,12 @@ from floqbog.floquet import (
     global_stability,
     kgrid,
     kgrid_solve,
-    monodromy,
+    propagate,
     quasienergies,
-    rk4_cosine,
     solve_bloch_k,
     symplectic_norms,
 )
-from floqbog.model import ModelParams, bloch_blocks, bloch_hamiltonian
+from floqbog.model import ModelParams, bloch_blocks
 
 from helpers import dop853_monodromy, expm_monodromy, static_energies
 
@@ -69,48 +70,61 @@ class TestKgrid:
 
 
 class TestIntegrators:
-    def test_rk4_matches_adaptive_reference(self):
+    def test_matches_adaptive_reference(self):
         for k in (0.0, 1.1, np.pi):
             h0, h1 = bloch_blocks(PA, np.asarray(k))
             ref = dop853_monodromy(h0, h1, PA.omega)
-            assert np.abs(rk4_cosine(h0, h1, PA.omega, 2048) - ref).max() < 1e-8
+            assert np.abs(propagate(h0, h1, PA.omega, 2048).u - ref).max() < 1e-8
 
-    def test_rk4_matches_exponential_splitting(self):
+    def test_matches_exponential_splitting(self):
         h0, h1 = bloch_blocks(PA, np.asarray(1.1))
         ue = expm_monodromy(h0, h1, PA.omega, 4096)
-        assert np.abs(rk4_cosine(h0, h1, PA.omega, 2048) - ue).max() < 1e-6
+        assert np.abs(propagate(h0, h1, PA.omega, 2048).u - ue).max() < 1e-6
 
     def test_step_doubling_converged(self):
         h0, h1 = bloch_blocks(PA, np.asarray(0.0))
-        u1 = rk4_cosine(h0, h1, PA.omega, 1024)
-        u2 = rk4_cosine(h0, h1, PA.omega, 2048)
+        u1 = propagate(h0, h1, PA.omega, 1024).u
+        u2 = propagate(h0, h1, PA.omega, 2048).u
         assert np.abs(u1 - u2).max() < 1e-6
-
-    def test_generator_path_agrees_with_batched(self):
-        u1 = rk4_cosine(*bloch_blocks(PA, np.asarray(0.7)), PA.omega, 256)
-        m = monodromy(lambda t: bloch_hamiltonian(PA, 0.7, t), PA.omega, 256)
-        assert np.abs(u1 - m.u).max() < 1e-10
 
     def test_batched_equals_loop(self):
         ks = np.array([0.3, -1.7, 2.9])
         h0, h1 = bloch_blocks(PA, ks)
-        batched = rk4_cosine(h0, h1, PA.omega, 256)
+        batched = propagate(h0, h1, PA.omega, 256).u
         for i, k in enumerate(ks):
-            single = rk4_cosine(*bloch_blocks(PA, np.asarray(k)), PA.omega, 256)
+            single = propagate(*bloch_blocks(PA, np.asarray(k)), PA.omega, 256).u
             assert np.abs(batched[i] - single).max() < 1e-13
 
     def test_pseudo_unitary(self):
         for k in (0.0, 2.2):
-            m = Monodromy(rk4_cosine(*bloch_blocks(PA, np.asarray(k)), PA.omega, 2048),
+            m = Monodromy(propagate(*bloch_blocks(PA, np.asarray(k)), PA.omega, 2048).u,
                           PA.omega, 2048)
             assert m.sympl_residual < 1e-8
 
     def test_step_validation(self):
         h0, h1 = bloch_blocks(PA, np.asarray(0.0))
         with pytest.raises(ValueError):
-            rk4_cosine(h0, h1, PA.omega, 32)
-        with pytest.raises(ValueError):
-            monodromy(lambda t: bloch_hamiltonian(PA, 0.0, t), PA.omega, 32)
+            propagate(h0, h1, PA.omega, 32)
+
+    def test_snapshots(self):
+        """U(s h) is recorded at the requested steps, independent of the step size."""
+        h0, h1 = bloch_blocks(PA, np.asarray(0.7))
+        prop = propagate(h0, h1, PA.omega, 256, snapshots=(0, 128, 256))
+        assert np.array_equal(prop.snapshots[0], np.eye(4))
+        assert np.array_equal(prop.snapshots[256], prop.u)
+        fine = propagate(h0, h1, PA.omega, 1024, snapshots=(512,)).snapshots[512]
+        assert np.abs(prop.snapshots[128] - fine).max() < 1e-6
+
+    def test_coarse_step_flagged(self):
+        """Far past the Magnus radius the Pade map stays finite, so the guard must flag."""
+        h0, h1 = bloch_blocks(PA, np.array([0.0, 0.0]))
+        h1[1] *= 1e3
+        prop = propagate(h0, h1, PA.omega, 64)
+        assert np.isfinite(prop.u).all()
+        assert prop.step_norm[0] < MAX_STEP_NORM < prop.step_norm[1]
+        with pytest.raises(IntegrationError, match="too coarse"):
+            check_propagation(prop, "test")
+        check_propagation(prop._replace(u=prop.u[:1], step_norm=prop.step_norm[:1]), "test")
 
 
 class TestQuasienergies:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -100,6 +101,17 @@ class TestStabilityGrid:
         fine_map = {(c.x, c.y): c.verdict for c in fine}
         for c in coarse:
             assert fine_map[(c.x, c.y)] == c.verdict
+
+    def test_coarse_cells_masked(self):
+        """Cells past the step-size guard carry an error; the rest still classify."""
+        grid = GridSpec("hx1", (-1e4, 0.0), 5, "hy1", (-1.0, 1.0), 3)
+        cells = stability_grid((-1.5, 0.0), 5.2, -5.0, 1.0, grid, steps=64)
+        for c in cells:
+            if c.x == 0.0:
+                assert c.error is None and c.verdict == "Stable" and c.max_im < 1e-8
+            else:
+                assert c.verdict == "Unstable" and math.isnan(c.max_im)
+                assert "too coarse" in c.error
 
     def test_gamma_points_match_global_verdict(self):
         """Cells on the drive curve agree with the full-chain stability scan."""
