@@ -39,7 +39,6 @@ def main():
     ap.add_argument("--n", type=int, default=25, help="cells per axis of the amplitude grid")
     ap.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     ap.add_argument("--nk", type=int, default=128)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("results"))
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
@@ -66,7 +65,7 @@ def main():
     # phase scan along nu1p
     fixed = {"nu0": 1.5, "nu0p": 0.0, "nu1": 3.0, "omega": 5.2, "g": 1.0}
     row = GridSpec("nu1p", (0.0, 11.0), 23, "mu", (-5.0, -4.95), 2, fixed)
-    cells = phase_diagram(row, nk=args.nk, steps=args.steps, threads=args.threads)
+    cells = phase_diagram(row, nk=args.nk, steps=args.steps)
     overlay = effective_phase_overlay(row, nk=args.nk, alpha=0, beta=-2)
     eff = {(c.x, c.y): c.verdict for c in overlay}
     write_rows(

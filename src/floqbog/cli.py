@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -41,7 +41,6 @@ class ConfigError(ValueError):
     """Malformed, unknown, or inconsistent configuration input."""
 
 
-MODEL_KEYS = ("nu0", "nu0p", "nu1", "nu1p", "mu", "omega", "g")
 NUMERICS_DEFAULTS = {"steps": DEFAULT_STEPS, "nk": 256, "tol_im": TOL_IM}
 
 AXIS_KEYS = {"min": float, "max": float, "points": int}
@@ -83,9 +82,10 @@ def validate_config(cfg: dict, command: str) -> dict:
             f"config is for command {cfg['command']!r}, invoked as {command!r}"
         )
 
+    model_keys = [f.name for f in fields(ModelParams)]
     model = dict(cfg.get("model") or {})
-    _check_keys(model, MODEL_KEYS, "model")
-    missing = set(MODEL_KEYS) - {"g"} - set(model)
+    _check_keys(model, model_keys, "model")
+    missing = set(model_keys) - {"g"} - set(model)
     if missing:
         raise ConfigError(f"model missing {sorted(missing)}")
     model.setdefault("g", 1.0)
@@ -119,7 +119,7 @@ def validate_config(cfg: dict, command: str) -> dict:
         if "end_model" not in task:
             raise ConfigError("task.end_model is required for scan-path")
         end = dict(task["end_model"])
-        _check_keys(end, MODEL_KEYS, "task.end_model")
+        _check_keys(end, model_keys, "task.end_model")
         end = {**model, **end}
         task["end_model"] = end
 
@@ -291,7 +291,7 @@ def cmd_stability_grid(cfg: dict) -> int:
     return 0
 
 
-def cmd_phase_diagram(cfg: dict, threads: int = 1) -> int:
+def cmd_phase_diagram(cfg: dict) -> int:
     m = cfg["model"]
     task = cfg["task"]
     ax1, ax2 = task["axis1"], task["axis2"]
@@ -302,8 +302,7 @@ def cmd_phase_diagram(cfg: dict, threads: int = 1) -> int:
             ax2["name"], (ax2["min"], ax2["max"]), ax2["points"],
             fixed=fixed,
         )
-        cells = phase_diagram(grid, nk=cfg["numerics"]["nk"], steps=cfg["numerics"]["steps"],
-                              threads=threads)
+        cells = phase_diagram(grid, nk=cfg["numerics"]["nk"], steps=cfg["numerics"]["steps"])
     except ValueError as exc:
         raise ConfigError(str(exc))
     header = [ax1["name"], ax2["name"], "verdict", "max_im", "ws", "error"]
@@ -405,11 +404,12 @@ def cmd_scan_path(cfg: dict) -> int:
         start, end, cfg["task"].get("points", 17),
         cfg["numerics"]["nk"], cfg["numerics"]["steps"],
     )
-    header = ["fraction", *MODEL_KEYS, "stable", "max_im", "ws", "error"]
+    model_keys = [f.name for f in fields(ModelParams)]
+    header = ["fraction", *model_keys, "stable", "max_im", "ws", "error"]
     rows = [
         [
             pt.fraction,
-            *[getattr(pt.params, f) for f in MODEL_KEYS],
+            *[getattr(pt.params, f) for f in model_keys],
             pt.stable,
             pt.max_im,
             pt.ws,
@@ -453,16 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config entry, e.g. --set model.mu=-4.9",
         )
         p.add_argument("--output", help="output path prefix (overrides output.path)")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for grid sweeps")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = resolve_config(args, args.command)
-    if args.command == "phase-diagram":
-        return cmd_phase_diagram(cfg, threads=max(1, args.threads))
-    return COMMANDS[args.command](cfg)
+    return COMMANDS[args.command](resolve_config(args, args.command))
 
 
 def entry(argv=None) -> int:

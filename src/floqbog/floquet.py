@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, bloch_blocks, nambu_metric
+from .model import CONJUGATION, HERMITICITY_TOL, ModelParams, bloch_blocks, nambu_metric
 
 #: smallest power of two whose quasienergy error against an adaptive DOP853
 #: oracle stays below the 1e-6 omega resonance window of the classifier on
@@ -98,6 +98,31 @@ class Propagation(NamedTuple):
     step_norm: np.ndarray
 
 
+def _conjugation(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+    """Index permutation p of the batch's conjugation symmetry C, C H* C = H.
+
+    C is a real permutation with C^2 = 1 that commutes with Sigma_z, applied
+    as (C X C)[i, j] = X[p[i], p[j]]: the identity for real blocks (the open
+    chain), the sublattice exchange CONJUGATION for the 4x4 Bloch blocks.
+    Raises ValueError when neither holds for both blocks.
+    """
+    d = h0.shape[-1]
+    candidates = [np.arange(d)]
+    if d == 4:
+        candidates.append(CONJUGATION.real.argmax(axis=-1))
+    for p in candidates:
+        if all(
+            np.abs(h[..., p[:, None], p].conj() - h).max(initial=0.0)
+            <= HERMITICITY_TOL * (1.0 + np.abs(h).max(initial=0.0))
+            for h in (h0, h1)
+        ):
+            return p
+    raise ValueError(
+        "propagate needs C H* C = H for both blocks, with C = 1 (real blocks) "
+        "or C = 1 (x) sx (4x4 Bloch blocks)"
+    )
+
+
 def propagate(
     h0: np.ndarray, h1: np.ndarray, omega: float, steps: int, snapshots=()
 ) -> Propagation:
@@ -117,6 +142,19 @@ def propagate(
     cos(omega t) M1, every commutator is a multiple of [M1, M0], which is
     formed once.
 
+    Only the first half period is integrated.  H(T - t) = H(t), and the
+    blocks have a conjugation symmetry C H* C = H (C = 1 for real blocks,
+    1 (x) sx for the Bloch blocks; anything else is a ValueError), so
+    C A* C = -A and the step maps of the second half are those of the
+    first, reflected.  With U_a = U(floor(steps/2) h) and U_b = U_a, or the
+    middle step applied to U_a when ``steps`` is odd, the period closes as
+
+        U(T) = C Sigma_z U_a^T Sigma_z C U_b,
+
+    using U^-1 = Sigma_z U^+ Sigma_z, and U(T - t) = C U(t)* C U(T) gives
+    the second-half snapshots.  This equals the full-period product of the
+    same steps up to round-off.
+
     ``snapshots`` lists step indices s in 0..steps at which U(s h) is
     recorded.  ``step_norm`` is h (|H0| + |H1|) per propagator, in the
     max-row-sum norm, which bounds the spectral norm of a Hermitian matrix;
@@ -125,8 +163,12 @@ def propagate(
     """
     if steps < 64:
         raise ValueError(f"need at least 64 integrator steps, got {steps}")
+    record = set(snapshots)
+    if not all(0 <= s <= steps for s in record):
+        raise ValueError(f"snapshot steps must lie in 0..{steps}, got {sorted(record)}")
     h0 = np.asarray(h0, dtype=complex)
     h1 = np.asarray(h1, dtype=complex)
+    perm = _conjugation(h0, h1)
     shape = np.broadcast_shapes(h0.shape, h1.shape)
     d = shape[-1]
     sz = nambu_metric(d)[:, None]
@@ -138,16 +180,26 @@ def propagate(
     step_norm = np.broadcast_to(h * norms, shape[:-2])
     eye = np.eye(d)
     u = np.broadcast_to(eye, shape).astype(complex)
-    record = set(snapshots)
-    snaps = {0: u} if 0 in record else {}
-    for s in range(steps):
+    half = steps // 2
+    forward = steps - half
+    direct = {s if s <= forward else steps - s for s in record}
+    seen = {0: u} if 0 in direct else {}
+    for s in range(forward):
         c1 = math.cos(omega * h * (s + _GAUSS[0]))
         c2 = math.cos(omega * h * (s + _GAUSS[1]))
         om = h * m0 + (0.5 * h * (c1 + c2)) * m1 + (_COMM * h * h * (c2 - c1)) * comm
         u = u + np.linalg.solve(eye - 0.5 * om + (om @ om) / 12.0, om @ u)
-        if s + 1 in record:
-            snaps[s + 1] = u
-    return Propagation(u, snaps, step_norm)
+        if s + 1 == half:
+            u_half = u
+        if s + 1 in direct:
+            seen[s + 1] = u
+    rows, cols = perm[:, None], perm
+    u_t = (sz * np.swapaxes(u_half, -1, -2) * sz.T)[..., rows, cols] @ u
+    snaps = {
+        s: seen[s] if s <= forward else seen[steps - s][..., rows, cols].conj() @ u_t
+        for s in record
+    }
+    return Propagation(u_t, snaps, step_norm)
 
 
 def sympl_residual(u) -> np.ndarray:

@@ -27,6 +27,9 @@ I2 = np.eye(2, dtype=complex)
 
 #: generalized chiral operator sz (x) sz, anticommutes with the hopping part
 CHIRAL = np.kron(SZ, SZ)
+#: sublattice exchange 1 (x) sx, the conjugation symmetry C H* C = H of every
+#: 4x4 block built by ``field_matrix`` and ``bloch_blocks`` (real fields, real mu, g)
+CONJUGATION = np.kron(I2, SX)
 
 HERMITICITY_TOL = 1e-12
 

@@ -11,8 +11,7 @@ the rest fixed and labels each cell Unstable or (Stable, W^S = n).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .floquet import (
 )
 from .model import SX, I2, ModelParams, drive_amplitudes, field_matrix
 from .topology import evaluate_point
-
-MODEL_FIELDS = ("nu0", "nu0p", "nu1", "nu1p", "mu", "omega", "g")
 
 
 @dataclass(frozen=True)
@@ -154,16 +151,17 @@ def curve_gamma(params: ModelParams, nk: int = 256) -> np.ndarray:
 
 
 def _cell_params(grid: GridSpec) -> list[ModelParams]:
+    names = {f.name for f in fields(ModelParams)}
     axes = {grid.axis1, grid.axis2}
-    if not axes <= set(MODEL_FIELDS):
+    if not axes <= names:
         raise ValueError(f"grid axes must be model parameters, got {sorted(axes)}")
-    missing = set(MODEL_FIELDS) - axes - set(grid.fixed)
+    missing = names - axes - set(grid.fixed)
     if missing:
         raise ValueError(f"fixed parameters missing {sorted(missing)}")
     overlap = axes & set(grid.fixed)
     if overlap:
         raise ValueError(f"parameters {sorted(overlap)} are both axes and fixed")
-    extra = set(grid.fixed) - set(MODEL_FIELDS)
+    extra = set(grid.fixed) - names
     if extra:
         raise ValueError(f"unknown fixed parameters {sorted(extra)}")
     return [
@@ -172,29 +170,17 @@ def _cell_params(grid: GridSpec) -> list[ModelParams]:
 
 
 def phase_diagram(
-    grid: GridSpec, nk: int = 128, steps: int = DEFAULT_STEPS, threads: int = 1
+    grid: GridSpec, nk: int = 128, steps: int = DEFAULT_STEPS
 ) -> list[PhaseCell]:
     """Topological phase diagram over two model parameters.
 
     Each cell reports Unstable or (Stable, W^S); cells where the invariant
     cannot be evaluated carry the failure message instead of a guess.
-    Cells are independent, so the map parallelizes; aggregation is by cell
-    index and the result does not depend on the worker count.
     """
-    points = _cell_params(grid)
-
-    def work(p: ModelParams):
-        return evaluate_point(p, nk, steps)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, points))
-    else:
-        results = [work(p) for p in points]
     out = []
-    for (x, y), p, (stable, max_im, ws, err) in zip(grid.cells(), points, results):
-        verdict = "Stable" if stable else "Unstable"
-        out.append(PhaseCell(x, y, verdict, max_im, ws, err))
+    for (x, y), p in zip(grid.cells(), _cell_params(grid)):
+        stable, max_im, ws, err = evaluate_point(p, nk, steps)
+        out.append(PhaseCell(x, y, "Stable" if stable else "Unstable", max_im, ws, err))
     return out
 
 

@@ -13,12 +13,19 @@ W^S must cross an unstable region, which scan_path exhibits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .floquet import DEFAULT_STEPS, TOL_IM, classify_arrays, kgrid, kgrid_solve
+from .floquet import (
+    DEFAULT_STEPS,
+    TOL_IM,
+    IntegrationError,
+    classify_arrays,
+    kgrid,
+    kgrid_solve,
+)
 from .model import ModelParams, nambu_metric, static_fields
 
 #: matched-overlap magnitude below which a tracking is rejected
@@ -35,6 +42,10 @@ class TrackingError(RuntimeError):
 
 class InvariantUndefinedError(RuntimeError):
     """A topological invariant was requested where it is not defined."""
+
+
+#: numerical failures that ``evaluate_point`` records per point instead of raising
+_POINT_ERRORS = (IntegrationError, TrackingError, InvariantUndefinedError)
 
 
 @dataclass(frozen=True)
@@ -216,9 +227,9 @@ def symplectic_winding(
 
 def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelParams:
     """Linear interpolation of every model parameter."""
-    fields = ("nu0", "nu0p", "nu1", "nu1p", "mu", "omega", "g")
     values = {
-        f: (1.0 - fraction) * getattr(start, f) + fraction * getattr(end, f) for f in fields
+        f.name: (1.0 - fraction) * getattr(start, f.name) + fraction * getattr(end, f.name)
+        for f in fields(ModelParams)
     }
     return replace(start, **values)
 
@@ -228,13 +239,13 @@ def evaluate_point(
 ) -> tuple[bool, float, int | None, str | None]:
     """One-shot (stable, max_im, ws, error) summary of a parameter set.
 
-    Never raises: failures of the integrator, the tracking, or the
-    invariant are reported through the error slot, so grid and path drivers
-    always complete.
+    Failures of the integrator, the tracking, or the invariant are reported
+    through the error slot, so grid and path drivers always complete; any
+    other exception is a defect and propagates.
     """
     try:
         ks, eps, cnorm, states, codes = _grid_data(params, nk, steps)
-    except Exception as exc:
+    except _POINT_ERRORS as exc:
         return False, math.nan, None, str(exc)
     stable = bool((codes != 2).all())
     max_im = float(eps.imag.max())
@@ -242,7 +253,7 @@ def evaluate_point(
     if stable and (codes == 0).all():
         try:
             ws = _winding_from_tracked(_track(ks, eps, cnorm, states, params.omega)).ws
-        except Exception as exc:
+        except _POINT_ERRORS as exc:
             err = str(exc)
     elif stable:
         err = "not strongly stable: W^S undefined"

@@ -30,8 +30,13 @@ def static_energies(h: float, mu: float, g: float) -> tuple[complex, complex]:
     return ep, em
 
 
-def dop853_monodromy(h0: np.ndarray, h1: np.ndarray, omega: float, rtol: float = 1e-11):
-    """High-order adaptive integration of i dU/dt = Sigma_z H(t) U."""
+def dop853_monodromy(
+    h0: np.ndarray, h1: np.ndarray, omega: float, rtol: float = 1e-11, fraction: float = 1.0
+):
+    """High-order adaptive integration of i dU/dt = Sigma_z H(t) U.
+
+    Returns U(fraction * T), by default the one-period propagator U(T).
+    """
     d = h0.shape[0]
     sz = nambu_metric(d)[:, None]
 
@@ -42,7 +47,7 @@ def dop853_monodromy(h0: np.ndarray, h1: np.ndarray, omega: float, rtol: float =
     period = 2.0 * math.pi / omega
     sol = solve_ivp(
         rhs,
-        (0.0, period),
+        (0.0, fraction * period),
         np.eye(d, dtype=complex).ravel(),
         method="DOP853",
         rtol=rtol,

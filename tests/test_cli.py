@@ -239,7 +239,7 @@ class TestGrids:
         assert "task.hx1 missing" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:effective Hamiltonian")
-    def test_phase_diagram_with_overlay_and_threads(self):
+    def test_phase_diagram_with_overlay(self):
         cfg = write_cfg({
             "model": MODEL_A,
             "numerics": {"nk": 64, "steps": 256},
@@ -250,7 +250,7 @@ class TestGrids:
                 "overlay_nk": 32,
             },
         })
-        assert entry(["phase-diagram", "--config", cfg, "--threads", "2"]) == 0
+        assert entry(["phase-diagram", "--config", cfg]) == 0
         rows = read_csv("phase_diagram.csv")
         assert rows[0] == ["nu1p", "mu", "verdict", "max_im", "ws", "error",
                            "eff_verdict", "eff_max_im"]

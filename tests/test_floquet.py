@@ -23,12 +23,14 @@ from floqbog.floquet import (
     solve_bloch_k,
     symplectic_norms,
 )
-from floqbog.model import ModelParams, bloch_blocks
+from floqbog.model import ModelParams, bloch_blocks, chain_blocks
 
 from helpers import dop853_monodromy, expm_monodromy, static_energies
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PB = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=6.0, mu=-5.0, omega=5.2)
+#: k-dependent static field, so the Bloch blocks are complex
+PN = ModelParams(nu0=1.5, nu0p=0.7, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 
 
 class TestFold:
@@ -71,8 +73,10 @@ class TestKgrid:
 
 class TestIntegrators:
     def test_matches_adaptive_reference(self):
-        for k in (0.0, 1.1, np.pi):
-            h0, h1 = bloch_blocks(PA, np.asarray(k))
+        """Bloch blocks (C = 1 (x) sx), also with nu0p != 0, and the real chain (C = 1)."""
+        blocks = [bloch_blocks(PA, np.asarray(k)) for k in (0.0, 1.1, np.pi)]
+        blocks += [bloch_blocks(PN, np.asarray(1.1)), chain_blocks(PA, 8)]
+        for h0, h1 in blocks:
             ref = dop853_monodromy(h0, h1, PA.omega)
             assert np.abs(propagate(h0, h1, PA.omega, 2048).u - ref).max() < 1e-8
 
@@ -107,13 +111,34 @@ class TestIntegrators:
             propagate(h0, h1, PA.omega, 32)
 
     def test_snapshots(self):
-        """U(s h) is recorded at the requested steps, independent of the step size."""
+        """U(s h) is recorded at the requested steps on both sides of the midpoint.
+
+        Second-half snapshots come from the time reflection; odd step counts
+        take one middle step.  The tolerance is the 256-step one scaled by the
+        fourth-order error law.
+        """
         h0, h1 = bloch_blocks(PA, np.asarray(0.7))
-        prop = propagate(h0, h1, PA.omega, 256, snapshots=(0, 128, 256))
-        assert np.array_equal(prop.snapshots[0], np.eye(4))
-        assert np.array_equal(prop.snapshots[256], prop.u)
-        fine = propagate(h0, h1, PA.omega, 1024, snapshots=(512,)).snapshots[512]
-        assert np.abs(prop.snapshots[128] - fine).max() < 1e-6
+        for steps in (256, 65):
+            marks = (0, steps // 4, steps // 2, steps // 2 + 1, 3 * steps // 4, steps)
+            prop = propagate(h0, h1, PA.omega, steps, snapshots=marks)
+            assert sorted(prop.snapshots) == list(marks)
+            assert np.array_equal(prop.snapshots[0], np.eye(4))
+            assert np.array_equal(prop.snapshots[steps], prop.u)
+            tol = 1e-6 * (256 / steps) ** 4
+            for s in marks[1:]:
+                ref = dop853_monodromy(h0, h1, PA.omega, fraction=s / steps)
+                assert np.abs(prop.snapshots[s] - ref).max() < tol
+        with pytest.raises(ValueError, match="snapshot"):
+            propagate(h0, h1, PA.omega, 64, snapshots=(65,))
+
+    def test_requires_conjugation_symmetry(self):
+        """A Hermitian batch with neither C = 1 nor C = 1 (x) sx cannot be folded."""
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        h0 = a + np.swapaxes(a.conj(), -1, -2)
+        h1 = np.zeros_like(h0)
+        with pytest.raises(ValueError, match="C H\\* C = H"):
+            propagate(h0, h1, PA.omega, 64)
 
     def test_coarse_step_flagged(self):
         """Far past the Magnus radius the Pade map stays finite, so the guard must flag."""

@@ -15,6 +15,7 @@ from floqbog.sweep import (
     phase_diagram,
     stability_grid,
 )
+from floqbog.topology import evaluate_point
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 
@@ -141,9 +142,13 @@ class TestPhaseDiagram:
         hi = max(i for i, c in enumerate(at_mu) if c.ws == 2)
         assert any(c.verdict == "Unstable" for c in at_mu[lo:hi])
 
-    def test_thread_count_does_not_change_results(self, phase_row):
-        again = phase_diagram(ROW, nk=64, steps=512, threads=4)
-        assert again == phase_row
+    def test_cells_equal_evaluate_point(self, phase_row):
+        assert [(c.x, c.y) for c in phase_row] == list(ROW.cells())
+        for cell in phase_row:
+            p = ModelParams(**FIXED, nu1p=cell.x, mu=cell.y)
+            stable, max_im, ws, err = evaluate_point(p, nk=64, steps=512)
+            verdict = "Stable" if stable else "Unstable"
+            assert cell == PhaseCell(cell.x, cell.y, verdict, max_im, ws, err)
 
     def test_bad_grid_axes(self):
         with pytest.raises(ValueError, match="model parameters"):

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from floqbog.floquet import DEFAULT_STEPS
+from floqbog import topology
+from floqbog.floquet import DEFAULT_STEPS, IntegrationError
 from floqbog.model import ModelParams
 from floqbog.topology import (
     InvariantUndefinedError,
     TrackingError,
     _band_phase,
+    evaluate_point,
     interpolate,
     scan_path,
     select_band_set,
@@ -139,3 +143,23 @@ class TestScanPath:
                 assert p.ws is None and p.max_im > 1e-8
         fr = [p.fraction for p in pts]
         assert fr == pytest.approx(np.linspace(0, 1, 17).tolist())
+
+
+class TestEvaluatePoint:
+    @pytest.mark.parametrize("error", [IntegrationError, TrackingError, InvariantUndefinedError])
+    def test_numerical_failure_is_recorded(self, monkeypatch, error):
+        def fail(*args):
+            raise error("boom")
+
+        monkeypatch.setattr(topology, "kgrid_solve", fail)
+        stable, max_im, ws, err = evaluate_point(PA, nk=64)
+        assert not stable and math.isnan(max_im) and ws is None and err == "boom"
+
+    def test_defect_propagates(self, monkeypatch):
+        """A programming error is not a cell error: it must surface."""
+        def broken(*args):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(topology, "kgrid_solve", broken)
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            evaluate_point(PA, nk=64)
