@@ -4,9 +4,8 @@
 For every shipped recipe shape and every step count it records the largest
 quasienergy deviation from the adaptive DOP853 oracle of tests/helpers.py
 on sampled points, verdict mismatches, the topological outputs (W^S,
-midgap modes, growth rate), the pseudo-unitarity residual and the time of
-the kernel call alone.  The recipes' ``numerics.steps`` are read off this
-table.
+midgap modes, growth rate) and the pseudo-unitarity residual.  The
+recipes' ``numerics.steps`` are read off this table.
 
     PYTHONPATH=src python3 scripts/convergence.py --out convergence.json
     PYTHONPATH=src python3 scripts/convergence.py --plane 41 --steps 64 128
@@ -20,7 +19,6 @@ import importlib.util
 import json
 import math
 import pathlib
-import time
 
 import numpy as np
 
@@ -55,12 +53,6 @@ def recipe(name: str) -> dict:
     return json.loads((RECIPES / f"{name}.json").read_text())
 
 
-def timed_propagate(h0, h1, omega, steps):
-    t0 = time.perf_counter()
-    prop = propagate(h0, h1, omega, steps)
-    return prop, time.perf_counter() - t0
-
-
 def eps_deviation(eps, ref, omega: float) -> float:
     """Largest distance from a quasienergy of ``eps`` to the nearest one of ``ref``."""
     dr = np.abs(fold(eps.real[..., :, None] - ref.real[..., None, :], omega))
@@ -86,7 +78,7 @@ def bulk(name: str, oracle, steps_list) -> list[dict]:
     ref_codes = classify_arrays(ref, ref_cnorm, p.omega, TOL_IM, 1e-6 * p.omega)
     rows = []
     for steps in steps_list:
-        prop, seconds = timed_propagate(h0, h1, p.omega, steps)
+        prop = propagate(h0, h1, p.omega, steps)
         eps, cnorm, _, _ = eig_branches(prop.u, p.omega)
         codes = classify_arrays(eps, cnorm, p.omega, TOL_IM, 1e-6 * p.omega)
         row = {
@@ -96,7 +88,6 @@ def bulk(name: str, oracle, steps_list) -> list[dict]:
             "sampled": len(idx),
             "max_im": float(eps.imag.max()),
             "sympl_residual": float(sympl_residual(prop.u).max()),
-            "kernel_s": seconds,
         }
         if (codes == 0).all():
             ws = symplectic_winding(p, nk, steps)
@@ -121,7 +112,7 @@ def plane(points: int, oracle, steps_list) -> list[dict]:
     finest = None
     rows = []
     for steps in sorted(steps_list, reverse=True):
-        prop, seconds = timed_propagate(h0, h1, omega, steps)
+        prop = propagate(h0, h1, omega, steps)
         eps, cnorm, _, _ = eig_branches(prop.u, omega)
         codes = classify_arrays(eps, cnorm, omega, TOL_IM, 1e-6 * omega)
         unstable = codes == 2
@@ -137,7 +128,6 @@ def plane(points: int, oracle, steps_list) -> list[dict]:
             "stable_im_floor": float(np.abs(eps.imag[~unstable]).max()),
             "max_step_norm": float(prop.step_norm.max()),
             "sympl_residual": float(sympl_residual(prop.u).max()),
-            "kernel_s": seconds,
         })
     return rows[::-1]
 
@@ -150,7 +140,7 @@ def chain(oracle, steps_list) -> tuple[list[dict], list[dict]]:
     ref = eig_branches(oracle(h0, h1, p.omega), p.omega)[0]
     spectra, evolutions = [], []
     for steps in steps_list:
-        prop, seconds = timed_propagate(h0, h1, p.omega, steps)
+        prop = propagate(h0, h1, p.omega, steps)
         spec = chain_spectrum(p, ca["task"]["cells"], steps)
         _, (left, right) = detect_midgap(spec)
         mid_im = spec.eps[list(spec.midgap)].imag
@@ -162,12 +152,9 @@ def chain(oracle, steps_list) -> tuple[list[dict], list[dict]]:
             "min_midgap_im": float(np.abs(mid_im).min()) if len(mid_im) else None,
             "max_midgap_im": float(mid_im.max()) if len(mid_im) else None,
             "sympl_residual": float(sympl_residual(prop.u)),
-            "kernel_s": seconds,
         })
         task = cb["task"]
-        t0 = time.perf_counter()
         trace = evolve_vacuum(p, task["cells"], task["t_max"], task["samples"], steps)
-        evolve_s = time.perf_counter() - t0
         rate, target = growth_rate_fit(trace), 2.0 * float(mid_im.max())
         resid = float(trace.sympl_residual.max())
         evolutions.append({
@@ -177,7 +164,6 @@ def chain(oracle, steps_list) -> tuple[list[dict], list[dict]]:
             "truncated": trace.truncated,
             "max_block_residual": resid,
             "accuracy_digits": -math.log10(resid),
-            "evolve_s": evolve_s,
         })
     return spectra, evolutions
 

@@ -37,9 +37,9 @@ def main():
     with open(args.outdir / "chain_spectrum.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["index", "re_eps", "im_eps", "cnorm", "edge_weight", "midgap"])
-        for i, b in enumerate(spec.branches):
-            w.writerow([i, repr(float(b.eps.real)), repr(float(b.eps.imag)),
-                        repr(int(b.cnorm)), repr(float(spec.edge_weights[i])),
+        for i, (e, c) in enumerate(zip(spec.eps, spec.cnorm)):
+            w.writerow([i, repr(float(e.real)), repr(float(e.imag)),
+                        repr(int(c)), repr(float(spec.edge_weights[i])),
                         int(i in idx)])
     print(f"  -> {args.outdir / 'chain_spectrum.csv'}")
 

@@ -8,31 +8,19 @@ Hamiltonian, open-chain edge instabilities, and parameter-grid engines.
 """
 
 from .model import (
-    BdGMatrix,
-    FieldSample,
     ModelParams,
     bloch_blocks,
-    bloch_hamiltonian,
     chain_blocks,
-    chain_hamiltonian,
     chiral_residual,
-    drive_fields,
     nambu_metric,
 )
 from .floquet import (
     IntegrationError,
-    Monodromy,
-    QuasienergyBranch,
-    Verdict,
-    classify_stability,
     fold,
     global_stability,
     kgrid,
     kgrid_solve,
     propagate,
-    quasienergies,
-    solve_bloch_k,
-    symplectic_norms,
 )
 from .topology import (
     InvariantResult,
@@ -74,34 +62,25 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BdGMatrix",
     "ChainSpectrum",
     "EffectiveCoefficients",
     "EvolutionTrace",
-    "FieldSample",
     "GridSpec",
     "IntegrationError",
     "InvariantResult",
     "InvariantUndefinedError",
     "ModelParams",
-    "Monodromy",
     "PhaseCell",
-    "QuasienergyBranch",
     "StabilityCell",
     "TrackedBands",
     "TrackingError",
-    "Verdict",
     "bloch_blocks",
-    "bloch_hamiltonian",
     "chain_blocks",
-    "chain_hamiltonian",
     "chain_spectrum",
     "chiral_residual",
     "choose_indices",
-    "classify_stability",
     "curve_gamma",
     "detect_midgap",
-    "drive_fields",
     "edge_weight",
     "effective_coefficients",
     "effective_phase_overlay",
@@ -116,12 +95,9 @@ __all__ = [
     "nambu_metric",
     "phase_diagram",
     "propagate",
-    "quasienergies",
     "scan_path",
     "select_band_set",
-    "solve_bloch_k",
     "stability_grid",
-    "symplectic_norms",
     "symplectic_winding",
     "track_bands",
     "winding_undriven",

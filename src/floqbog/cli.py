@@ -345,17 +345,15 @@ def cmd_chain(cfg: dict) -> int:
     task = cfg["task"]
     spec = chain_spectrum(params, task.get("cells", 20), cfg["numerics"]["steps"])
     if "fraction" in task:
-        weights = np.array(
-            [edge_weight(b.state, task["fraction"]) for b in spec.branches]
-        )
+        weights = np.array([edge_weight(state, task["fraction"]) for state in spec.states])
         spec = replace(spec, edge_weights=weights)
     idx, (left, right) = detect_midgap(
         spec, task.get("window"), task.get("edge_threshold", 0.5)
     )
     flagged = set(idx)
     rows = [
-        [i, b.eps.real, b.eps.imag, b.cnorm, spec.edge_weights[i], int(i in flagged)]
-        for i, b in enumerate(spec.branches)
+        [i, e.real, e.imag, c, spec.edge_weights[i], int(i in flagged)]
+        for i, (e, c) in enumerate(zip(spec.eps, spec.cnorm))
     ]
     paths = write_outputs(
         cfg,

@@ -17,16 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh
 
-from .floquet import (
-    DEFAULT_STEPS,
-    TOL_IM,
-    IntegrationError,
-    QuasienergyBranch,
-    check_propagation,
-    eig_branches,
-    kgrid_solve,
-    propagate,
-)
+from .floquet import DEFAULT_STEPS, check_propagation, eig_branches, kgrid_solve, propagate
 from .model import ModelParams, chain_blocks
 
 #: occupation beyond which the linear Bogoliubov description is hopeless
@@ -39,24 +30,20 @@ DEGENERACY_TOL = 1e-2
 class ChainSpectrum:
     """Floquet spectrum of the open chain with localization diagnostics.
 
-    ``midgap`` holds indices into ``branches`` flagged by detect_midgap
-    with default settings; ``edge_weights`` aligns with ``branches``.
+    ``eps``, ``cnorm`` and ``states`` are the branches of ``eig_branches``
+    (``states[i]`` is the branch-i vector).  ``midgap`` holds branch indices
+    flagged by detect_midgap with default settings; ``edge_weights`` aligns
+    with the branches.
     """
 
-    branches: list[QuasienergyBranch]
+    eps: np.ndarray
+    cnorm: np.ndarray
+    states: np.ndarray
     midgap: tuple[int, ...]
     edge_weights: np.ndarray
     omega: float
     cells: int
     bulk_gap: float
-
-    @property
-    def eps(self) -> np.ndarray:
-        return np.array([b.eps for b in self.branches])
-
-    @property
-    def cnorm(self) -> np.ndarray:
-        return np.array([b.cnorm for b in self.branches])
 
 
 @dataclass(frozen=True)
@@ -105,14 +92,10 @@ def chain_spectrum(
     h0, h1 = chain_blocks(params, cells)
     prop = propagate(h0, h1, params.omega, steps)
     check_propagation(prop, "chain monodromy")
-    eps, cnorm, states, defective = eig_branches(prop.u, params.omega)
-    branches = [
-        QuasienergyBranch(eps[i], int(cnorm[i]), states[i], bool(defective[i]))
-        for i in range(eps.shape[0])
-    ]
-    weights = np.array([edge_weight(b.state) for b in branches])
+    eps, cnorm, states, _ = eig_branches(prop.u, params.omega)
+    weights = np.array([edge_weight(state) for state in states])
     spec = ChainSpectrum(
-        branches, (), weights, params.omega, cells, _bulk_gap(params, steps=steps)
+        eps, cnorm, states, (), weights, params.omega, cells, _bulk_gap(params, steps=steps)
     )
     flagged, _ = detect_midgap(spec)
     return replace(spec, midgap=flagged)
@@ -154,7 +137,7 @@ def detect_midgap(
     eps = spectrum.eps
     idx = [
         i
-        for i in range(len(spectrum.branches))
+        for i in range(len(eps))
         if abs(eps[i].real) < window and spectrum.edge_weights[i] > edge_threshold
     ]
     left = right = 0
@@ -163,7 +146,7 @@ def detect_midgap(
         head = remaining[0]
         group = [i for i in remaining if abs(eps[i] - eps[head]) < DEGENERACY_TOL]
         remaining = [i for i in remaining if i not in group]
-        balance = _side_balance(np.array([spectrum.branches[i].state for i in group]))
+        balance = _side_balance(spectrum.states[group])
         left += int((balance > 0).sum())
         right += int((balance <= 0).sum())
     return tuple(idx), (left, right)
@@ -252,36 +235,3 @@ def growth_rate_fit(
         raise ValueError("no exponential regime detected")
     slope, _ = np.polyfit(trace.times[mask], np.log(n[mask]), 1)
     return float(slope)
-
-
-def nudge_unstable_midgap(
-    params: ModelParams,
-    cells: int = 16,
-    scale: float = 0.05,
-    attempts: int = 12,
-    steps: int = DEFAULT_STEPS,
-    seed: int = 0,
-) -> ModelParams | None:
-    """Search small parameter nudges making all midgap states unstable.
-
-    Randomly perturbs the static couplings and the chemical potential by
-    a relative ``scale`` and returns the first parameter set whose midgap
-    states all carry |Im eps| > tol_im, or None if the search fails.
-    """
-    rng = np.random.default_rng(seed)
-    fields = ("nu0", "nu1", "mu")
-    for _ in range(attempts):
-        shift = {
-            f: getattr(params, f) * (1.0 + scale * rng.uniform(-1.0, 1.0)) for f in fields
-        }
-        trial = replace(params, **shift)
-        try:
-            spec = chain_spectrum(trial, cells, steps)
-        except (IntegrationError, ValueError):
-            continue
-        if not spec.midgap:
-            continue
-        ims = np.abs(spec.eps[list(spec.midgap)].imag)
-        if (ims > TOL_IM).all():
-            return trial
-    return None

@@ -11,9 +11,7 @@ instability, zero symplectic norm).
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +22,6 @@ from .model import CONJUGATION, HERMITICITY_TOL, ModelParams, bloch_blocks, namb
 #: oracle stays below the 1e-6 omega resonance window of the classifier on
 #: every shipped recipe shape (scripts/convergence.py; 1.2e-6 at worst)
 DEFAULT_STEPS = 256
-TOL_SYMPL = 1e-8
 TOL_IM = 1e-8
 TOL_NORM = 1e-6
 #: eigenvector overlap above which an eigenproblem is treated as defective
@@ -41,43 +38,6 @@ _COMM = math.sqrt(3.0) / 12.0
 
 class IntegrationError(RuntimeError):
     """Monodromy integration produced non-finite or non-pseudo-unitary output."""
-
-
-class Verdict(enum.Enum):
-    StronglyStable = "StronglyStable"
-    MarginallyStable = "MarginallyStable"
-    Unstable = "Unstable"
-
-
-@dataclass(frozen=True)
-class Monodromy:
-    """One-period propagator U(T) with its integration metadata."""
-
-    u: np.ndarray
-    omega: float
-    steps: int
-    sympl_residual: float = field(init=False)
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "sympl_residual", float(sympl_residual(u)))
-
-
-@dataclass(frozen=True)
-class QuasienergyBranch:
-    """Single Floquet-Bogoliubov branch at fixed momentum (or chain mode).
-
-    ``eps`` has Re eps folded into (-omega/2, omega/2]; Im eps > 0 marks a
-    growing mode.  ``cnorm`` is the symplectic norm sign, 0 when the state
-    is not normalizable in the Sigma_z metric.  ``state`` is normalized to
-    <psi|Sigma_z|psi> = cnorm when cnorm != 0, else to unit Euclidean norm.
-    """
-
-    eps: complex
-    cnorm: int
-    state: np.ndarray
-    defective: bool = False
 
 
 def kgrid(nk: int) -> np.ndarray:
@@ -227,7 +187,7 @@ def check_propagation(prop: Propagation, what: str) -> None:
         )
 
 
-def eig_branches(u, omega: float, tol_norm: float = TOL_NORM):
+def eig_branches(u, omega: float):
     """Eigendecompose batched monodromy matrices into quasienergy data.
 
     Parameters
@@ -238,9 +198,13 @@ def eig_branches(u, omega: float, tol_norm: float = TOL_NORM):
 
     Returns
     -------
-    eps : (..., d) complex, sorted by (Re, Im, cnorm) per batch entry
-    cnorm : (..., d) int in {-1, 0, +1}
-    states : (..., d, d) complex, states[..., i, :] is the branch-i vector
+    eps : (..., d) complex, sorted by (Re, Im, cnorm) per batch entry, with
+        Re eps folded into (-omega/2, omega/2]; Im eps > 0 marks a growing mode
+    cnorm : (..., d) int in {-1, 0, +1}, the symplectic norm sign, 0 when the
+        branch is not normalizable in the Sigma_z metric
+    states : (..., d, d) complex, states[..., i, :] is the branch-i vector,
+        normalized to <psi|Sigma_z|psi> = cnorm when cnorm != 0, else to unit
+        Euclidean norm
     defective : (..., d) bool, True where eigenvectors nearly coalesce
     """
     u = np.asarray(u, dtype=complex)
@@ -256,7 +220,7 @@ def eig_branches(u, omega: float, tol_norm: float = TOL_NORM):
 
     sz = nambu_metric(d)
     q = np.einsum("...mi,m,...mi->...i", vec.conj(), sz, vec).real
-    normalizable = (np.abs(q) > tol_norm) & ~defective
+    normalizable = (np.abs(q) > TOL_NORM) & ~defective
     scale = np.where(normalizable, np.sqrt(np.abs(q)), 1.0)
     vec = vec / scale[..., None, :]
     cnorm = np.where(normalizable, np.sign(q).astype(int), 0).astype(int)
@@ -269,43 +233,15 @@ def eig_branches(u, omega: float, tol_norm: float = TOL_NORM):
     return eps, cnorm, states, defective
 
 
-def quasienergies(m: Monodromy, tol_norm: float = TOL_NORM) -> list[QuasienergyBranch]:
-    """Complex quasienergies of a monodromy, norms assigned, stably sorted."""
-    if m.sympl_residual > TOL_RESIDUAL:
-        raise IntegrationError(
-            f"monodromy violates pseudo-unitarity (residual {m.sympl_residual:.2e}); "
-            "increase the step count"
-        )
-    eps, cnorm, states, defective = eig_branches(m.u, m.omega, tol_norm)
-    return [
-        QuasienergyBranch(complex(e), int(c), s, bool(f))
-        for e, c, s, f in zip(eps, cnorm, states, defective)
-    ]
-
-
-def symplectic_norms(
-    branches: list[QuasienergyBranch], tol_norm: float = TOL_NORM
-) -> list[QuasienergyBranch]:
-    """Assign symplectic norm signs, rescaling states to <psi|Sz|psi> = +-1.
-
-    Idempotent; states with |<psi|Sz|psi>| <= tol_norm keep unit Euclidean
-    norm and get cnorm = 0.
-    """
-    out = []
-    for b in branches:
-        sz = nambu_metric(b.state.shape[0])
-        q = float(np.real(np.vdot(b.state, sz * b.state)))
-        if abs(q) > tol_norm and not b.defective:
-            state = b.state / math.sqrt(abs(q))
-            out.append(QuasienergyBranch(b.eps, int(np.sign(q)), state, b.defective))
-        else:
-            state = b.state / np.linalg.norm(b.state)
-            out.append(QuasienergyBranch(b.eps, 0, state, b.defective))
-    return out
-
-
 def classify_arrays(eps, cnorm, omega: float, tol_im: float, window: float):
-    """Vectorized verdict codes 0/1/2 = strong/marginal/unstable over batches."""
+    """Vectorized verdict codes 0/1/2 = strong/marginal/unstable over batches.
+
+    The last axis holds the branches of one momentum (or one chain).  Unstable
+    if any |Im eps| > tol_im.  Otherwise marginally stable if any pair of
+    opposite symplectic norm has Re eps closer than ``window`` on the
+    quasienergy circle (covering degeneracies at Re eps near 0 and omega/2),
+    or if any branch is non-normalizable.  Strongly stable otherwise.
+    """
     eps = np.asarray(eps)
     cnorm = np.asarray(cnorm)
     unstable = (np.abs(eps.imag) > tol_im).any(axis=-1)
@@ -315,38 +251,6 @@ def classify_arrays(eps, cnorm, omega: float, tol_im: float, window: float):
     resonant = (opposite & (dist < window)).any(axis=(-2, -1))
     marginal = resonant | (cnorm == 0).any(axis=-1)
     return np.where(unstable, 2, np.where(marginal, 1, 0))
-
-
-def classify_stability(
-    branches: list[QuasienergyBranch],
-    omega: float,
-    tol_im: float = TOL_IM,
-    resonance_window: float | None = None,
-) -> Verdict:
-    """Stability verdict for one set of branches (one momentum or one chain).
-
-    Unstable if any |Im eps| > tol_im.  Otherwise marginally stable if any
-    pair of opposite symplectic norm has Re eps separated by less than
-    resonance_window on the quasienergy circle (covering degeneracies at
-    Re eps near 0 and omega/2), or if any branch is non-normalizable.
-    Strongly stable otherwise.
-    """
-    if resonance_window is None:
-        resonance_window = 1e-6 * omega
-    eps = np.array([b.eps for b in branches])
-    cnorm = np.array([b.cnorm for b in branches])
-    code = int(classify_arrays(eps, cnorm, omega, tol_im, resonance_window))
-    return (Verdict.StronglyStable, Verdict.MarginallyStable, Verdict.Unstable)[code]
-
-
-def solve_bloch_k(
-    params: ModelParams, k: float, steps: int = DEFAULT_STEPS
-) -> list[QuasienergyBranch]:
-    """Monodromy + quasienergies of the 4x4 Bloch problem at momentum k."""
-    h0, h1 = bloch_blocks(params, np.asarray(k, dtype=float))
-    prop = propagate(h0, h1, params.omega, steps)
-    check_propagation(prop, f"k={k:+.6f}")
-    return quasienergies(Monodromy(prop.u, params.omega, steps))
 
 
 def kgrid_solve(params: ModelParams, nk: int, steps: int = DEFAULT_STEPS):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
@@ -79,69 +78,6 @@ class ModelParams:
         return self.nu0p + self.nu1p * math.cos(self.omega * t)
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Pseudo-field decomposition h(k,t) = h0 + h1*cos(omega*t) at fixed k.
-
-    hx, hy are the instantaneous components at the sample time.
-    """
-
-    hx0: float
-    hy0: float
-    hx1: float
-    hy1: float
-    hx: float
-    hy: float
-
-
-@dataclass(frozen=True)
-class BdGMatrix:
-    """Dense Hermitian Bogoliubov matrix with its Nambu block structure.
-
-    ``entries`` is (dim, dim) complex with dim even; the metric is
-    diag(+1,...,+1,-1,...,-1).  ``mu`` and ``g`` record the uniform
-    chemical-potential and pairing content so symmetry checks can strip
-    them off again.
-    """
-
-    entries: np.ndarray
-    mu: float = 0.0
-    g: float = 0.0
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
-            raise ValueError(f"BdG matrix must be square with even dimension, got {arr.shape}")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def metric(self) -> np.ndarray:
-        return nambu_metric(self.dim)
-
-    def hermiticity_residual(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-
-def drive_fields(params: ModelParams, k: float, t: float = 0.0) -> FieldSample:
-    """Static and drive components of the pseudo-field at momentum k.
-
-    Returns hx0 = -nu0 - nu0p*cos k, hy0 = -nu0p*sin k and the drive
-    amplitudes hx1 = -nu1 - nu1p*cos k, hy1 = -nu1p*sin k, together with
-    the instantaneous field at time t.
-    """
-    ck, sk = math.cos(k), math.sin(k)
-    hx0 = -params.nu0 - params.nu0p * ck
-    hy0 = -params.nu0p * sk
-    hx1 = -params.nu1 - params.nu1p * ck
-    hy1 = -params.nu1p * sk
-    c = math.cos(params.omega * t)
-    return FieldSample(hx0, hy0, hx1, hy1, hx0 + hx1 * c, hy0 + hy1 * c)
-
-
 def static_fields(params: ModelParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (hx0, hy0) over an array of momenta."""
     k = np.asarray(k, dtype=float)
@@ -185,19 +121,13 @@ def bloch_blocks(params: ModelParams, k: np.ndarray) -> tuple[np.ndarray, np.nda
     return h0, field_matrix(hx1, hy1)
 
 
-def bloch_hamiltonian(params: ModelParams, k: float, t: float = 0.0) -> BdGMatrix:
-    """Momentum-space 4x4 Bogoliubov matrix H_k(t)."""
-    h0, h1 = bloch_blocks(params, np.asarray(k, dtype=float))
-    return BdGMatrix(h0 + h1 * math.cos(params.omega * t), mu=params.mu, g=params.g)
-
-
 def chain_blocks(params: ModelParams, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Static and drive parts of the open-chain 2N x 2N Bogoliubov matrix.
 
     N = 2*cells sites with open boundaries; sites are ordered
     (cell 0, sublattice 1), (cell 0, sublattice 2), (cell 1, sublattice 1), ...
     The pairing block is g times the identity, which Fourier-transforms to
-    the momentum-space pairing g sx (x) 1 of ``bloch_hamiltonian``.
+    the momentum-space pairing g sx (x) 1 of ``bloch_blocks``.
     """
     if cells < 2:
         raise ValueError(f"need at least 2 unit cells, got {cells}")
@@ -220,20 +150,15 @@ def chain_blocks(params: ModelParams, cells: int) -> tuple[np.ndarray, np.ndarra
     return h0, h1
 
 
-def chain_hamiltonian(params: ModelParams, cells: int, t: float = 0.0) -> BdGMatrix:
-    """Open-chain Bogoliubov matrix at time t for ``cells`` unit cells."""
-    h0, h1 = chain_blocks(params, cells)
-    return BdGMatrix(h0 + h1 * math.cos(params.omega * t), mu=params.mu, g=params.g)
-
-
-def chiral_residual(h: BdGMatrix) -> float:
+def chiral_residual(h: np.ndarray, mu: float, g: float) -> float:
     """Violation of the generalized chiral symmetry of the 4x4 hopping part.
 
-    Strips the chemical potential and pairing recorded on ``h`` and returns
-    ``max |S A S + A|`` with S = sz (x) sz and A the remainder.  Zero for
-    any matrix produced by ``bloch_hamiltonian``.
+    Strips the chemical potential ``mu`` and pairing ``g`` off the 4x4 Bloch
+    matrix ``h`` and returns ``max |S A S + A|`` with S = sz (x) sz and A the
+    remainder.  Zero for any H0 + H1 cos(omega t) built by ``bloch_blocks``.
     """
-    if h.dim != 4:
-        raise ValueError(f"chiral residual is defined for the 4x4 Bloch matrix, got dim {h.dim}")
-    a = h.entries + h.mu * np.eye(4) - h.g * np.kron(SX, I2)
+    h = np.asarray(h)
+    if h.shape != (4, 4):
+        raise ValueError(f"chiral residual is defined for the 4x4 Bloch matrix, got {h.shape}")
+    a = h + mu * np.eye(4) - g * np.kron(SX, I2)
     return float(np.abs(CHIRAL @ a @ CHIRAL + a).max())

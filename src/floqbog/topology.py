@@ -156,7 +156,7 @@ def track_bands(params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS) 
     ks, eps, cnorm, states, codes = _grid_data(params, nk, steps)
     if (codes != 0).any():
         raise InvariantUndefinedError(
-            "band tracking requires a globally strongly stable system "
+            "band tracking and W^S require a globally strongly stable system "
             f"(worst Im eps = {eps.imag.max():.2e})"
         )
     return _track(ks, eps, cnorm, states, params.omega)
@@ -216,13 +216,7 @@ def symplectic_winding(
     and divided by pi.  Refuses when the system is not globally strongly
     stable.
     """
-    ks, eps, cnorm, states, codes = _grid_data(params, nk, steps)
-    if (codes != 0).any():
-        raise InvariantUndefinedError(
-            "W^S is only defined for globally strongly stable systems "
-            f"(worst Im eps = {eps.imag.max():.2e})"
-        )
-    return _winding_from_tracked(_track(ks, eps, cnorm, states, params.omega))
+    return _winding_from_tracked(track_bands(params, nk, steps))
 
 
 def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelParams:

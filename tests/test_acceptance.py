@@ -21,12 +21,7 @@ from floqbog.dynamics import (
 )
 from floqbog.effective import effective_quasienergies, effective_coefficients, effective_spectrum
 from floqbog.floquet import fold, global_stability, kgrid_solve, propagate, sympl_residual
-from floqbog.model import (
-    ModelParams,
-    bloch_blocks,
-    bloch_hamiltonian,
-    chiral_residual,
-)
+from floqbog.model import ModelParams, bloch_blocks, chiral_residual
 from floqbog.topology import (
     _band_phase,
     scan_path,
@@ -106,17 +101,17 @@ def test_acceptance_4_finite_chain_midgap(chain20):
     spec = chain20
     dt = time.perf_counter() - t0
     window = 0.1 * spec.bulk_gap
-    midgap = [i for i in range(len(spec.branches)) if abs(spec.eps[i].real) < window]
+    midgap = [i for i in range(len(spec.eps)) if abs(spec.eps[i].real) < window]
     checks = {
         "exactly 4 midgap states": len(midgap) == 4,
         "edge weight > 0.9 in outer 10% of sites": all(
-            edge_weight(spec.branches[i].state, 0.1) > 0.9 for i in midgap
+            edge_weight(spec.states[i], 0.1) > 0.9 for i in midgap
         ),
         "2 per boundary": detect_midgap(spec)[1] == (2, 2),
         ">= 2 growing midgap states": sum(spec.eps[i].imag > 1e-4 for i in midgap) >= 2,
         "non-midgap |Im eps| < 1e-8": all(
             abs(spec.eps[i].imag) < 1e-8
-            for i in range(len(spec.branches))
+            for i in range(len(spec.eps))
             if i not in midgap
         ),
         "runtime < 60 s": dt < 60.0,
@@ -202,9 +197,15 @@ def test_acceptance_7_property_suite():
             if j.size:
                 closure = max(closure, setdist(eps[j[0]], -eps[i].conj(), p.omega))
 
-    # chiral residual on the same 1000 draws
+    # chiral residual of H_k(t) = H0 + H1 cos(omega t) on the same 1000 draws
+    def bloch_at(p, k, t):
+        h0, h1 = bloch_blocks(p, np.asarray(k))
+        return h0 + h1 * math.cos(p.omega * t)
+
     chiral = max(
-        chiral_residual(bloch_hamiltonian(p, rng.uniform(-math.pi, math.pi), rng.uniform(0, 5)))
+        chiral_residual(
+            bloch_at(p, rng.uniform(-math.pi, math.pi), rng.uniform(0, 5)), p.mu, p.g
+        )
         for p in draws
     )
 

@@ -11,7 +11,6 @@ from floqbog.dynamics import (
     edge_weight,
     evolve_vacuum,
     growth_rate_fit,
-    nudge_unstable_midgap,
 )
 from floqbog.floquet import IntegrationError
 from floqbog.model import ModelParams
@@ -52,8 +51,8 @@ class TestEdgeWeight:
 
 class TestChainSpectrum:
     def test_shapes(self, spec_a):
-        assert len(spec_a.branches) == 80
-        assert spec_a.eps.shape == (80,)
+        assert spec_a.eps.shape == spec_a.cnorm.shape == (80,)
+        assert spec_a.states.shape == (80, 80)
         assert spec_a.edge_weights.shape == (80,)
         assert spec_a.cells == 20
 
@@ -75,7 +74,7 @@ class TestChainSpectrum:
     def test_midgap_edge_localized(self, spec_a):
         for i in spec_a.midgap:
             assert spec_a.edge_weights[i] > 0.6
-            assert edge_weight(spec_a.branches[i].state, 0.2) > 0.9
+            assert edge_weight(spec_a.states[i], 0.2) > 0.9
 
     def test_bulk_modes_quiet(self, spec_a):
         # residual bulk Im eps is a finite-size Krein collision, not an
@@ -184,10 +183,3 @@ class TestGrowthRateFit:
             with pytest.raises(ValueError, match="site"):
                 growth_rate_fit(trace, site=bad)
 
-
-def test_nudge_search_contract():
-    found = nudge_unstable_midgap(PA, cells=12, attempts=3, steps=512, seed=0)
-    if found is not None:
-        spec = chain_spectrum(found, cells=12, steps=512)
-        assert spec.midgap
-        assert (np.abs(spec.eps[list(spec.midgap)].imag) > 1e-8).all()

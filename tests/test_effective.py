@@ -11,8 +11,8 @@ from floqbog.effective import (
     effective_quasienergies,
     effective_spectrum,
 )
-from floqbog.floquet import fold, kgrid, kgrid_solve, solve_bloch_k
-from floqbog.model import ModelParams
+from floqbog.floquet import eig_branches, fold, kgrid, kgrid_solve, propagate
+from floqbog.model import ModelParams, bloch_blocks
 
 from helpers import bessel_series, static_energies
 
@@ -126,7 +126,8 @@ class TestSpectrum:
                 ep, em = static_energies(h, mu, g)
                 assert ep_eff[0] == pytest.approx(max(abs(ep), abs(em)), abs=1e-8)
                 assert em_eff[0] == pytest.approx(-min(abs(ep), abs(em)), abs=1e-8)
-                exact = sorted(abs(b.eps) for b in solve_bloch_k(p, k, steps=512))
+                u = propagate(*bloch_blocks(p, np.asarray(k)), p.omega, 512).u
+                exact = sorted(np.abs(eig_branches(u, p.omega)[0]))
                 assert exact[0] == pytest.approx(abs(em_eff[0]), abs=1e-6)
                 assert exact[-1] == pytest.approx(abs(ep_eff[0]), abs=1e-6)
 

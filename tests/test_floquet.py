@@ -7,23 +7,20 @@ from hypothesis import strategies as st
 
 from floqbog.floquet import (
     MAX_STEP_NORM,
+    TOL_IM,
     IntegrationError,
-    Monodromy,
-    Verdict,
+    Propagation,
     check_propagation,
     classify_arrays,
-    classify_stability,
     eig_branches,
     fold,
     global_stability,
     kgrid,
     kgrid_solve,
     propagate,
-    quasienergies,
-    solve_bloch_k,
-    symplectic_norms,
+    sympl_residual,
 )
-from floqbog.model import ModelParams, bloch_blocks, chain_blocks
+from floqbog.model import ModelParams, bloch_blocks, chain_blocks, nambu_metric
 
 from helpers import dop853_monodromy, expm_monodromy, static_energies
 
@@ -31,6 +28,18 @@ PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PB = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=6.0, mu=-5.0, omega=5.2)
 #: k-dependent static field, so the Bloch blocks are complex
 PN = ModelParams(nu0=1.5, nu0p=0.7, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
+
+
+def bloch_branches(p: ModelParams, k: float, steps: int):
+    """(eps, cnorm, states, defective) of the checked Bloch monodromy at one momentum."""
+    prop = propagate(*bloch_blocks(p, np.asarray(k)), p.omega, steps)
+    check_propagation(prop, f"k={k}")
+    return eig_branches(prop.u, p.omega)
+
+
+def verdict(eps, cnorm, omega: float) -> int:
+    """classify_arrays code (0/1/2 = strong/marginal/unstable) at the default window."""
+    return int(classify_arrays(eps, cnorm, omega, TOL_IM, 1e-6 * omega))
 
 
 class TestFold:
@@ -101,9 +110,8 @@ class TestIntegrators:
 
     def test_pseudo_unitary(self):
         for k in (0.0, 2.2):
-            m = Monodromy(propagate(*bloch_blocks(PA, np.asarray(k)), PA.omega, 2048).u,
-                          PA.omega, 2048)
-            assert m.sympl_residual < 1e-8
+            u = propagate(*bloch_blocks(PA, np.asarray(k)), PA.omega, 2048).u
+            assert sympl_residual(u) < 1e-8
 
     def test_step_validation(self):
         h0, h1 = bloch_blocks(PA, np.asarray(0.0))
@@ -159,9 +167,7 @@ class TestQuasienergies:
         ep, _ = static_energies(0.0, p.mu, p.g)
         assert ep.real == pytest.approx(math.sqrt(24))
         target = math.sqrt(24) - 5.2
-        br = solve_bloch_k(p, 0.8, steps=1024)
-        eps = np.array([b.eps for b in br])
-        cn = np.array([b.cnorm for b in br])
+        eps, cn, _, _ = bloch_branches(p, 0.8, 1024)
         assert np.abs(eps.imag).max() < 1e-10
         assert np.allclose(np.sort(eps.real), [target, target, -target, -target], atol=1e-8)
         # the folded branch at negative Re came from +sqrt(24): particle-like
@@ -174,8 +180,8 @@ class TestQuasienergies:
         for k in (0.0, 1.3):
             h = math.hypot(-p.nu0 - p.nu0p * math.cos(k), -p.nu0p * math.sin(k))
             ep, em = static_energies(h, p.mu, p.g)
-            br = solve_bloch_k(p, k, steps=1024)
-            got = sorted(abs(b.eps) for b in br)
+            eps, _, _, _ = bloch_branches(p, k, 1024)
+            got = sorted(np.abs(eps))
             want = sorted([abs(ep)] * 2 + [abs(em)] * 2)
             assert np.allclose(got, want, atol=1e-8)
 
@@ -206,34 +212,31 @@ class TestQuasienergies:
 
     def test_rejects_bad_monodromy(self):
         with pytest.raises(IntegrationError, match="pseudo-unitarity"):
-            quasienergies(Monodromy(2.0 * np.eye(4), 5.2, 64))
+            check_propagation(Propagation(2.0 * np.eye(4), {}, np.zeros(())), "test")
 
-    def test_symplectic_norms_idempotent(self):
-        br = solve_bloch_k(PA, 0.4, steps=1024)
-        again = symplectic_norms(symplectic_norms(br))
-        from floqbog.model import nambu_metric
-
+    def test_states_normalized_to_cnorm(self):
+        """Every normalizable branch state has <psi|Sigma_z|psi> = cnorm."""
+        _, cnorm, states, _ = bloch_branches(PA, 0.4, 1024)
         sz = nambu_metric(4)
-        for b0, b1 in zip(br, again):
-            assert b0.cnorm == b1.cnorm
-            if b1.cnorm:
-                q = float(np.real(np.vdot(b1.state, sz * b1.state)))
-                assert q == pytest.approx(b1.cnorm, abs=1e-8)
+        assert (cnorm != 0).all()
+        for c, state in zip(cnorm, states):
+            q = float(np.real(np.vdot(state, sz * state)))
+            assert q == pytest.approx(c, abs=1e-8)
 
 
 class TestClassification:
     def test_strongly_stable(self):
-        br = solve_bloch_k(PA, 0.8, steps=1024)
-        assert classify_stability(br, PA.omega) is Verdict.StronglyStable
+        eps, cnorm, _, _ = bloch_branches(PA, 0.8, 1024)
+        assert verdict(eps, cnorm, PA.omega) == 0
 
     def test_marginal_from_fold_tie(self):
         """Opposite-norm branches meeting at the zone edge are marginal."""
         p = ModelParams(nu0=-2.0, nu0p=0, nu1=0, nu1p=0, mu=0.6, omega=5.2, g=0.0)
-        br = solve_bloch_k(p, 0.0, steps=1024)
-        edge = [b for b in br if abs(abs(b.eps.real) - 2.6) < 1e-8]
-        assert sorted(b.cnorm for b in edge) == [-1, 1]
-        assert np.abs([b.eps.imag for b in br]).max() < 1e-10
-        assert classify_stability(br, p.omega) is Verdict.MarginallyStable
+        eps, cnorm, _, _ = bloch_branches(p, 0.0, 1024)
+        edge = np.abs(np.abs(eps.real) - 2.6) < 1e-8
+        assert sorted(cnorm[edge]) == [-1, 1]
+        assert np.abs(eps.imag).max() < 1e-10
+        assert verdict(eps, cnorm, p.omega) == 1
 
     def test_unstable(self):
         stable, max_im = global_stability(PB, nk=64, steps=1024)

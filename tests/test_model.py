@@ -6,23 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqbog.model import (
-    BdGMatrix,
     I2,
+    SX,
     SZ,
     ModelParams,
     bloch_blocks,
-    bloch_hamiltonian,
     chain_blocks,
-    chain_hamiltonian,
     chiral_residual,
-    drive_fields,
     drive_amplitudes,
     nambu_metric,
+    static_fields,
 )
 
 PA = dict(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 amp = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def bloch_at(p: ModelParams, k: float, t: float = 0.0) -> np.ndarray:
+    """H_k(t) = H0(k) + H1(k) cos(omega t) from the Bloch blocks."""
+    h0, h1 = bloch_blocks(p, np.asarray(k))
+    return h0 + h1 * math.cos(p.omega * t)
+
+
+def chain_at(p: ModelParams, cells: int, t: float = 0.0) -> np.ndarray:
+    """Open-chain Bogoliubov matrix at time t from the chain blocks."""
+    h0, h1 = chain_blocks(p, cells)
+    return h0 + h1 * math.cos(p.omega * t)
+
+
+def hermiticity(h: np.ndarray) -> float:
+    return float(np.abs(h - h.conj().T).max())
 
 
 def random_params(rng) -> ModelParams:
@@ -58,28 +73,31 @@ class TestModelParams:
 
 class TestDriveFields:
     def test_fig_point_at_k0(self):
-        f = drive_fields(ModelParams(**PA), 0.0, 0.0)
-        assert f.hx == pytest.approx(-15.5)
-        assert f.hy == pytest.approx(0.0, abs=1e-15)
-        assert (f.hx0, f.hx1) == (pytest.approx(-1.5), pytest.approx(-14.0))
+        p = ModelParams(**PA)
+        (hx0, hy0), (hx1, hy1) = static_fields(p, 0.0), drive_amplitudes(p, 0.0)
+        assert hx0 + hx1 == pytest.approx(-15.5)
+        assert hy0 + hy1 == pytest.approx(0.0, abs=1e-15)
+        assert (hx0, hx1) == (pytest.approx(-1.5), pytest.approx(-14.0))
 
     def test_all_zero(self):
         p = ModelParams(nu0=0, nu0p=0, nu1=0, nu1p=0, mu=0, omega=5.2, g=0)
-        f = drive_fields(p, 1.3, 0.7)
-        assert (f.hx0, f.hy0, f.hx1, f.hy1) == (0, 0, 0, 0)
+        (hx0, hy0), (hx1, hy1) = static_fields(p, 1.3), drive_amplitudes(p, 1.3)
+        assert (hx0, hy0, hx1, hy1) == (0, 0, 0, 0)
 
     def test_pure_intercell(self):
-        f = drive_fields(ModelParams(nu0=0, nu0p=1, nu1=0, nu1p=0, mu=0, omega=5.2),
-                         math.pi / 2, 0.0)
-        assert f.hx0 == pytest.approx(0.0, abs=1e-15)
-        assert f.hy0 == pytest.approx(-1.0)
+        hx0, hy0 = static_fields(ModelParams(nu0=0, nu0p=1, nu1=0, nu1p=0, mu=0, omega=5.2),
+                                 math.pi / 2)
+        assert hx0 == pytest.approx(0.0, abs=1e-15)
+        assert hy0 == pytest.approx(-1.0)
 
     @given(k=st.floats(-math.pi, math.pi), t=st.floats(0, 10))
     def test_reconstruction(self, k, t):
+        """h(k, t) = h0(k) + h1(k) cos(omega t) equals the field of nu(t), nu'(t)."""
         p = ModelParams(**PA)
-        f = drive_fields(p, k, t)
-        assert f.hx == pytest.approx(-p.nu(t) - p.nup(t) * math.cos(k), abs=1e-12)
-        assert f.hy == pytest.approx(-p.nup(t) * math.sin(k), abs=1e-12)
+        (hx0, hy0), (hx1, hy1) = static_fields(p, k), drive_amplitudes(p, k)
+        c = math.cos(p.omega * t)
+        assert hx0 + hx1 * c == pytest.approx(-p.nu(t) - p.nup(t) * math.cos(k), abs=1e-12)
+        assert hy0 + hy1 * c == pytest.approx(-p.nup(t) * math.sin(k), abs=1e-12)
 
     def test_drive_circle(self):
         """(hx1, hy1) over the zone is a circle of radius |nu1p| at (-nu1, 0)."""
@@ -92,11 +110,11 @@ class TestDriveFields:
 class TestBlochHamiltonian:
     def test_zero(self):
         p = ModelParams(nu0=0, nu0p=0, nu1=0, nu1p=0, mu=0, omega=5.2, g=0)
-        assert np.abs(bloch_hamiltonian(p, 0.3).entries).max() == 0.0
+        assert np.abs(bloch_at(p, 0.3)).max() == 0.0
 
     def test_pairing_and_mu_blocks(self):
         p = ModelParams(nu0=0, nu0p=0, nu1=0, nu1p=0, mu=-5.0, omega=5.2, g=1.0)
-        h = bloch_hamiltonian(p, 0.0).entries
+        h = bloch_at(p, 0.0)
         assert np.allclose(np.diag(h), 5.0)
         assert h[0, 2] == h[1, 3] == h[2, 0] == h[3, 1] == 1.0
         off = h - np.diag(np.diag(h))
@@ -104,40 +122,44 @@ class TestBlochHamiltonian:
         assert np.abs(off).max() == 0.0
 
     def test_hermitian_and_chiral(self):
-        h = bloch_hamiltonian(ModelParams(**PA), 0.0, 0.0)
-        assert h.hermiticity_residual() < 1e-12
-        assert chiral_residual(h) < 1e-12
+        p = ModelParams(**PA)
+        h = bloch_at(p, 0.0, 0.0)
+        assert hermiticity(h) < 1e-12
+        assert chiral_residual(h, p.mu, p.g) < 1e-12
 
     def test_chiral_residual_random_draws(self):
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(1000):
             p = random_params(rng)
-            h = bloch_hamiltonian(p, rng.uniform(-math.pi, math.pi), rng.uniform(0, 5))
-            worst = max(worst, chiral_residual(h), h.hermiticity_residual())
+            h = bloch_at(p, rng.uniform(-math.pi, math.pi), rng.uniform(0, 5))
+            worst = max(worst, chiral_residual(h, p.mu, p.g), hermiticity(h))
         assert worst < 1e-12
 
     def test_chiral_residual_detects_sz_term(self):
-        h = bloch_hamiltonian(ModelParams(**PA), 0.4, 0.0)
-        spoiled = BdGMatrix(h.entries + np.kron(SZ, I2), mu=h.mu, g=h.g)
-        assert chiral_residual(spoiled) == pytest.approx(2.0)
+        p = ModelParams(**PA)
+        spoiled = bloch_at(p, 0.4, 0.0) + np.kron(SZ, I2)
+        assert chiral_residual(spoiled, p.mu, p.g) == pytest.approx(2.0)
 
     def test_chiral_residual_rejects_chain(self):
         with pytest.raises(ValueError):
-            chiral_residual(chain_hamiltonian(ModelParams(**PA), 4))
+            p = ModelParams(**PA)
+            chiral_residual(chain_at(p, 4), p.mu, p.g)
 
     def test_blocks_reassemble(self):
+        """H0 + H1 cos(omega t) is the closed form of the module docstring."""
         p = ModelParams(**PA)
-        h0, h1 = bloch_blocks(p, 0.9)
-        t = 0.37
-        full = bloch_hamiltonian(p, 0.9, t).entries
-        assert np.abs(h0 + math.cos(p.omega * t) * h1 - full).max() < 1e-14
+        k, t = 0.9, 0.37
+        hx = -p.nu(t) - p.nup(t) * math.cos(k)
+        hy = -p.nup(t) * math.sin(k)
+        full = np.kron(I2, hx * SX + hy * SY) - p.mu * np.eye(4) + p.g * np.kron(SX, I2)
+        assert np.abs(bloch_at(p, k, t) - full).max() < 1e-14
 
 
 class TestChain:
     def test_zero(self):
         p = ModelParams(nu0=0, nu0p=0, nu1=0, nu1p=0, mu=0, omega=5.2, g=0)
-        assert np.abs(chain_hamiltonian(p, 2).entries).max() == 0.0
+        assert np.abs(chain_at(p, 2)).max() == 0.0
 
     def test_rejects_single_cell(self):
         with pytest.raises(ValueError):
@@ -145,13 +167,13 @@ class TestChain:
 
     def test_intra_bonds_only(self):
         p = ModelParams(nu0=1.0, nu0p=0, nu1=0, nu1p=0, mu=0, omega=5.2, g=0)
-        k0 = chain_hamiltonian(p, 2).entries[:4, :4].real
+        k0 = chain_at(p, 2)[:4, :4].real
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[1, 0] = expected[2, 3] = expected[3, 2] = -1.0
         assert np.array_equal(k0, expected)
 
     def test_hermitian(self):
-        assert chain_hamiltonian(ModelParams(**PA), 6, 0.2).hermiticity_residual() < 1e-12
+        assert hermiticity(chain_at(ModelParams(**PA), 6, 0.2)) < 1e-12
 
     def test_bulk_fourier_matches_bloch(self):
         """A bulk row of the chain Fourier transforms to the Bloch matrix."""
@@ -160,11 +182,11 @@ class TestChain:
             p = random_params(rng)
             t = rng.uniform(0, 5)
             cells = 9
-            full = chain_hamiltonian(p, cells, t).entries
+            full = chain_at(p, cells, t)
             n = 2 * cells
             m0 = cells // 2
             k = rng.uniform(-math.pi, math.pi)
-            target = bloch_hamiltonian(p, k, t).entries
+            target = bloch_at(p, k, t)
             got = np.zeros((4, 4), dtype=complex)
             for s_row, row in enumerate((2 * m0, 2 * m0 + 1, n + 2 * m0, n + 2 * m0 + 1)):
                 for m in range(cells):
@@ -174,8 +196,8 @@ class TestChain:
             assert np.abs(got - target).max() < 1e-12
 
     def test_metric(self):
-        h = chain_hamiltonian(ModelParams(**PA), 3)
-        assert np.array_equal(h.metric, np.array([1.0] * 6 + [-1.0] * 6))
+        h = chain_at(ModelParams(**PA), 3)
+        assert np.array_equal(nambu_metric(h.shape[0]), np.array([1.0] * 6 + [-1.0] * 6))
         assert np.array_equal(nambu_metric(4), np.array([1.0, 1.0, -1.0, -1.0]))
         with pytest.raises(ValueError):
             nambu_metric(5)
