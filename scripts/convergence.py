@@ -75,12 +75,12 @@ def bulk(name: str, oracle, steps_list) -> list[dict]:
     h0, h1 = bloch_blocks(p, kgrid(nk))
     idx = np.linspace(0, nk - 1, SAMPLES).astype(int)
     ref, ref_cnorm = oracle_branches(oracle, h0, h1, p.omega, idx)
-    ref_codes = classify_arrays(ref, ref_cnorm, p.omega, TOL_IM, 1e-6 * p.omega)
+    ref_codes = classify_arrays(ref, ref_cnorm, p.omega, TOL_IM)
     rows = []
     for steps in steps_list:
         prop = propagate(h0, h1, p.omega, steps)
         eps, cnorm, _, _ = eig_branches(prop.u, p.omega)
-        codes = classify_arrays(eps, cnorm, p.omega, TOL_IM, 1e-6 * p.omega)
+        codes = classify_arrays(eps, cnorm, p.omega, TOL_IM)
         row = {
             "steps": steps,
             "max_deps": eps_deviation(eps[idx], ref, p.omega),
@@ -114,7 +114,7 @@ def plane(points: int, oracle, steps_list) -> list[dict]:
     for steps in sorted(steps_list, reverse=True):
         prop = propagate(h0, h1, omega, steps)
         eps, cnorm, _, _ = eig_branches(prop.u, omega)
-        codes = classify_arrays(eps, cnorm, omega, TOL_IM, 1e-6 * omega)
+        codes = classify_arrays(eps, cnorm, omega, TOL_IM)
         unstable = codes == 2
         finest = unstable if finest is None else finest
         rows.append({

@@ -17,7 +17,6 @@ from .model import (
 from .floquet import (
     IntegrationError,
     fold,
-    global_stability,
     kgrid,
     kgrid_solve,
     propagate,
@@ -27,6 +26,7 @@ from .topology import (
     InvariantUndefinedError,
     TrackedBands,
     TrackingError,
+    evaluate_point,
     scan_path,
     select_band_set,
     symplectic_winding,
@@ -86,9 +86,9 @@ __all__ = [
     "effective_phase_overlay",
     "effective_quasienergies",
     "effective_spectrum",
+    "evaluate_point",
     "evolve_vacuum",
     "fold",
-    "global_stability",
     "growth_rate_fit",
     "kgrid",
     "kgrid_solve",

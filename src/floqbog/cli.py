@@ -5,7 +5,7 @@ from an optional JSON file, an optional shipped recipe, and repeatable
 --set dotted-path overrides, merged in that order (flags win).  Outputs
 are a CSV table plus a JSON metadata sidecar carrying the fully resolved
 configuration, so every file can be regenerated from its sidecar alone.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
+Exit codes: 0 success, 2 invalid input, 3 numerical failure,
 4 invariant undefined.
 """
 
@@ -30,7 +30,6 @@ from .sweep import GridSpec, effective_phase_overlay, phase_diagram, stability_g
 from .topology import (
     InvariantUndefinedError,
     TrackingError,
-    interpolate,
     scan_path,
     symplectic_winding,
     winding_undriven,
@@ -43,100 +42,89 @@ class ConfigError(ValueError):
 
 NUMERICS_DEFAULTS = {"steps": DEFAULT_STEPS, "nk": 256, "tol_im": TOL_IM}
 
-AXIS_KEYS = {"min": float, "max": float, "points": int}
+# A schema maps each key to its kind: int, float (an int is accepted, a bool
+# never is), bool, str, dict (any object), a tuple of kinds (a list of that length)
+# or a nested schema, whose keys are all required except in an end model.
+MODEL = {f.name: float for f in fields(ModelParams)}
+NUMERICS = {"steps": int, "nk": int, "tol_im": float}
+AXIS = {"min": float, "max": float, "points": int}
+NAMED_AXIS = {"name": str, **AXIS}
 TASK_SCHEMAS = {
     "spectrum": {"effective_overlay": bool, "alpha": int, "beta": int},
-    "stability-grid": {"static_field": list, "hx1": dict, "hy1": dict},
-    "phase-diagram": {"axis1": dict, "axis2": dict, "overlay": bool, "overlay_nk": int},
+    "stability-grid": {"static_field": (float, float), "hx1": AXIS, "hy1": AXIS},
+    "phase-diagram": {"axis1": NAMED_AXIS, "axis2": NAMED_AXIS, "overlay": bool,
+                      "overlay_nk": int},
     "winding": {},
     "ws": {},
     "chain": {"cells": int, "fraction": float, "edge_threshold": float, "window": float},
     "evolve": {"cells": int, "t_max": float, "samples": int},
-    "scan-path": {"end_model": dict, "points": int},
+    "scan-path": {"end_model": MODEL, "points": int},
 }
+#: task keys a command cannot run without
+REQUIRED = {"stability-grid": ("hx1", "hy1"), "phase-diagram": ("axis1", "axis2"),
+            "scan-path": ("end_model",)}
+CONFIG = {"command": str, "model": dict, "numerics": dict, "task": dict, "output": dict}
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+          dict: "an object", (float, float): "a list of two numbers"}
 
 
-def _check_keys(block: dict, allowed, path: str):
+def _fits(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return isinstance(value, list) and len(value) == len(kind) and all(map(_fits, value, kind))
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check(block, schema: dict, path: str, required=()) -> None:
+    """Reject a non-object block, then unknown keys, mistyped values and
+    missing required keys, naming the dotted path of the first offender."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path} must be an object, got {block!r}")
     for key in block:
-        if key not in allowed:
+        if key not in schema:
             raise ConfigError(f"unknown key {path}.{key!r}")
-
-
-def _check_axis(block: dict, path: str, named: bool = False):
-    allowed = dict(AXIS_KEYS)
-    if named:
-        allowed["name"] = str
-    _check_keys(block, allowed, path)
-    missing = set(allowed) - set(block)
+    for key, value in block.items():
+        kind = schema[key]
+        if isinstance(kind, dict):
+            _check(value, kind, f"{path}.{key}", () if kind is MODEL else kind)
+        elif not _fits(value, kind):
+            raise ConfigError(f"{path}.{key} must be {_KINDS[kind]}, got {value!r}")
+    missing = set(required) - set(block)
     if missing:
         raise ConfigError(f"{path} missing {sorted(missing)}")
 
 
 def validate_config(cfg: dict, command: str) -> dict:
-    """Fill defaults and reject unknown keys, reporting dotted field paths."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("top-level config must be an object")
-    _check_keys(cfg, ("command", "model", "numerics", "task", "output"), "config")
-    if "command" in cfg and cfg["command"] != command:
-        raise ConfigError(
-            f"config is for command {cfg['command']!r}, invoked as {command!r}"
-        )
-
-    model_keys = [f.name for f in fields(ModelParams)]
-    model = dict(cfg.get("model") or {})
-    _check_keys(model, model_keys, "model")
-    missing = set(model_keys) - {"g"} - set(model)
-    if missing:
-        raise ConfigError(f"model missing {sorted(missing)}")
-    model.setdefault("g", 1.0)
-    for key, val in model.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"model.{key} must be a number, got {val!r}")
-
-    numerics = {**NUMERICS_DEFAULTS, **(cfg.get("numerics") or {})}
-    _check_keys(numerics, NUMERICS_DEFAULTS, "numerics")
+    """Fill defaults and reject malformed input, reporting dotted field paths."""
+    _check(cfg, CONFIG, "config")
+    if cfg.get("command", command) != command:
+        raise ConfigError(f"config is for command {cfg['command']!r}, invoked as {command!r}")
+    model = {"g": 1.0, **cfg.get("model", {})}
+    _check(model, MODEL, "model", MODEL)
+    numerics = {**NUMERICS_DEFAULTS, **cfg.get("numerics", {})}
+    _check(numerics, NUMERICS, "numerics")
     for key, lo in (("steps", 64), ("nk", 64)):
-        val = numerics[key]
-        if not isinstance(val, int) or isinstance(val, bool) or val < lo:
-            raise ConfigError(f"numerics.{key} must be an integer >= {lo}, got {val!r}")
-    if not isinstance(numerics["tol_im"], (int, float)) or numerics["tol_im"] <= 0:
+        if numerics[key] < lo:
+            raise ConfigError(f"numerics.{key} must be an integer >= {lo}, got {numerics[key]!r}")
+    if numerics["tol_im"] <= 0:
         raise ConfigError(f"numerics.tol_im must be a positive number, got {numerics['tol_im']!r}")
-
-    task = dict(cfg.get("task") or {})
-    schema = TASK_SCHEMAS[command]
-    _check_keys(task, schema, "task")
-    if command == "stability-grid":
-        for axis in ("hx1", "hy1"):
-            if axis not in task:
-                raise ConfigError(f"task.{axis} axis specification is required")
-            _check_axis(task[axis], f"task.{axis}")
-    if command == "phase-diagram":
-        for axis in ("axis1", "axis2"):
-            if axis not in task:
-                raise ConfigError(f"task.{axis} specification is required")
-            _check_axis(task[axis], f"task.{axis}", named=True)
-    if command == "scan-path":
-        if "end_model" not in task:
-            raise ConfigError("task.end_model is required for scan-path")
-        end = dict(task["end_model"])
-        _check_keys(end, model_keys, "task.end_model")
-        end = {**model, **end}
-        task["end_model"] = end
-
-    output = dict(cfg.get("output") or {})
-    _check_keys(output, ("path",), "output")
-    output.setdefault("path", command.replace("-", "_"))
+    task = dict(cfg.get("task", {}))
+    _check(task, TASK_SCHEMAS[command], "task", REQUIRED.get(command, ()))
+    if "end_model" in task:
+        task["end_model"] = {**model, **task["end_model"]}
+    output = {"path": command.replace("-", "_"), **cfg.get("output", {})}
+    _check(output, {"path": str}, "output")
     return {"command": command, "model": model, "numerics": numerics, "task": task,
             "output": output}
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
+def _deep_update(base: dict, extra: dict) -> None:
     for key, val in extra.items():
         if isinstance(val, dict) and isinstance(base.get(key), dict):
             _deep_update(base[key], val)
         else:
             base[key] = val
-    return base
 
 
 def _apply_set(cfg: dict, assignment: str):
@@ -184,24 +172,13 @@ def resolve_config(args, command: str) -> dict:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
+        _check(loaded, CONFIG, "config")
         _deep_update(cfg, loaded)
     for assignment in args.set or []:
         _apply_set(cfg, assignment)
     if args.output:
         cfg.setdefault("output", {})["path"] = args.output
-    try:
-        return validate_config(cfg, command)
-    except ConfigError:
-        raise
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(str(exc))
-
-
-def _model(cfg: dict) -> ModelParams:
-    try:
-        return ModelParams(**cfg["model"])
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}")
+    return validate_config(cfg, command)
 
 
 def _fmt(value) -> str:
@@ -233,7 +210,7 @@ def write_outputs(cfg: dict, header: list[str], rows: list[list], extra_meta: di
 
 
 def cmd_spectrum(cfg: dict) -> int:
-    params = _model(cfg)
+    params = ModelParams(**cfg["model"])
     nk, steps = cfg["numerics"]["nk"], cfg["numerics"]["steps"]
     ks, eps, cnorm, _ = kgrid_solve(params, nk, steps)
     nb = eps.shape[1]
@@ -296,15 +273,12 @@ def cmd_phase_diagram(cfg: dict) -> int:
     task = cfg["task"]
     ax1, ax2 = task["axis1"], task["axis2"]
     fixed = {k: v for k, v in m.items() if k not in (ax1["name"], ax2["name"])}
-    try:
-        grid = GridSpec(
-            ax1["name"], (ax1["min"], ax1["max"]), ax1["points"],
-            ax2["name"], (ax2["min"], ax2["max"]), ax2["points"],
-            fixed=fixed,
-        )
-        cells = phase_diagram(grid, nk=cfg["numerics"]["nk"], steps=cfg["numerics"]["steps"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    grid = GridSpec(
+        ax1["name"], (ax1["min"], ax1["max"]), ax1["points"],
+        ax2["name"], (ax2["min"], ax2["max"]), ax2["points"],
+        fixed=fixed,
+    )
+    cells = phase_diagram(grid, nk=cfg["numerics"]["nk"], steps=cfg["numerics"]["steps"])
     header = [ax1["name"], ax2["name"], "verdict", "max_im", "ws", "error"]
     rows = [[c.x, c.y, c.verdict, c.max_im, c.ws, c.error] for c in cells]
     if task.get("overlay"):
@@ -320,7 +294,7 @@ def cmd_phase_diagram(cfg: dict) -> int:
 
 
 def cmd_winding(cfg: dict) -> int:
-    params = _model(cfg)
+    params = ModelParams(**cfg["model"])
     w = winding_undriven(params, cfg["numerics"]["nk"])
     paths = write_outputs(cfg, ["w", "nk"], [[w, cfg["numerics"]["nk"]]], {"w": w})
     print(f"winding: W = {w} -> {paths[0]}")
@@ -328,7 +302,7 @@ def cmd_winding(cfg: dict) -> int:
 
 
 def cmd_ws(cfg: dict) -> int:
-    params = _model(cfg)
+    params = ModelParams(**cfg["model"])
     result = symplectic_winding(params, cfg["numerics"]["nk"], cfg["numerics"]["steps"])
     paths = write_outputs(
         cfg,
@@ -341,7 +315,7 @@ def cmd_ws(cfg: dict) -> int:
 
 
 def cmd_chain(cfg: dict) -> int:
-    params = _model(cfg)
+    params = ModelParams(**cfg["model"])
     task = cfg["task"]
     spec = chain_spectrum(params, task.get("cells", 20), cfg["numerics"]["steps"])
     if "fraction" in task:
@@ -366,7 +340,7 @@ def cmd_chain(cfg: dict) -> int:
 
 
 def cmd_evolve(cfg: dict) -> int:
-    params = _model(cfg)
+    params = ModelParams(**cfg["model"])
     task = cfg["task"]
     trace = evolve_vacuum(
         params,
@@ -393,11 +367,8 @@ def cmd_evolve(cfg: dict) -> int:
 
 
 def cmd_scan_path(cfg: dict) -> int:
-    start = _model(cfg)
-    try:
-        end = ModelParams(**cfg["task"]["end_model"])
-    except ValueError as exc:
-        raise ConfigError(f"task.end_model: {exc}")
+    start = ModelParams(**cfg["model"])
+    end = ModelParams(**cfg["task"]["end_model"])
     points = scan_path(
         start, end, cfg["task"].get("points", 17),
         cfg["numerics"]["nk"], cfg["numerics"]["steps"],
@@ -460,17 +431,19 @@ def main(argv=None) -> int:
 
 
 def entry(argv=None) -> int:
+    """Run ``main`` (which raises) and map its failures to exit codes 2-4: any
+    ValueError but LinAlgError is bad input, from the CLI or a library check."""
     try:
         return main(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (IntegrationError, TrackingError) as exc:
+    except (np.linalg.LinAlgError, IntegrationError, TrackingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except InvariantUndefinedError as exc:
         print(f"invariant undefined: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ quasienergies modulo omega/2 and gives a fast stability estimate.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 

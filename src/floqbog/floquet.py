@@ -19,10 +19,12 @@ import numpy as np
 from .model import CONJUGATION, HERMITICITY_TOL, ModelParams, bloch_blocks, nambu_metric
 
 #: smallest power of two whose quasienergy error against an adaptive DOP853
-#: oracle stays below the 1e-6 omega resonance window of the classifier on
-#: every shipped recipe shape (scripts/convergence.py; 1.2e-6 at worst)
+#: oracle stays below the resonance window of the classifier on every
+#: shipped recipe shape (scripts/convergence.py; 1.2e-6 at worst)
 DEFAULT_STEPS = 256
 TOL_IM = 1e-8
+#: Re eps distance, in units of omega, below which opposite-norm branches resonate
+RESONANCE_WINDOW = 1e-6
 TOL_NORM = 1e-6
 #: eigenvector overlap above which an eigenproblem is treated as defective
 DEFECT_OVERLAP = 1.0 - 1e-8
@@ -233,13 +235,13 @@ def eig_branches(u, omega: float):
     return eps, cnorm, states, defective
 
 
-def classify_arrays(eps, cnorm, omega: float, tol_im: float, window: float):
+def classify_arrays(eps, cnorm, omega: float, tol_im: float):
     """Vectorized verdict codes 0/1/2 = strong/marginal/unstable over batches.
 
     The last axis holds the branches of one momentum (or one chain).  Unstable
     if any |Im eps| > tol_im.  Otherwise marginally stable if any pair of
-    opposite symplectic norm has Re eps closer than ``window`` on the
-    quasienergy circle (covering degeneracies at Re eps near 0 and omega/2),
+    opposite symplectic norm has Re eps closer than RESONANCE_WINDOW * omega
+    on the quasienergy circle (covering degeneracies at Re eps near 0 and omega/2),
     or if any branch is non-normalizable.  Strongly stable otherwise.
     """
     eps = np.asarray(eps)
@@ -248,7 +250,7 @@ def classify_arrays(eps, cnorm, omega: float, tol_im: float, window: float):
     dist = np.abs(eps.real[..., :, None] - eps.real[..., None, :]) % omega
     dist = np.minimum(dist, omega - dist)
     opposite = cnorm[..., :, None] * cnorm[..., None, :] == -1
-    resonant = (opposite & (dist < window)).any(axis=(-2, -1))
+    resonant = (opposite & (dist < RESONANCE_WINDOW * omega)).any(axis=(-2, -1))
     marginal = resonant | (cnorm == 0).any(axis=-1)
     return np.where(unstable, 2, np.where(marginal, 1, 0))
 
@@ -265,20 +267,3 @@ def kgrid_solve(params: ModelParams, nk: int, steps: int = DEFAULT_STEPS):
     check_propagation(prop, "k-grid")
     eps, cnorm, states, _ = eig_branches(prop.u, params.omega)
     return ks, eps, cnorm, states
-
-
-def global_stability(
-    params: ModelParams,
-    nk: int = 256,
-    steps: int = DEFAULT_STEPS,
-    tol_im: float = TOL_IM,
-    resonance_window: float | None = None,
-) -> tuple[bool, float]:
-    """Scan the momentum grid; True iff no k is unstable, plus worst Im eps."""
-    if nk < 64:
-        raise ValueError(f"need a k-grid of at least 64 points, got {nk}")
-    if resonance_window is None:
-        resonance_window = 1e-6 * params.omega
-    _, eps, cnorm, _ = kgrid_solve(params, nk, steps)
-    codes = classify_arrays(eps, cnorm, params.omega, tol_im, resonance_window)
-    return bool((codes != 2).all()), float(eps.imag.max())

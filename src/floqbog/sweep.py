@@ -120,7 +120,7 @@ def stability_grid(
     codes = np.full(ok.shape, 2)
     max_im = np.full(ok.shape, math.nan)
     eps, cnorm, _, _ = eig_branches(prop.u[ok], omega)
-    codes[ok] = classify_arrays(eps, cnorm, omega, tol_im, 1e-6 * omega)
+    codes[ok] = classify_arrays(eps, cnorm, omega, tol_im)
     max_im[ok] = eps.imag.max(axis=-1)
     out = []
     for j2 in range(grid.n2):

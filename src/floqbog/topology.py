@@ -113,7 +113,7 @@ def winding_undriven(params: ModelParams, nk: int = 256) -> int:
 
 def _grid_data(params: ModelParams, nk: int, steps: int):
     ks, eps, cnorm, states = kgrid_solve(params, nk, steps)
-    codes = classify_arrays(eps, cnorm, params.omega, TOL_IM, 1e-6 * params.omega)
+    codes = classify_arrays(eps, cnorm, params.omega, TOL_IM)
     return ks, eps, cnorm, states, codes
 
 

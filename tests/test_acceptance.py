@@ -20,7 +20,7 @@ from floqbog.dynamics import (
     growth_rate_fit,
 )
 from floqbog.effective import effective_quasienergies, effective_coefficients, effective_spectrum
-from floqbog.floquet import fold, global_stability, kgrid_solve, propagate, sympl_residual
+from floqbog.floquet import fold, kgrid_solve, propagate, sympl_residual
 from floqbog.model import ModelParams, bloch_blocks, chiral_residual
 from floqbog.topology import (
     _band_phase,
@@ -49,7 +49,7 @@ def chain20():
 
 def test_acceptance_1_global_stability_at_a():
     t0 = time.perf_counter()
-    stable, max_im = global_stability(PA, nk=256, steps=2048)
+    stable, max_im = evaluate_point(PA, nk=256, steps=2048)[:2]
     dt = time.perf_counter() - t0
     ok = stable and max_im < 1e-6 and dt < 10.0
     report(1, ok, f"256-point grid max Im eps = {max_im:.2e} (< 1e-6), {dt:.1f}s (< 10s)")
@@ -60,7 +60,7 @@ def test_acceptance_1_global_stability_at_a():
 
 def test_acceptance_2_instability_at_b():
     t0 = time.perf_counter()
-    stable, max_im = global_stability(PB, nk=256, steps=2048)
+    stable, max_im = evaluate_point(PB, nk=256, steps=2048)[:2]
     dt = time.perf_counter() - t0
     ok = (not stable) and max_im > 1e-3 and dt < 10.0
     report(2, ok, f"max Im eps = {max_im:.2e} (> 1e-3), {dt:.1f}s (< 10s)")
@@ -72,7 +72,7 @@ def test_acceptance_2_instability_at_b():
 def test_acceptance_3_symplectic_winding():
     results = {nk: symplectic_winding(PA, nk=nk, steps=2048) for nk in (128, 256, 512)}
     trivial = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=0.0, mu=-5.0, omega=5.2)
-    stable_triv, _ = global_stability(trivial, nk=128, steps=1024)
+    stable_triv = evaluate_point(trivial, nk=128, steps=1024)[0]
     res_triv = symplectic_winding(trivial, nk=256, steps=2048)
     ok = (
         all(r.ws == 2 and r.residual < 0.05 for r in results.values())

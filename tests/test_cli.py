@@ -2,10 +2,11 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import floqbog
-from floqbog.cli import entry
+from floqbog.cli import entry, main
 from floqbog.topology import TrackingError
 
 MODEL_A = {"nu0": 1.5, "nu0p": 0.0, "nu1": 3.0, "nu1p": 11.0, "mu": -5.0, "omega": 5.2}
@@ -38,6 +39,11 @@ class TestConfigHandling:
         Path("bad.json").write_text("{oops")
         assert entry(["winding", "--config", "bad.json"]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_config_not_an_object(self, capsys):
+        Path("list.json").write_text("[1, 2]")
+        assert entry(["winding", "--config", "list.json"]) == 2
+        assert "config must be an object" in capsys.readouterr().err
 
     def test_unknown_model_key(self, capsys):
         cfg = write_cfg({"model": {**MODEL_A, "bogus": 1.0}})
@@ -77,6 +83,59 @@ class TestConfigHandling:
     def test_set_requires_assignment(self, capsys):
         cfg = write_cfg({"model": MODEL_A})
         assert entry(["winding", "--config", cfg, "--set", "model.mu"]) == 2
+
+
+#: mistyped or out-of-range values and the key or library check that rejects them
+BAD_VALUES = [
+    (["chain", "--recipe", "fig3a", "--set", 'task.cells="abc"'], "task.cells must be an integer"),
+    (["chain", "--recipe", "fig3a", "--set", "task.cells=4"], "at least 8 unit cells"),
+    (["chain", "--recipe", "fig3a", "--set", "task.fraction=true"],
+     "task.fraction must be a number"),
+    (["chain", "--recipe", "fig3a", "--set", "task.fraction=0.9"], "fraction must lie in (0, 0.5]"),
+    (["chain", "--recipe", "fig3a", "--set", 'task.window="x"'], "task.window must be a number"),
+    (["evolve", "--recipe", "fig3b", "--set", "task.samples=2.5"],
+     "task.samples must be an integer"),
+    (["evolve", "--recipe", "fig3b", "--set", "task.samples=1"], "at least 2 samples"),
+    (["evolve", "--recipe", "fig3b", "--set", "task.t_max=-1"], "t_max must be positive"),
+    (["scan-path", "--recipe", "fig1b", "--set", 'task.end_model={"nu1p": 0.0}',
+      "--set", "task.points=8"], "at least 16 scan points"),
+    (["stability-grid", "--recipe", "fig2b", "--set", 'task.hx1.points="7"'],
+     "task.hx1.points must be an integer"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "task.hx1.points=1"], "at least 2 points"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "task.hx1.min=10"], "min < max"),
+    (["stability-grid", "--recipe", "fig2b", "--set", 'task.static_field="ab"'],
+     "task.static_field must be a list of two numbers"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "task.static_field=[1]"],
+     "task.static_field must be a list of two numbers"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "numerics.tol_im=true"],
+     "numerics.tol_im must be a number"),
+    (["spectrum", "--recipe", "fig1b", "--set", "task.alpha=0.5"],
+     "task.alpha must be an integer"),
+]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv, named", BAD_VALUES, ids=[a[-1] for a, _ in BAD_VALUES])
+    def test_bad_value_exits_2(self, argv, named, capsys):
+        assert entry(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error: ") and named in err
+
+    def test_linalg_error_exits_3(self, capsys, monkeypatch):
+        import floqbog.cli as cli
+
+        def diverged(*a, **kw):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "kgrid_solve", diverged)
+        cfg = write_cfg({"model": MODEL_A, "numerics": FAST})
+        assert entry(["spectrum", "--config", cfg]) == 3
+        assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+    def test_main_raises(self):
+        with pytest.raises(ValueError, match="at least 8 unit cells"):
+            main(["chain", "--recipe", "fig3a", "--set", "task.cells=4"])
 
 
 class TestWinding:

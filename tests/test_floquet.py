@@ -14,13 +14,13 @@ from floqbog.floquet import (
     classify_arrays,
     eig_branches,
     fold,
-    global_stability,
     kgrid,
     kgrid_solve,
     propagate,
     sympl_residual,
 )
 from floqbog.model import ModelParams, bloch_blocks, chain_blocks, nambu_metric
+from floqbog.topology import evaluate_point
 
 from helpers import dop853_monodromy, expm_monodromy, static_energies
 
@@ -38,8 +38,8 @@ def bloch_branches(p: ModelParams, k: float, steps: int):
 
 
 def verdict(eps, cnorm, omega: float) -> int:
-    """classify_arrays code (0/1/2 = strong/marginal/unstable) at the default window."""
-    return int(classify_arrays(eps, cnorm, omega, TOL_IM, 1e-6 * omega))
+    """classify_arrays code (0/1/2 = strong/marginal/unstable) at TOL_IM."""
+    return int(classify_arrays(eps, cnorm, omega, TOL_IM))
 
 
 class TestFold:
@@ -239,23 +239,19 @@ class TestClassification:
         assert verdict(eps, cnorm, p.omega) == 1
 
     def test_unstable(self):
-        stable, max_im = global_stability(PB, nk=64, steps=1024)
+        stable, max_im = evaluate_point(PB, nk=64, steps=1024)[:2]
         assert not stable and max_im > 1e-3
 
     def test_globally_stable_point(self):
-        stable, max_im = global_stability(PA, nk=64, steps=1024)
+        stable, max_im = evaluate_point(PA, nk=64, steps=1024)[:2]
         assert stable and max_im < 1e-6
 
     def test_classify_arrays_batched(self):
         eps = np.array([[0.3 + 0j, -0.3, 1.0, -1.0], [0.3 + 1e-3j, 0.3 - 1e-3j, 1.0, -1.0]])
         cn = np.array([[1, -1, 1, -1], [0, 0, 1, -1]])
-        codes = classify_arrays(eps, cn, 5.2, 1e-8, 1e-6)
+        codes = classify_arrays(eps, cn, 5.2, 1e-8)
         assert codes.tolist() == [0, 2]
         marginal = classify_arrays(
-            np.array([0.3 + 0j, 0.3, 1.0, -1.0]), np.array([1, -1, 1, -1]), 5.2, 1e-8, 1e-6
+            np.array([0.3 + 0j, 0.3, 1.0, -1.0]), np.array([1, -1, 1, -1]), 5.2, 1e-8
         )
         assert int(marginal) == 1
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            global_stability(PA, nk=16, steps=1024)

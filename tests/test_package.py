@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import floqbog
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_public_names_unique_and_resolve():
@@ -6,3 +11,24 @@ def test_public_names_unique_and_resolve():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(floqbog, name)]
     assert missing == []
+
+
+def test_no_unused_imports():
+    """Every imported name is referenced in its module; ``__init__.py`` re-exports are exempt."""
+    unused = []
+    for pattern in ("src/**/*.py", "tests/*.py", "scripts/*.py"):
+        for path in sorted(ROOT.glob(pattern)):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound = [alias.asname or alias.name for alias in node.names]
+                else:
+                    continue
+                unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                           for name in bound if name not in used]
+    assert unused == []

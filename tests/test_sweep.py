@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from floqbog.floquet import global_stability
 from floqbog.model import ModelParams
 from floqbog.sweep import (
     GridSpec,
@@ -116,7 +115,7 @@ class TestStabilityGrid:
 
     def test_gamma_points_match_global_verdict(self):
         """Cells on the drive curve agree with the full-chain stability scan."""
-        stable_a, _ = global_stability(PA, nk=64, steps=1024)
+        stable_a, _ = evaluate_point(PA, nk=64, steps=1024)[:2]
         assert stable_a
         curve = curve_gamma(PA, nk=8)
         for hx1, hy1 in curve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from floqbog import topology
-from floqbog.floquet import DEFAULT_STEPS, IntegrationError
+from floqbog.floquet import IntegrationError
 from floqbog.model import ModelParams
 from floqbog.topology import (
     InvariantUndefinedError,
