@@ -111,6 +111,8 @@ def validate_config(cfg: dict, command: str) -> dict:
         raise ConfigError(f"numerics.tol_im must be a positive number, got {numerics['tol_im']!r}")
     task = dict(cfg.get("task", {}))
     _check(task, TASK_SCHEMAS[command], "task", REQUIRED.get(command, ()))
+    if task.get("overlay_nk", 1) < 1:
+        raise ConfigError(f"task.overlay_nk must be an integer >= 1, got {task['overlay_nk']!r}")
     if "end_model" in task:
         task["end_model"] = {**model, **task["end_model"]}
     output = {"path": command.replace("-", "_"), **cfg.get("output", {})}
@@ -170,6 +172,8 @@ def resolve_config(args, command: str) -> dict:
             loaded = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         _check(loaded, CONFIG, "config")

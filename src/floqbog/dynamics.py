@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .floquet import DEFAULT_STEPS, check_propagation, eig_branches, kgrid_solve, propagate
 from .model import ModelParams, chain_blocks
@@ -106,7 +105,9 @@ def _side_balance(states: np.ndarray) -> np.ndarray:
 
     Solves the generalized eigenproblem of the left-minus-right weight form
     in the (generally non-orthogonal) span of the group, returning the
-    extremal asymmetries in [-1, 1]; positive means left.
+    extremal asymmetries in [-1, 1]; positive means left.  The problem is
+    reduced to a standard one through the Cholesky factor L of the Gram
+    matrix, as LAPACK hegv does: eigvalsh(L^-1 m L^-H).
     """
     dim = states.shape[1]
     n = dim // 2
@@ -115,8 +116,9 @@ def _side_balance(states: np.ndarray) -> np.ndarray:
     d = np.concatenate([sign, sign])
     norm = states / np.linalg.norm(states, axis=1, keepdims=True)
     m = np.einsum("am,m,bm->ab", norm.conj(), d, norm)
-    s = norm.conj() @ norm.T
-    return eigh(m, s, eigvals_only=True)
+    chol = np.linalg.cholesky(norm.conj() @ norm.T)
+    half = np.linalg.solve(chol, m)
+    return np.linalg.eigvalsh(np.linalg.solve(chol, half.conj().T))
 
 
 def detect_midgap(

@@ -102,7 +102,9 @@ def stability_grid(
     (nu0p = 0), in which case every momentum of the full model lands on
     some point of this plane.  All cells integrate in one batched pass;
     a cell whose propagator fails the step-size guard or is non-finite is
-    kept out of the eigensolver and reported through its ``error``.
+    kept out of the eigensolver and reported through its ``error``.  When
+    the batched eigensolve fails, the cells are retried one by one and
+    only those that fail again are reported as errors.
     """
     if (grid.axis1, grid.axis2) != ("hx1", "hy1"):
         raise ValueError(
@@ -119,9 +121,23 @@ def stability_grid(
     ok = (prop.step_norm <= MAX_STEP_NORM) & np.isfinite(prop.u).all(axis=(-2, -1))
     codes = np.full(ok.shape, 2)
     max_im = np.full(ok.shape, math.nan)
-    eps, cnorm, _, _ = eig_branches(prop.u[ok], omega)
-    codes[ok] = classify_arrays(eps, cnorm, omega, tol_im)
-    max_im[ok] = eps.imag.max(axis=-1)
+    failed = {}
+
+    def classify(cells):
+        eps, cnorm, _, _ = eig_branches(prop.u[cells], omega)
+        codes[cells] = classify_arrays(eps, cnorm, omega, tol_im)
+        max_im[cells] = eps.imag.max(axis=-1)
+
+    try:
+        classify(ok)
+    except np.linalg.LinAlgError:
+        # one matrix the eigensolver rejects must not take down the grid
+        for cell in zip(*np.nonzero(ok)):
+            try:
+                classify(cell)
+            except np.linalg.LinAlgError as exc:
+                ok[cell] = False
+                failed[cell] = f"eigensolver failed: {exc}"
     out = []
     for j2 in range(grid.n2):
         for j1 in range(grid.n1):
@@ -136,7 +152,8 @@ def stability_grid(
                     f"{prop.step_norm[j2, j1]:.3g} > {MAX_STEP_NORM}); increase the step count",
                 ))
             else:
-                out.append(StabilityCell(x, y, "Unstable", math.nan, "non-finite propagator"))
+                error = failed.get((j2, j1), "non-finite propagator")
+                out.append(StabilityCell(x, y, "Unstable", math.nan, error))
     return out
 
 

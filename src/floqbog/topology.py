@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .floquet import (
     DEFAULT_STEPS,
@@ -34,6 +34,8 @@ MIN_TRACK_OVERLAP = 0.5
 AMBIGUITY_GAP = 1e-3
 #: per-link Wilson phase above which the grid is too coarse to unwrap
 MAX_LINK_PHASE = 2.5
+#: the 4! assignments of the four Bloch bands, searched exhaustively by _best_matching
+PERMS = np.array(list(permutations(range(4))))
 
 
 class TrackingError(RuntimeError):
@@ -117,6 +119,11 @@ def _grid_data(params: ModelParams, nk: int, steps: int):
     return ks, eps, cnorm, states, codes
 
 
+def _best_matching(ov: np.ndarray) -> np.ndarray:
+    """Column matched to each row by the largest-total matching of a 4x4 overlap."""
+    return PERMS[ov[np.arange(4), PERMS].sum(axis=1).argmax()]
+
+
 def _track(ks, eps, cnorm, states, omega: float) -> TrackedBands:
     nk, nb = eps.shape
     sz = nambu_metric(states.shape[-1])
@@ -125,7 +132,7 @@ def _track(ks, eps, cnorm, states, omega: float) -> TrackedBands:
     prev = states[0]
     for j in range(1, nk):
         ov = np.abs(np.einsum("im,m,nm->in", prev.conj(), sz, states[j]))
-        _, col = linear_sum_assignment(-ov)
+        col = _best_matching(ov)
         matched = ov[np.arange(nb), col]
         if matched.min() <= MIN_TRACK_OVERLAP:
             raise TrackingError(
@@ -151,7 +158,8 @@ def track_bands(params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS) 
     """Match quasienergy branches continuously across the momentum grid.
 
     Adjacent grid points are paired by maximal |Sigma_z overlap| (globally,
-    as an assignment problem); requires a globally strongly stable system.
+    as an assignment problem solved by exhaustive search over the 4!
+    matchings); requires a globally strongly stable system.
     """
     ks, eps, cnorm, states, codes = _grid_data(params, nk, steps)
     if (codes != 0).any():

@@ -133,6 +133,34 @@ class TestErrorBoundary:
         assert entry(["spectrum", "--config", cfg]) == 3
         assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
 
+    def test_config_directory_exits_2(self, in_tmp, capsys):
+        assert entry(["winding", "--recipe", "fig1b", "--config", str(in_tmp)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error: ") and str(in_tmp) in err
+
+    def test_overlay_nk_checked_before_compute(self, capsys, monkeypatch):
+        import floqbog.cli as cli
+
+        def never(*a, **kw):
+            raise AssertionError("phase_diagram ran on an invalid config")
+
+        monkeypatch.setattr(cli, "phase_diagram", never)
+        cfg = write_cfg({
+            "model": MODEL_A,
+            "numerics": FAST,
+            "task": {
+                "axis1": {"name": "nu1p", "min": 10.5, "max": 11.0, "points": 2},
+                "axis2": {"name": "mu", "min": -5.02, "max": -4.98, "points": 2},
+                "overlay": True,
+                "overlay_nk": 0,
+            },
+        })
+        assert entry(["phase-diagram", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error: ") and "task.overlay_nk" in err
+
     def test_main_raises(self):
         with pytest.raises(ValueError, match="at least 8 unit cells"):
             main(["chain", "--recipe", "fig3a", "--set", "task.cells=4"])

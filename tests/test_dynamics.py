@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from floqbog.dynamics import (
     ChainSpectrum,
     EvolutionTrace,
+    _side_balance,
     chain_spectrum,
     detect_midgap,
     edge_weight,
@@ -111,6 +113,22 @@ class TestChainSpectrum:
         assert spec.midgap == ()
         assert detect_midgap(spec)[1] == (0, 0)
         assert np.abs(spec.eps.imag).max() < 1e-8
+
+    @pytest.mark.parametrize("sites", [20, 21, 40])
+    def test_side_balance_matches_generalized_eigh(self, sites):
+        """Left-minus-right asymmetries agree with scipy's generalized solver."""
+        rng = np.random.default_rng(sites)
+        side = np.sign((sites - 1) / 2.0 - np.arange(sites))  # odd chain: center is 0
+        d = np.concatenate([side, side])
+        for size in (1, 2, 3, 4):
+            shape = (size, 2 * sites)
+            common = rng.normal(size=2 * sites) + 1j * rng.normal(size=2 * sites)
+            states = rng.normal(size=shape) + 1j * rng.normal(size=shape) + 2.0 * common
+            norm = states / np.linalg.norm(states, axis=1, keepdims=True)
+            m = (norm.conj() * d) @ norm.T
+            s = norm.conj() @ norm.T
+            want = eigh(m, s, eigvals_only=True)
+            assert np.abs(_side_balance(states) - want).max() < 1e-12
 
     def test_detect_midgap_overrides(self, spec_a):
         idx, _ = detect_midgap(spec_a, window=100.0, edge_threshold=0.0)

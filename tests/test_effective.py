@@ -6,6 +6,7 @@ import pytest
 from scipy.special import jv
 
 from floqbog.effective import (
+    _bessel_j,
     choose_indices,
     effective_coefficients,
     effective_quasienergies,
@@ -91,10 +92,14 @@ class TestCoefficients:
         gd = 0.5 * (bessel_series(2, z) - bessel_series(-2, z))
         assert c.Gx[0] == pytest.approx(gd * math.cos(c.phik[0]), abs=1e-12)
 
-    def test_scipy_bessel_against_series(self):
-        for n in range(-8, 9):
-            for x in (0.0, 0.3, 1.0, 4.23, 11.0, 20.0):
-                assert jv(n, x) == pytest.approx(bessel_series(n, x), abs=1e-12)
+    def test_bessel_j_against_series(self):
+        zs = (0.0, 0.3, 1.0, 4.23, 11.0, 20.0, 30.0)
+        for n in range(-14, 15):
+            batch = _bessel_j(n, np.array(zs))
+            for z, got in zip(zs, batch):
+                want = bessel_series(n, z)
+                assert got == pytest.approx(want, abs=1e-12)
+                assert _bessel_j(n, z) == pytest.approx(want, abs=1e-12)
 
 
 class TestValidity:

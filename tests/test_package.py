@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import floqbog
@@ -32,3 +35,15 @@ def test_no_unused_imports():
                 unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
                            for name in bound if name not in used]
     assert unused == []
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: scipy is a test dependency of the oracles."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, floqbog, floqbog.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -113,6 +113,33 @@ class TestStabilityGrid:
                 assert c.verdict == "Unstable" and math.isnan(c.max_im)
                 assert "too coarse" in c.error
 
+    def test_eigensolver_failure_isolated_to_its_cell(self, monkeypatch):
+        """A failed batched eig is retried per cell; only the bad cell errors."""
+        import floqbog.sweep as sweep
+
+        grid = GridSpec("hx1", (-8.0, 0.0), 3, "hy1", (-4.0, 4.0), 3)
+        want = stability_grid((-1.5, 0.0), 5.2, -5.0, 1.0, grid, steps=256)
+        real = sweep.eig_branches
+        single_calls = []
+
+        def flaky(u, omega):
+            if np.ndim(u) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            single_calls.append(u)
+            if len(single_calls) == 5:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(u, omega)
+
+        monkeypatch.setattr(sweep, "eig_branches", flaky)
+        got = stability_grid((-1.5, 0.0), 5.2, -5.0, 1.0, grid, steps=256)
+        assert len(single_calls) == 9
+        bad = got[4]
+        assert (bad.x, bad.y) == (-4.0, 0.0)
+        assert bad.verdict == "Unstable" and math.isnan(bad.max_im)
+        assert bad.error == "eigensolver failed: Eigenvalues did not converge"
+        for g, w in zip(got[:4] + got[5:], want[:4] + want[5:]):
+            assert g == w and g.error is None
+
     def test_gamma_points_match_global_verdict(self):
         """Cells on the drive curve agree with the full-chain stability scan."""
         stable_a, _ = evaluate_point(PA, nk=64, steps=1024)[:2]

@@ -1,7 +1,12 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from floqbog import topology
 from floqbog.floquet import IntegrationError
@@ -10,6 +15,7 @@ from floqbog.topology import (
     InvariantUndefinedError,
     TrackingError,
     _band_phase,
+    _best_matching,
     evaluate_point,
     interpolate,
     scan_path,
@@ -54,6 +60,18 @@ class TestUndrivenWinding:
 
 
 class TestBandTracking:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, (4, 4), elements=st.floats(0.0, 1.0)))
+    def test_best_matching_equals_assignment_solver(self, ov):
+        rows = np.arange(4)
+        col = _best_matching(ov)
+        _, want = linear_sum_assignment(ov, maximize=True)
+        assert sorted(col) == [0, 1, 2, 3]
+        assert ov[rows, col].sum() == pytest.approx(ov[rows, want].sum(), abs=1e-12)
+        totals = sorted(ov[rows, list(p)].sum() for p in permutations(range(4)))
+        if totals[-1] - totals[-2] > 1e-9:  # unique optimum: the same matching
+            assert list(col) == list(want)
+
     def test_tracked_shapes_and_closure(self):
         tr = track_bands(PA, nk=128, steps=1024)
         assert tr.eps.shape == (128, 4) and tr.states.shape == (128, 4, 4)
