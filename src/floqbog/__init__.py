@@ -11,7 +11,6 @@ from .model import (
     ModelParams,
     bloch_blocks,
     chain_blocks,
-    chiral_residual,
     nambu_metric,
 )
 from .floquet import (
@@ -50,10 +49,6 @@ from .dynamics import (
     growth_rate_fit,
 )
 from .sweep import (
-    GridSpec,
-    PhaseCell,
-    StabilityCell,
-    curve_gamma,
     effective_phase_overlay,
     phase_diagram,
     stability_grid,
@@ -65,21 +60,16 @@ __all__ = [
     "ChainSpectrum",
     "EffectiveCoefficients",
     "EvolutionTrace",
-    "GridSpec",
     "IntegrationError",
     "InvariantResult",
     "InvariantUndefinedError",
     "ModelParams",
-    "PhaseCell",
-    "StabilityCell",
     "TrackedBands",
     "TrackingError",
     "bloch_blocks",
     "chain_blocks",
     "chain_spectrum",
-    "chiral_residual",
     "choose_indices",
-    "curve_gamma",
     "detect_midgap",
     "edge_weight",
     "effective_coefficients",

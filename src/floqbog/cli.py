@@ -23,10 +23,16 @@ import numpy as np
 
 from . import __version__
 from .effective import choose_indices, effective_spectrum
-from .dynamics import chain_spectrum, detect_midgap, edge_weight, evolve_vacuum
+from .dynamics import (
+    chain_spectrum,
+    detect_midgap,
+    edge_weight,
+    evolve_vacuum,
+    growth_rate_fit,
+)
 from .floquet import DEFAULT_STEPS, IntegrationError, TOL_IM, kgrid_solve
 from .model import ModelParams
-from .sweep import GridSpec, effective_phase_overlay, phase_diagram, stability_grid
+from .sweep import effective_phase_overlay, phase_diagram, stability_grid
 from .topology import (
     InvariantUndefinedError,
     TrackingError,
@@ -111,8 +117,11 @@ def validate_config(cfg: dict, command: str) -> dict:
         raise ConfigError(f"numerics.tol_im must be a positive number, got {numerics['tol_im']!r}")
     task = dict(cfg.get("task", {}))
     _check(task, TASK_SCHEMAS[command], "task", REQUIRED.get(command, ()))
-    if task.get("overlay_nk", 1) < 1:
-        raise ConfigError(f"task.overlay_nk must be an integer >= 1, got {task['overlay_nk']!r}")
+    for key, fine, want in (("overlay_nk", lambda v: v >= 1, "an integer >= 1"),
+                            ("window", lambda v: v > 0, "a positive number"),
+                            ("edge_threshold", lambda v: 0 < v < 1, "a number in (0, 1)")):
+        if key in task and not fine(task[key]):
+            raise ConfigError(f"task.{key} must be {want}, got {task[key]!r}")
     if "end_model" in task:
         task["end_model"] = {**model, **task["end_model"]}
     output = {"path": command.replace("-", "_"), **cfg.get("output", {})}
@@ -188,28 +197,43 @@ def resolve_config(args, command: str) -> dict:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
 
-def write_outputs(cfg: dict, header: list[str], rows: list[list], extra_meta: dict | None = None):
+def _table(columns: dict) -> np.recarray:
+    """One-row-per-entry table whose field names are the CSV header."""
+    return np.rec.fromarrays(list(columns.values()), names=list(columns))
+
+
+def _axis(task: dict, key: str) -> np.ndarray:
+    """Values of the grid axis block ``task[key]``."""
+    lo, hi, n = task[key]["min"], task[key]["max"], task[key]["points"]
+    if n < 2:
+        raise ConfigError(f"task.{key} needs at least 2 points, got {n}")
+    if not lo < hi:
+        raise ConfigError(f"task.{key} range must satisfy min < max, got [{lo}, {hi}]")
+    return np.linspace(lo, hi, n)
+
+
+def write_outputs(cfg: dict, table: np.recarray, meta: dict | None = None):
+    """Write ``table`` as ``<prefix>.csv`` and the config plus ``meta`` as
+    ``<prefix>.meta.json``; returns both paths."""
     prefix = Path(cfg["output"]["path"])
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = prefix.with_suffix(".csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(table.dtype.names)
+        for row in table.tolist():
             writer.writerow([_fmt(v) for v in row])
-    meta = {"config": cfg, "version": __version__}
-    if extra_meta:
-        meta["result"] = extra_meta
+    sidecar = {"config": cfg, "version": __version__}
+    if meta:
+        sidecar["result"] = meta
     meta_path = prefix.with_suffix(".meta.json")
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    meta_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return csv_path, meta_path
 
 
@@ -218,27 +242,21 @@ def cmd_spectrum(cfg: dict) -> int:
     nk, steps = cfg["numerics"]["nk"], cfg["numerics"]["steps"]
     ks, eps, cnorm, _ = kgrid_solve(params, nk, steps)
     nb = eps.shape[1]
-    header = (
-        ["k"]
-        + [f"re_eps_{i + 1}" for i in range(nb)]
-        + [f"im_eps_{i + 1}" for i in range(nb)]
-        + [f"cnorm_{i + 1}" for i in range(nb)]
-    )
-    columns = [ks] + [eps.real[:, i] for i in range(nb)] + [eps.imag[:, i] for i in range(nb)]
-    columns += [cnorm[:, i] for i in range(nb)]
+    columns = {"k": ks}
+    for label, values in (("re_eps", eps.real), ("im_eps", eps.imag), ("cnorm", cnorm)):
+        columns.update({f"{label}_{i + 1}": values[:, i] for i in range(nb)})
     meta: dict = {"max_im": float(eps.imag.max())}
     if cfg["task"].get("effective_overlay", True):
         alpha = cfg["task"].get("alpha")
         beta = cfg["task"].get("beta")
         _, ep, em, verdict = effective_spectrum(params, nk, alpha, beta)
-        header += ["eff_re_plus", "eff_im_plus", "eff_re_minus", "eff_im_minus"]
-        columns += [ep.real, ep.imag, em.real, em.imag]
+        columns.update(eff_re_plus=ep.real, eff_im_plus=ep.imag,
+                       eff_re_minus=em.real, eff_im_minus=em.imag)
         chosen = choose_indices(params)
         meta["effective_verdict"] = verdict
         meta["alpha"] = alpha if alpha is not None else chosen[0]
         meta["beta"] = beta if beta is not None else chosen[1]
-    rows = [[col[j] for col in columns] for j in range(nk)]
-    paths = write_outputs(cfg, header, rows, meta)
+    paths = write_outputs(cfg, _table(columns), meta)
     print(f"spectrum: {nk} momenta, max Im eps = {meta['max_im']:.3e} -> {paths[0]}")
     return 0
 
@@ -254,53 +272,38 @@ def cmd_stability_grid(cfg: dict) -> int:
         raise ConfigError(
             "task.static_field is required when nu0p != 0 (static field is k-dependent)"
         )
-    grid = GridSpec(
-        "hx1", (task["hx1"]["min"], task["hx1"]["max"]), task["hx1"]["points"],
-        "hy1", (task["hy1"]["min"], task["hy1"]["max"]), task["hy1"]["points"],
-    )
-    cells = stability_grid(
-        (hx0, hy0), m["omega"], m["mu"], m["g"], grid,
+    table = stability_grid(
+        (hx0, hy0), m["omega"], m["mu"], m["g"], _axis(task, "hx1"), _axis(task, "hy1"),
         steps=cfg["numerics"]["steps"], tol_im=cfg["numerics"]["tol_im"],
     )
-    rows = [[c.x, c.y, c.verdict, c.max_im, c.error] for c in cells]
-    unstable = sum(c.verdict == "Unstable" for c in cells)
+    unstable = int((table.verdict == "Unstable").sum())
     paths = write_outputs(
-        cfg, ["hx1", "hy1", "verdict", "max_im", "error"], rows,
-        {"static_field": [hx0, hy0], "unstable_cells": unstable, "total_cells": len(cells)},
+        cfg, table,
+        {"static_field": [hx0, hy0], "unstable_cells": unstable, "total_cells": len(table)},
     )
-    print(f"stability-grid: {unstable}/{len(cells)} unstable cells -> {paths[0]}")
+    print(f"stability-grid: {unstable}/{len(table)} unstable cells -> {paths[0]}")
     return 0
 
 
 def cmd_phase_diagram(cfg: dict) -> int:
-    m = cfg["model"]
     task = cfg["task"]
-    ax1, ax2 = task["axis1"], task["axis2"]
-    fixed = {k: v for k, v in m.items() if k not in (ax1["name"], ax2["name"])}
-    grid = GridSpec(
-        ax1["name"], (ax1["min"], ax1["max"]), ax1["points"],
-        ax2["name"], (ax2["min"], ax2["max"]), ax2["points"],
-        fixed=fixed,
-    )
-    cells = phase_diagram(grid, nk=cfg["numerics"]["nk"], steps=cfg["numerics"]["steps"])
-    header = [ax1["name"], ax2["name"], "verdict", "max_im", "ws", "error"]
-    rows = [[c.x, c.y, c.verdict, c.max_im, c.ws, c.error] for c in cells]
+    base = ModelParams(**cfg["model"])
+    axes = [(task[key]["name"], _axis(task, key)) for key in ("axis1", "axis2")]
+    table = phase_diagram(base, *axes, nk=cfg["numerics"]["nk"], steps=cfg["numerics"]["steps"])
     if task.get("overlay"):
-        overlay = effective_phase_overlay(grid, nk=task.get("overlay_nk", 64))
-        header += ["eff_verdict", "eff_max_im"]
-        for row, oc in zip(rows, overlay):
-            row += [oc.verdict, oc.max_im]
-    unstable = sum(c.verdict == "Unstable" for c in cells)
-    paths = write_outputs(cfg, header, rows,
-                          {"unstable_cells": unstable, "total_cells": len(cells)})
-    print(f"phase-diagram: {unstable}/{len(cells)} unstable cells -> {paths[0]}")
+        overlay = effective_phase_overlay(base, *axes, nk=task.get("overlay_nk", 64))
+        columns = {name: table[name] for name in table.dtype.names}
+        table = _table({**columns, "eff_verdict": overlay.verdict, "eff_max_im": overlay.max_im})
+    unstable = int((table.verdict == "Unstable").sum())
+    paths = write_outputs(cfg, table, {"unstable_cells": unstable, "total_cells": len(table)})
+    print(f"phase-diagram: {unstable}/{len(table)} unstable cells -> {paths[0]}")
     return 0
 
 
 def cmd_winding(cfg: dict) -> int:
     params = ModelParams(**cfg["model"])
     w = winding_undriven(params, cfg["numerics"]["nk"])
-    paths = write_outputs(cfg, ["w", "nk"], [[w, cfg["numerics"]["nk"]]], {"w": w})
+    paths = write_outputs(cfg, _table({"w": [w], "nk": [cfg["numerics"]["nk"]]}), {"w": w})
     print(f"winding: W = {w} -> {paths[0]}")
     return 0
 
@@ -308,12 +311,9 @@ def cmd_winding(cfg: dict) -> int:
 def cmd_ws(cfg: dict) -> int:
     params = ModelParams(**cfg["model"])
     result = symplectic_winding(params, cfg["numerics"]["nk"], cfg["numerics"]["steps"])
-    paths = write_outputs(
-        cfg,
-        ["ws", "raw", "residual", "bandset_size", "nk"],
-        [[result.ws, result.raw, result.residual, result.bandset_size, cfg["numerics"]["nk"]]],
-        {"ws": result.ws, "residual": result.residual},
-    )
+    table = _table({"ws": [result.ws], "raw": [result.raw], "residual": [result.residual],
+                    "bandset_size": [result.bandset_size], "nk": [cfg["numerics"]["nk"]]})
+    paths = write_outputs(cfg, table, {"ws": result.ws, "residual": result.residual})
     print(f"ws: W^S = {result.ws} (residual {result.residual:.2e}) -> {paths[0]}")
     return 0
 
@@ -328,16 +328,15 @@ def cmd_chain(cfg: dict) -> int:
     idx, (left, right) = detect_midgap(
         spec, task.get("window"), task.get("edge_threshold", 0.5)
     )
-    flagged = set(idx)
-    rows = [
-        [i, e.real, e.imag, c, spec.edge_weights[i], int(i in flagged)]
-        for i, (e, c) in enumerate(zip(spec.eps, spec.cnorm))
-    ]
+    index = np.arange(len(spec.eps))
+    table = _table({"index": index, "re_eps": spec.eps.real, "im_eps": spec.eps.imag,
+                    "cnorm": spec.cnorm, "edge_weight": spec.edge_weights,
+                    "midgap": np.isin(index, idx).astype(int)})
+    max_midgap_im = float(spec.eps.imag[list(idx)].max()) if idx else None
     paths = write_outputs(
-        cfg,
-        ["index", "re_eps", "im_eps", "cnorm", "edge_weight", "midgap"],
-        rows,
-        {"midgap": list(idx), "left": left, "right": right, "bulk_gap": spec.bulk_gap},
+        cfg, table,
+        {"midgap": list(idx), "left": left, "right": right, "bulk_gap": spec.bulk_gap,
+         "max_midgap_im": max_midgap_im},
     )
     print(f"chain: {len(idx)} midgap states ({left} left, {right} right) -> {paths[0]}")
     return 0
@@ -353,18 +352,19 @@ def cmd_evolve(cfg: dict) -> int:
         task.get("samples", 101),
         cfg["numerics"]["steps"],
     )
-    nsites = trace.occupations.shape[1]
-    header = ["t"] + [f"n_{j + 1}" for j in range(nsites)] + ["sympl_residual"]
-    rows = [
-        [trace.times[s], *trace.occupations[s], trace.sympl_residual[s]]
-        for s in range(len(trace.times))
-    ]
+    occ = trace.occupations
+    table = _table({"t": trace.times, **{f"n_{j + 1}": occ[:, j] for j in range(occ.shape[1])},
+                    "sympl_residual": trace.sympl_residual})
+    try:
+        rate = growth_rate_fit(trace)
+    except ValueError:  # no exponential regime: the vacuum does not grow
+        rate = None
     paths = write_outputs(
-        cfg, header, rows,
-        {"truncated": trace.truncated, "final_n1": float(trace.occupations[-1, 0])},
+        cfg, table,
+        {"truncated": trace.truncated, "final_n1": float(occ[-1, 0]), "growth_rate": rate},
     )
     print(
-        f"evolve: {len(trace.times)} samples, n_1(end) = {trace.occupations[-1, 0]:.3e}"
+        f"evolve: {len(trace.times)} samples, n_1(end) = {occ[-1, 0]:.3e}"
         f"{' (truncated)' if trace.truncated else ''} -> {paths[0]}"
     )
     return 0
@@ -373,26 +373,13 @@ def cmd_evolve(cfg: dict) -> int:
 def cmd_scan_path(cfg: dict) -> int:
     start = ModelParams(**cfg["model"])
     end = ModelParams(**cfg["task"]["end_model"])
-    points = scan_path(
+    table = scan_path(
         start, end, cfg["task"].get("points", 17),
         cfg["numerics"]["nk"], cfg["numerics"]["steps"],
     )
-    model_keys = [f.name for f in fields(ModelParams)]
-    header = ["fraction", *model_keys, "stable", "max_im", "ws", "error"]
-    rows = [
-        [
-            pt.fraction,
-            *[getattr(pt.params, f) for f in model_keys],
-            pt.stable,
-            pt.max_im,
-            pt.ws,
-            pt.error,
-        ]
-        for pt in points
-    ]
-    n_unstable = sum(not pt.stable for pt in points)
-    paths = write_outputs(cfg, header, rows, {"unstable_points": n_unstable})
-    print(f"scan-path: {n_unstable}/{len(points)} unstable points -> {paths[0]}")
+    n_unstable = int((~table.stable).sum())
+    paths = write_outputs(cfg, table, {"unstable_points": n_unstable})
+    print(f"scan-path: {n_unstable}/{len(table)} unstable points -> {paths[0]}")
     return 0
 
 

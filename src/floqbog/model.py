@@ -21,11 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
-#: generalized chiral operator sz (x) sz, anticommutes with the hopping part
-CHIRAL = np.kron(SZ, SZ)
 #: sublattice exchange 1 (x) sx, the conjugation symmetry C H* C = H of every
 #: 4x4 block built by ``field_matrix`` and ``bloch_blocks`` (real fields, real mu, g)
 CONJUGATION = np.kron(I2, SX)
@@ -149,16 +146,3 @@ def chain_blocks(params: ModelParams, cells: int) -> tuple[np.ndarray, np.ndarra
     h1[:n, :n] = h1[n:, n:] = k1
     return h0, h1
 
-
-def chiral_residual(h: np.ndarray, mu: float, g: float) -> float:
-    """Violation of the generalized chiral symmetry of the 4x4 hopping part.
-
-    Strips the chemical potential ``mu`` and pairing ``g`` off the 4x4 Bloch
-    matrix ``h`` and returns ``max |S A S + A|`` with S = sz (x) sz and A the
-    remainder.  Zero for any H0 + H1 cos(omega t) built by ``bloch_blocks``.
-    """
-    h = np.asarray(h)
-    if h.shape != (4, 4):
-        raise ValueError(f"chiral residual is defined for the 4x4 Bloch matrix, got {h.shape}")
-    a = h + mu * np.eye(4) - g * np.kron(SX, I2)
-    return float(np.abs(CHIRAL @ a @ CHIRAL + a).max())

@@ -78,18 +78,6 @@ class InvariantResult:
     bandset_size: int
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    """Stability and (when defined) W^S at one point of a parameter path."""
-
-    fraction: float
-    params: ModelParams
-    stable: bool
-    max_im: float
-    ws: int | None
-    error: str | None
-
-
 def winding_undriven(params: ModelParams, nk: int = 256) -> int:
     """Winding number of the static pseudo-field around the Brillouin zone.
 
@@ -262,24 +250,37 @@ def evaluate_point(
     return stable, max_im, ws, err
 
 
+def evaluate_points(points, nk: int, steps: int):
+    """``evaluate_point`` over a sequence of parameter sets, as the four
+    columns stable (bool), max_im (float), ws and error (objects, None where
+    undefined)."""
+    stable, max_im, ws, error = zip(*(evaluate_point(p, nk, steps) for p in points))
+    return (np.array(stable), np.array(max_im), np.array(ws, dtype=object),
+            np.array(error, dtype=object))
+
+
 def scan_path(
     params_start: ModelParams,
     params_end: ModelParams,
     n_points: int = 17,
     nk: int = 128,
     steps: int = DEFAULT_STEPS,
-) -> list[ScanPoint]:
+) -> np.recarray:
     """Stability and W^S along a straight parameter path.
 
-    Per-point failures are recorded, never raised, so a scan always
-    completes.  Whenever W^S differs between two stable points, physics
-    requires at least one unstable point in between.
+    Returns a table with the fields fraction, every model parameter,
+    stable, max_im, ws and error, one row per point.  Per-point failures
+    are recorded, never raised, so a scan always completes.  Whenever W^S
+    differs between two stable points, physics requires at least one
+    unstable point in between.
     """
     if n_points < 16:
         raise ValueError(f"need at least 16 scan points, got {n_points}")
-    out = []
-    for fraction in np.linspace(0.0, 1.0, n_points):
-        p = interpolate(params_start, params_end, float(fraction))
-        stable, max_im, ws, err = evaluate_point(p, nk, steps)
-        out.append(ScanPoint(float(fraction), p, stable, max_im, ws, err))
-    return out
+    fractions = np.linspace(0.0, 1.0, n_points)
+    points = [interpolate(params_start, params_end, float(f)) for f in fractions]
+    names = [f.name for f in fields(ModelParams)]
+    return np.rec.fromarrays(
+        [fractions, *(np.array([getattr(p, n) for p in points]) for n in names),
+         *evaluate_points(points, nk, steps)],
+        names=["fraction", *names, "stable", "max_im", "ws", "error"],
+    )

@@ -3,7 +3,8 @@
 Nothing here may import from the integrator or eigensolver code paths it
 validates: the monodromy oracles use scipy's general-purpose ODE machinery
 and matrix exponentials, the static spectrum is the closed form of the
-4x4 Bogoliubov problem, and Bessel values come from mpmath's arbitrary
+4x4 Bogoliubov problem, the chiral residual checks the model's symmetry
+from its closed form, and Bessel values come from mpmath's arbitrary
 precision series.
 """
 
@@ -15,7 +16,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from floqbog.model import nambu_metric
+from floqbog.model import I2, SX, nambu_metric
+
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+#: generalized chiral operator sz (x) sz, anticommutes with the hopping part
+CHIRAL = np.kron(SZ, SZ)
 
 
 def static_energies(h: float, mu: float, g: float) -> tuple[complex, complex]:
@@ -28,6 +33,20 @@ def static_energies(h: float, mu: float, g: float) -> tuple[complex, complex]:
     ep = complex(np.sqrt(complex((h + abs(mu)) ** 2 - g**2)))
     em = complex(np.sqrt(complex((h - abs(mu)) ** 2 - g**2)))
     return ep, em
+
+
+def chiral_residual(h: np.ndarray, mu: float, g: float) -> float:
+    """Violation of the generalized chiral symmetry of the 4x4 hopping part.
+
+    Strips the chemical potential ``mu`` and pairing ``g`` off the 4x4 Bloch
+    matrix ``h`` and returns ``max |S A S + A|`` with S = sz (x) sz and A the
+    remainder.  Zero for any H0 + H1 cos(omega t) built by ``bloch_blocks``.
+    """
+    h = np.asarray(h)
+    if h.shape != (4, 4):
+        raise ValueError(f"chiral residual is defined for the 4x4 Bloch matrix, got {h.shape}")
+    a = h + mu * np.eye(4) - g * np.kron(SX, I2)
+    return float(np.abs(CHIRAL @ a @ CHIRAL + a).max())
 
 
 def dop853_monodromy(

@@ -21,7 +21,7 @@ from floqbog.dynamics import (
 )
 from floqbog.effective import effective_quasienergies, effective_coefficients, effective_spectrum
 from floqbog.floquet import fold, kgrid_solve, propagate, sympl_residual
-from floqbog.model import ModelParams, bloch_blocks, chiral_residual
+from floqbog.model import ModelParams, bloch_blocks
 from floqbog.topology import (
     _band_phase,
     scan_path,
@@ -32,7 +32,7 @@ from floqbog.topology import (
     evaluate_point,
 )
 
-from helpers import static_energies
+from helpers import chiral_residual, static_energies
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PB = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=6.0, mu=-5.0, omega=5.2)

@@ -85,6 +85,11 @@ class TestConfigHandling:
         assert entry(["winding", "--config", cfg, "--set", "model.mu"]) == 2
 
 
+#: a 2x2 phase diagram on the fig1b model, for the axis checks
+PHASE = ["phase-diagram", "--recipe", "fig1b",
+         "--set", 'task.axis1={"name": "nu1p", "min": 10.5, "max": 11.0, "points": 2}',
+         "--set", 'task.axis2={"name": "mu", "min": -5.02, "max": -4.98, "points": 2}']
+
 #: mistyped or out-of-range values and the key or library check that rejects them
 BAD_VALUES = [
     (["chain", "--recipe", "fig3a", "--set", 'task.cells="abc"'], "task.cells must be an integer"),
@@ -93,6 +98,12 @@ BAD_VALUES = [
      "task.fraction must be a number"),
     (["chain", "--recipe", "fig3a", "--set", "task.fraction=0.9"], "fraction must lie in (0, 0.5]"),
     (["chain", "--recipe", "fig3a", "--set", 'task.window="x"'], "task.window must be a number"),
+    (["chain", "--recipe", "fig3a", "--set", "task.window=-1"], "task.window must be a positive"),
+    (["chain", "--recipe", "fig3a", "--set", "task.window=0"], "task.window must be a positive"),
+    (["chain", "--recipe", "fig3a", "--set", "task.edge_threshold=1.5"],
+     "task.edge_threshold must be a number in (0, 1)"),
+    (["chain", "--recipe", "fig3a", "--set", "task.edge_threshold=0"],
+     "task.edge_threshold must be a number in (0, 1)"),
     (["evolve", "--recipe", "fig3b", "--set", "task.samples=2.5"],
      "task.samples must be an integer"),
     (["evolve", "--recipe", "fig3b", "--set", "task.samples=1"], "at least 2 samples"),
@@ -103,6 +114,10 @@ BAD_VALUES = [
      "task.hx1.points must be an integer"),
     (["stability-grid", "--recipe", "fig2b", "--set", "task.hx1.points=1"], "at least 2 points"),
     (["stability-grid", "--recipe", "fig2b", "--set", "task.hx1.min=10"], "min < max"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "task.hy1.min=12"],
+     "task.hy1 range must satisfy min < max"),
+    ([*PHASE, "--set", "task.axis1.points=1"], "task.axis1 needs at least 2 points"),
+    ([*PHASE, "--set", "task.axis2.name=nu1p"], "grid axes must differ"),
     (["stability-grid", "--recipe", "fig2b", "--set", 'task.static_field="ab"'],
      "task.static_field must be a list of two numbers"),
     (["stability-grid", "--recipe", "fig2b", "--set", "task.static_field=[1]"],
@@ -391,6 +406,28 @@ class TestChainEvolve:
         assert entry(["chain", "--config", cfg, "--output", "wide"]) == 0
         wide = json.loads(Path("wide.meta.json").read_text())
         assert len(wide["result"]["midgap"]) == 4
+
+    def test_growth_rate_matches_midgap_im(self):
+        """Fig. 3b: the site-1 growth rate is twice the largest midgap Im eps."""
+        assert entry(["chain", "--recipe", "fig3a"]) == 0
+        assert entry(["evolve", "--recipe", "fig3b"]) == 0
+        im = json.loads(Path("fig3a.meta.json").read_text())["result"]["max_midgap_im"]
+        rate = json.loads(Path("fig3b.meta.json").read_text())["result"]["growth_rate"]
+        flagged = [float(r[2]) for r in read_csv("fig3a.csv")[1:] if r[5] == "1"]
+        assert im == max(flagged) > 0.0
+        assert rate == pytest.approx(2.0 * im, rel=0.10)
+
+    def test_stable_chain_has_no_growth_rate(self, capsys):
+        # pairing far below the detuning |mu|: the vacuum stays below 1e-6
+        cfg = write_cfg({
+            "model": {**MODEL_A, "mu": -50.0, "g": 0.01},
+            "numerics": {"steps": 256, "nk": 64},
+            "task": {"cells": 8, "t_max": 10.0, "samples": 41},
+        })
+        assert entry(["evolve", "--config", cfg]) == 0
+        meta = json.loads(Path("evolve.meta.json").read_text())
+        assert meta["result"]["growth_rate"] is None
+        assert max(float(v) for r in read_csv("evolve.csv")[1:] for v in r[1:-1]) < 1e-6
 
     def test_evolve_output(self):
         cfg = write_cfg({

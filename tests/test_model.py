@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from floqbog.model import (
     I2,
     SX,
-    SZ,
     ModelParams,
     bloch_blocks,
     chain_blocks,
-    chiral_residual,
     drive_amplitudes,
     nambu_metric,
     static_fields,
 )
+
+from helpers import SZ, chiral_residual
 
 PA = dict(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])

@@ -16,6 +16,21 @@ def test_public_names_unique_and_resolve():
     assert missing == []
 
 
+def test_public_names_used_by_the_package():
+    """Every exported name is referenced by some module of the package itself,
+    so no name is public only for the tests' sake."""
+    used = set()
+    for path in sorted((ROOT / "src" / "floqbog").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [name for name in floqbog.__all__ if name not in used] == []
+
+
 def test_no_unused_imports():
     """Every imported name is referenced in its module; ``__init__.py`` re-exports are exempt."""
     unused = []

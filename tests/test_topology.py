@@ -151,6 +151,8 @@ class TestScanPath:
     def test_topological_to_trivial_crosses_instability(self):
         trivial = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=0.0, mu=-5.0, omega=5.2)
         pts = scan_path(PA, trivial, n_points=17, nk=64, steps=1024)
+        assert pts.dtype.names == ("fraction", "nu0", "nu0p", "nu1", "nu1p", "mu", "omega", "g",
+                                   "stable", "max_im", "ws", "error")
         assert len(pts) == 17
         assert pts[0].stable and pts[0].ws == 2
         assert pts[-1].stable and pts[-1].ws == 0
@@ -159,8 +161,8 @@ class TestScanPath:
         for p in pts:
             if not p.stable:
                 assert p.ws is None and p.max_im > 1e-8
-        fr = [p.fraction for p in pts]
-        assert fr == pytest.approx(np.linspace(0, 1, 17).tolist())
+        assert pts.fraction.tolist() == pytest.approx(np.linspace(0, 1, 17).tolist())
+        assert pts.nu1p.tolist() == pytest.approx(np.linspace(11.0, 0.0, 17).tolist())
 
 
 class TestEvaluatePoint:
