@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from floqbog.cli import _axis
 from floqbog.floquet import kgrid
 from floqbog.model import ModelParams, drive_amplitudes
 from floqbog.sweep import effective_phase_overlay, phase_diagram, stability_grid
@@ -30,6 +31,31 @@ def cells13():
 @pytest.fixture(scope="module")
 def phase_row():
     return phase_diagram(BASE, *ROW, nk=64, steps=512)
+
+
+class TestGridSpec:
+    """A grid is two distinct model axes, each of >= 2 points on min < max."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(n1=1),
+            dict(range1=(1.0, 0.0)),
+            dict(range2=(2.0, 2.0)),
+            dict(axis2="nu1p"),
+        ],
+    )
+    def test_validation(self, kw):
+        spec = {**dict(axis1="nu1p", range1=(0.0, 1.0), n1=3, axis2="mu",
+                       range2=(0.0, 1.0), n2=3), **kw}
+
+        def axis(i):
+            (lo, hi), n = spec[f"range{i}"], spec[f"n{i}"]
+            values = _axis({"a": {"min": lo, "max": hi, "points": n}}, "a")
+            return spec[f"axis{i}"], values
+
+        with pytest.raises(ValueError):
+            phase_diagram(BASE, axis(1), axis(2), nk=8, steps=64)
 
 
 class TestCurveGamma:
