@@ -189,6 +189,42 @@ def check_propagation(prop: Propagation, what: str) -> None:
         )
 
 
+def _pair_conjugates(eps, zero, omega: float):
+    """Make each zero-norm branch and its partner exact conjugates.
+
+    A zero-norm eigenvalue lambda of a pseudo-unitary U has the partner
+    1/conj(lambda), i.e. eps <-> conj(eps).  Each branch flagged in ``zero``
+    is matched to the zero-norm branch nearest its conjugate (on the
+    quasienergy circle); mutually matched branches closer than
+    RESONANCE_WINDOW * omega get the circular mean of their Re eps, so a
+    pair at +-omega/2 is not split, and +-the mean |Im eps|, the larger Im
+    taking the + sign.  The Re tie of a pair is then exact and Im orders it.
+    """
+    d = eps.shape[-1]
+    idx = np.arange(d)
+    re, im = eps.real, eps.imag
+
+    def wrap(x):
+        return x - omega * np.round(x / omega)
+
+    dist = np.hypot(wrap(re[..., :, None] - re[..., None, :]), im[..., :, None] + im[..., None, :])
+    dist[~(zero[..., :, None] & zero[..., None, :])] = np.inf
+    dist[..., idx, idx] = np.inf
+    partner = dist.argmin(axis=-1)
+    paired = (
+        zero
+        & (np.take_along_axis(partner, partner, axis=-1) == idx)
+        & (dist.min(axis=-1) < RESONANCE_WINDOW * omega)
+    )
+    lo, hi = np.minimum(idx, partner), np.maximum(idx, partner)
+    re_lo, re_hi = np.take_along_axis(re, lo, -1), np.take_along_axis(re, hi, -1)
+    im_lo, im_hi = np.take_along_axis(im, lo, -1), np.take_along_axis(im, hi, -1)
+    mean_re = fold(re_lo + 0.5 * wrap(re_hi - re_lo), omega)
+    mean_im = 0.5 * (np.abs(im_lo) + np.abs(im_hi))
+    up = np.where(idx == lo, im_lo >= im_hi, im_hi > im_lo)
+    return np.where(paired, mean_re + 1j * np.where(up, mean_im, -mean_im), eps)
+
+
 def eig_branches(u, omega: float):
     """Eigendecompose batched monodromy matrices into quasienergy data.
 
@@ -201,7 +237,9 @@ def eig_branches(u, omega: float):
     Returns
     -------
     eps : (..., d) complex, sorted by (Re, Im, cnorm) per batch entry, with
-        Re eps folded into (-omega/2, omega/2]; Im eps > 0 marks a growing mode
+        Re eps folded into (-omega/2, omega/2]; Im eps > 0 marks a growing mode.
+        Zero-norm branches come as exact conjugate pairs (``_pair_conjugates``),
+        so the order of a pair is set by Im, not by round-off in Re
     cnorm : (..., d) int in {-1, 0, +1}, the symplectic norm sign, 0 when the
         branch is not normalizable in the Sigma_z metric
     states : (..., d, d) complex, states[..., i, :] is the branch-i vector,
@@ -226,6 +264,7 @@ def eig_branches(u, omega: float):
     scale = np.where(normalizable, np.sqrt(np.abs(q)), 1.0)
     vec = vec / scale[..., None, :]
     cnorm = np.where(normalizable, np.sign(q).astype(int), 0).astype(int)
+    eps = _pair_conjugates(eps, cnorm == 0, omega)
 
     order = np.lexsort((cnorm, eps.imag, eps.real), axis=-1)
     eps = np.take_along_axis(eps, order, axis=-1)

@@ -19,7 +19,7 @@ from floqbog.floquet import (
     propagate,
     sympl_residual,
 )
-from floqbog.model import ModelParams, bloch_blocks, chain_blocks, nambu_metric
+from floqbog.model import CONJUGATION, ModelParams, bloch_blocks, chain_blocks, nambu_metric
 from floqbog.topology import evaluate_point
 
 from helpers import dop853_monodromy, expm_monodromy, static_energies
@@ -202,6 +202,29 @@ class TestQuasienergies:
         assert (np.diff(eps.real, axis=-1) >= -1e-15).all()
         ks2, eps2, cnorm2, states2 = kgrid_solve(PA, 64, steps=512)
         assert np.array_equal(eps, eps2) and np.array_equal(states, states2)
+
+    @pytest.mark.parametrize("case", ["fig1c", "chain"])
+    def test_pair_order_survives_similarity(self, case):
+        """Unstable pairs are exact conjugates ordered by Im, so a matrix similar
+        to U by a symmetry, whose eig differs from U's at round-off, gives the
+        same branch order: C U C on the fig1c k-batch, P U P (site inversion)
+        on the 20-cell chain, whose conjugation C is the identity."""
+        if case == "fig1c":
+            h0, h1 = bloch_blocks(PB, kgrid(256))
+            perm = CONJUGATION.real.argmax(axis=-1)
+        else:
+            h0, h1 = chain_blocks(PA, 20)
+            perm = np.concatenate([np.arange(40)[::-1], np.arange(40, 80)[::-1]])
+        u = propagate(h0, h1, PA.omega, 256).u
+        eps, cnorm, _, _ = eig_branches(u, PA.omega)
+        eps2, cnorm2, _, _ = eig_branches(u[..., perm[:, None], perm], PA.omega)
+        zero = cnorm == 0
+        assert zero.sum() >= 4
+        assert np.array_equal(cnorm, cnorm2)
+        assert np.abs(eps - eps2).max() < 1e-14
+        for row, mask in zip(np.atleast_2d(eps), np.atleast_2d(zero)):
+            pairs = np.sort_complex(row[mask])
+            assert np.array_equal(pairs, np.sort_complex(pairs.conj()))
 
     def test_spectrum_k_reflection(self):
         ks, eps, _, _ = kgrid_solve(PA, 64, steps=1024)
