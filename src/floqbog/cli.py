@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .effective import choose_indices, effective_spectrum
+from .effective import effective_spectrum, resolve_indices
 from .dynamics import (
     chain_spectrum,
     detect_midgap,
@@ -247,15 +247,11 @@ def cmd_spectrum(cfg: dict) -> int:
         columns.update({f"{label}_{i + 1}": values[:, i] for i in range(nb)})
     meta: dict = {"max_im": float(eps.imag.max())}
     if cfg["task"].get("effective_overlay", True):
-        alpha = cfg["task"].get("alpha")
-        beta = cfg["task"].get("beta")
+        alpha, beta = resolve_indices(params, cfg["task"].get("alpha"), cfg["task"].get("beta"))
         _, ep, em, verdict = effective_spectrum(params, nk, alpha, beta)
         columns.update(eff_re_plus=ep.real, eff_im_plus=ep.imag,
                        eff_re_minus=em.real, eff_im_minus=em.imag)
-        chosen = choose_indices(params)
-        meta["effective_verdict"] = verdict
-        meta["alpha"] = alpha if alpha is not None else chosen[0]
-        meta["beta"] = beta if beta is not None else chosen[1]
+        meta.update(effective_verdict=verdict, alpha=alpha, beta=beta)
     paths = write_outputs(cfg, _table(columns), meta)
     print(f"spectrum: {nk} momenta, max Im eps = {meta['max_im']:.3e} -> {paths[0]}")
     return 0

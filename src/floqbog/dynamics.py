@@ -76,6 +76,41 @@ def edge_weight(state: np.ndarray, fraction: float = 0.1) -> float:
     return float(outer / per_site.sum())
 
 
+def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()):
+    """Checked U(T) of the open chain and its snapshots U(s h), in the site basis.
+
+    Site inversion P (site j -> N - 1 - j on both Nambu halves) commutes
+    exactly with both ``chain_blocks``.  In the real orthogonal parity basis
+    (|j> +- |N-1-j>)/sqrt2 of the first N/2 sites, particles then holes, the
+    generator splits into an even and an odd sector, each Sigma_z-structured
+    of dimension N, with blocks A +- B for A = H[near, near], B = H[near, far].
+    The two sectors propagate as one batch of 2, and U maps back to sites as
+    U[near, near] = U[far, far] = (U_e + U_o)/2 and U[near, far] = U[far, near]
+    = (U_e - U_o)/2.  The step-size guard bounds each sector's spectral norm,
+    and with it the chain's.
+    """
+    h0, h1 = chain_blocks(params, cells)
+    n = h0.shape[0] // 2
+    first = np.arange(n // 2)
+    near = np.concatenate([first, n + first])
+    far = np.concatenate([n - 1 - first, 2 * n - 1 - first])
+
+    def sectors(h):
+        a, b = h[np.ix_(near, near)], h[np.ix_(near, far)]
+        return np.stack([a + b, a - b])
+
+    prop = propagate(sectors(h0), sectors(h1), params.omega, steps, snapshots)
+    check_propagation(prop, "chain monodromy")
+
+    def sites(u):
+        out = np.empty((2 * n, 2 * n), dtype=complex)
+        out[np.ix_(near, near)] = out[np.ix_(far, far)] = 0.5 * (u[0] + u[1])
+        out[np.ix_(near, far)] = out[np.ix_(far, near)] = 0.5 * (u[0] - u[1])
+        return out
+
+    return sites(prop.u), {s: sites(u) for s, u in prop.snapshots.items()}
+
+
 def _bulk_gap(params: ModelParams, nk: int = 128, steps: int = DEFAULT_STEPS) -> float:
     """Distance between the folded bulk bands across Re eps = 0."""
     _, eps, _, _ = kgrid_solve(params, nk, steps)
@@ -88,10 +123,8 @@ def chain_spectrum(
     """Quasienergy branches of the open chain of ``cells`` unit cells."""
     if cells < 8:
         raise ValueError(f"need at least 8 unit cells for edge separation, got {cells}")
-    h0, h1 = chain_blocks(params, cells)
-    prop = propagate(h0, h1, params.omega, steps)
-    check_propagation(prop, "chain monodromy")
-    eps, cnorm, states, _ = eig_branches(prop.u, params.omega)
+    u, _ = _chain_propagation(params, cells, steps)
+    eps, cnorm, states, _ = eig_branches(u, params.omega)
     weights = np.array([edge_weight(state) for state in states])
     spec = ChainSpectrum(
         eps, cnorm, states, (), weights, params.omega, cells, _bulk_gap(params, steps=steps)
@@ -188,13 +221,10 @@ def evolve_vacuum(
     marks = np.rint(total / dt).astype(int)
     wraps, offs = np.divmod(marks, steps_per_period)
 
-    h0, h1 = chain_blocks(params, cells)
-    prop = propagate(h0, h1, params.omega, steps_per_period, offs.tolist())
-    check_propagation(prop, "chain monodromy")
-    mono, snaps = prop.u, prop.snapshots
+    mono, snaps = _chain_propagation(params, cells, steps_per_period, offs.tolist())
 
-    n = h0.shape[0] // 2
-    power = np.eye(h0.shape[0], dtype=complex)
+    n = mono.shape[0] // 2
+    power = np.eye(mono.shape[0], dtype=complex)
     done = 0
     times, occs, resid = [], [], []
     truncated = False

@@ -92,6 +92,15 @@ def choose_indices(params: ModelParams, nk: int = 128, alpha_range: int = 6) -> 
     return int(alpha), int(beta)
 
 
+def resolve_indices(params: ModelParams, alpha: int | None, beta: int | None) -> tuple[int, int]:
+    """(alpha, beta) with each index that is None taken from ``choose_indices``."""
+    if alpha is None or beta is None:
+        a, b = choose_indices(params)
+        alpha = a if alpha is None else alpha
+        beta = b if beta is None else beta
+    return alpha, beta
+
+
 def effective_coefficients(
     params: ModelParams,
     k,
@@ -108,10 +117,7 @@ def effective_coefficients(
     drive direction.  This is the f^+- form multiplied through, which
     avoids the spurious divisions at h^alpha_x = 0 or h^alpha_y = 0.
     """
-    if alpha is None or beta is None:
-        a, b = choose_indices(params)
-        alpha = a if alpha is None else alpha
-        beta = b if beta is None else beta
+    alpha, beta = resolve_indices(params, alpha, beta)
     ks = np.asarray(k, dtype=float)
     hx0, hy0 = static_fields(params, ks)
     hx1, hy1 = drive_amplitudes(params, ks)

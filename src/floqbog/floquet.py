@@ -33,6 +33,8 @@ MAX_STEP_NORM = 1.0
 #: pseudo-unitarity residual above which a propagator is rejected
 TOL_RESIDUAL = 1e-4
 
+#: index permutation p of CONJUGATION, (C X C)[i, j] = X[p[i], p[j]]
+_BLOCH_C = CONJUGATION.real.argmax(axis=-1)
 #: Gauss-Legendre nodes of one step and the coefficient of its commutator term
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _COMM = math.sqrt(3.0) / 12.0
@@ -43,8 +45,30 @@ class IntegrationError(RuntimeError):
 
 
 def kgrid(nk: int) -> np.ndarray:
-    """Uniform momentum grid on (-pi, pi], symmetric under k -> -k, pi included."""
-    return -math.pi + 2.0 * math.pi * (np.arange(nk) + 1.0) / nk
+    """Uniform momentum grid on (-pi, pi], pi included.
+
+    Built from the integers 2j + 2 - nk, so it is an exact mirror:
+    kgrid(nk)[j] == -kgrid(nk)[nk - 2 - j] bitwise for j < nk - 1.
+    """
+    return (2.0 * np.arange(nk) + 2.0 - nk) * (math.pi / nk)
+
+
+def mirror_half(values) -> tuple[np.ndarray, np.ndarray]:
+    """Entries to compute on an axis under the reflection x -> -x, and the fill map.
+
+    Returns (half, take).  When every negative entry of ``values`` has its
+    negative on the axis, to four ulp of max |x|, ``half`` indexes the
+    entries that are not negative; otherwise it indexes every entry.
+    ``take[i]`` is the position in ``half`` of entry i, or of its mirror image
+    when entry i is not computed itself.
+    """
+    x = np.asarray(values, dtype=float)
+    tol = 4.0 * np.spacing(np.abs(x).max(initial=0.0))
+    mirror = np.abs(x[:, None] + x).argmin(axis=1)
+    lone = (x <= -tol) & (np.abs(x + x[mirror]) > tol)
+    keep = (x > -tol) | lone.any()
+    half = np.flatnonzero(keep)
+    return half, np.searchsorted(half, np.where(keep, np.arange(x.size), mirror))
 
 
 def fold(x, omega: float):
@@ -71,7 +95,7 @@ def _conjugation(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     d = h0.shape[-1]
     candidates = [np.arange(d)]
     if d == 4:
-        candidates.append(CONJUGATION.real.argmax(axis=-1))
+        candidates.append(_BLOCH_C)
     for p in candidates:
         if all(
             np.abs(h[..., p[:, None], p].conj() - h).max(initial=0.0)
@@ -299,10 +323,17 @@ def kgrid_solve(params: ModelParams, nk: int, steps: int = DEFAULT_STEPS):
 
     Returns (ks, eps, cnorm, states) with shapes (nk,), (nk, 4), (nk, 4)
     and (nk, 4, 4); branch vectors along the last axis of ``states``.
+    Only the momenta k >= 0 are integrated: H_{-k} = C H_k C with C =
+    CONJUGATION for every parameter set, so U_{-k} = C U_k C, and -k takes
+    the eps and cnorm of k and its states with C applied to their components.
     """
     ks = kgrid(nk)
-    h0, h1 = bloch_blocks(params, ks)
+    half, take = mirror_half(ks)
+    h0, h1 = bloch_blocks(params, ks[half])
     prop = propagate(h0, h1, params.omega, steps)
     check_propagation(prop, "k-grid")
     eps, cnorm, states, _ = eig_branches(prop.u, params.omega)
-    return ks, eps, cnorm, states
+    states = states[take]
+    mirrored = half[take] != np.arange(nk)
+    states[mirrored] = states[mirrored][..., _BLOCH_C]
+    return ks, eps[take], cnorm[take], states

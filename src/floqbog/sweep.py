@@ -18,13 +18,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .effective import choose_indices, effective_spectrum
+from .effective import effective_spectrum, resolve_indices
 from .floquet import (
     DEFAULT_STEPS,
     MAX_STEP_NORM,
     TOL_IM,
     classify_arrays,
     eig_branches,
+    mirror_half,
     propagate,
 )
 from .model import SX, I2, ModelParams, field_matrix
@@ -51,8 +52,16 @@ def stability_grid(
     is non-finite is kept out of the eigensolver and reported through its
     ``error``.  When the batched eigensolve fails, the cells are retried one
     by one and only those that fail again are reported as errors.
+
+    With hy0 = 0 in ``static_field``, H(hx1, -hy1) = C H(hx1, hy1) C for
+    C = CONJUGATION, so a cell and its mirror have similar propagators and
+    the same verdict, max_im and error: only the rows with hy1 >= 0 are
+    integrated and each is copied to its mirror row, provided every
+    negative hy1 has its negative on the axis (``mirror_half``).
     """
-    x, y = np.meshgrid(hx1, hy1)  # (n2, n1)
+    n2 = len(hy1)
+    rows, fill = mirror_half(hy1) if static_field[1] == 0.0 else (np.arange(n2),) * 2
+    x, y = np.meshgrid(hx1, np.asarray(hy1)[rows])  # (rows, n1)
     h1 = field_matrix(x, y)
     static = (
         field_matrix(static_field[0], static_field[1])
@@ -85,9 +94,10 @@ def stability_grid(
                 classify(cell)
             except np.linalg.LinAlgError as exc:
                 error[cell] = f"eigensolver failed: {exc}"
-    verdict = np.where(codes == 2, "Unstable", "Stable")
+    verdict = np.where(codes == 2, "Unstable", "Stable")[fill]
+    x, y = np.meshgrid(hx1, hy1)  # (n2, n1)
     return np.rec.fromarrays(
-        [a.ravel() for a in (x, y, verdict, max_im, error)],
+        [a.ravel() for a in (x, y, verdict, max_im[fill], error[fill])],
         names=["hx1", "hy1", "verdict", "max_im", "error"],
     )
 
@@ -141,11 +151,8 @@ def effective_phase_overlay(
     table's fields are the two axis names, verdict and max_im.
     """
     x, y, points = _plane(base, axis1, axis2)
-    if alpha is None or beta is None:
-        center = {name: float(values[len(values) // 2]) for name, values in (axis1, axis2)}
-        a, b = choose_indices(replace(base, **center))
-        alpha = a if alpha is None else alpha
-        beta = b if beta is None else beta
+    center = {name: float(values[len(values) // 2]) for name, values in (axis1, axis2)}
+    alpha, beta = resolve_indices(replace(base, **center), alpha, beta)
     verdict, max_im = [], []
     for p in points:
         _, ep, em, v = effective_spectrum(p, nk, alpha, beta)

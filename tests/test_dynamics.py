@@ -7,6 +7,7 @@ from scipy.linalg import eigh
 from floqbog.dynamics import (
     ChainSpectrum,
     EvolutionTrace,
+    _chain_propagation,
     _side_balance,
     chain_spectrum,
     detect_midgap,
@@ -14,8 +15,8 @@ from floqbog.dynamics import (
     evolve_vacuum,
     growth_rate_fit,
 )
-from floqbog.floquet import IntegrationError
-from floqbog.model import ModelParams
+from floqbog.floquet import IntegrationError, propagate
+from floqbog.model import ModelParams, chain_blocks
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 
@@ -95,6 +96,18 @@ class TestChainSpectrum:
             spec = chain_spectrum(PA, cells=cells, steps=1024)
             assert len(spec.midgap) == 4
             assert detect_midgap(spec)[1] == (2, 2)
+
+    @pytest.mark.parametrize("cells", [9, 20])
+    def test_sector_propagation_equals_full(self, cells):
+        """The two parity sectors, mapped back to sites, give the 80x80 U(T)
+        and snapshots of a direct propagation."""
+        marks = (0, 37, 128, 129, 200, 256)
+        full = propagate(*chain_blocks(PA, cells), PA.omega, 256, marks)
+        u, snaps = _chain_propagation(PA, cells, 256, marks)
+        assert np.abs(u - full.u).max() < 1e-13
+        assert sorted(snaps) == list(marks)
+        for s in marks:
+            assert np.abs(snaps[s] - full.snapshots[s]).max() < 1e-13
 
     def test_rejects_tiny_chain(self):
         with pytest.raises(ValueError):

@@ -72,12 +72,10 @@ class TestKgrid:
         assert np.allclose(kgrid(4), [-np.pi / 2, 0.0, np.pi / 2, np.pi])
 
     def test_symmetric_with_pi(self):
-        ks = kgrid(128)
-        assert ks.max() == pytest.approx(np.pi)
-        assert ks.min() > -np.pi
-        interior = ks[:-1]
-        for k in interior[np.abs(interior) > 1e-12]:
-            assert np.any(np.abs(ks + k) < 1e-12)
+        for nk in (64, 65, 128, 256):
+            ks = kgrid(nk)
+            assert ks[-1] == np.pi and ks[0] > -np.pi
+            assert np.array_equal(ks[:-1], -ks[-2::-1])
 
 
 class TestIntegrators:
@@ -225,6 +223,28 @@ class TestQuasienergies:
         for row, mask in zip(np.atleast_2d(eps), np.atleast_2d(zero)):
             pairs = np.sort_complex(row[mask])
             assert np.array_equal(pairs, np.sort_complex(pairs.conj()))
+
+    @pytest.mark.parametrize("params, nk", [(PB, 64), (PN, 64), (PN, 65)])
+    def test_half_grid_equals_full_grid(self, params, nk):
+        """Momenta k < 0 filled from -k equal an integration of the whole grid,
+        row by row: the same branches (eps on the quasienergy circle to 1e-12,
+        cnorm) and the same states up to a phase, to 1e-10 since eigenvectors
+        are conditioned by the branch separation.  Rows are matched as sets:
+        a pair at Re eps = +-omega/2 folds to either end by round-off."""
+        ks, eps, cnorm, states = kgrid_solve(params, nk, 256)
+        prop = propagate(*bloch_blocks(params, ks), params.omega, 256)
+        eps_f, cnorm_f, states_f, _ = eig_branches(prop.u, params.omega)
+        re = np.abs(eps[:, :, None].real - eps_f[:, None, :].real) % params.omega
+        gap = np.hypot(np.minimum(re, params.omega - re),
+                       eps[:, :, None].imag - eps_f[:, None, :].imag)
+        gap[cnorm[:, :, None] != cnorm_f[:, None, :]] = np.inf
+        match = gap.argmin(axis=-1)
+        assert (np.sort(match, axis=-1) == np.arange(4)).all()
+        assert np.take_along_axis(gap, match[..., None], -1).max() < 1e-12
+        states_f = np.take_along_axis(states_f, match[..., None], axis=1)
+        overlap = np.einsum("kim,kim->ki", states.conj(), states_f)
+        phase = overlap / np.abs(overlap)
+        assert np.abs(states * phase[..., None] - states_f).max() < 1e-10
 
     def test_spectrum_k_reflection(self):
         ks, eps, _, _ = kgrid_solve(PA, 64, steps=1024)

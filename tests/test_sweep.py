@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from floqbog.cli import _axis
-from floqbog.floquet import kgrid
-from floqbog.model import ModelParams, drive_amplitudes
+from floqbog.floquet import TOL_IM, classify_arrays, eig_branches, kgrid, propagate
+from floqbog.model import I2, SX, ModelParams, drive_amplitudes, field_matrix
 from floqbog.sweep import effective_phase_overlay, phase_diagram, stability_grid
 from floqbog.topology import evaluate_point
 
@@ -21,6 +21,20 @@ HEADER = ("hx1", "hy1", "verdict", "max_im", "error")
 def plane(hx1, hy1, steps):
     """stability_grid at the benchmark static field, mu and omega."""
     return stability_grid((-1.5, 0.0), 5.2, -5.0, 1.0, hx1, hy1, steps=steps)
+
+
+def direct(static_field, hx1, hy1, steps):
+    """Verdicts and max_im of ``plane`` cells, integrating every cell with
+    one batch per hy1 row."""
+    static = field_matrix(*static_field) + 5.0 * np.eye(4) + np.kron(SX, I2)
+    verdict, max_im = [], []
+    for y in hy1:
+        prop = propagate(static, field_matrix(hx1, np.full(len(hx1), y)), 5.2, steps)
+        eps, cnorm, _, _ = eig_branches(prop.u, 5.2)
+        codes = classify_arrays(eps, cnorm, 5.2, TOL_IM)
+        verdict += np.where(codes == 2, "Unstable", "Stable").tolist()
+        max_im += eps.imag.max(axis=-1).tolist()
+    return np.array(verdict), np.array(max_im)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +114,48 @@ class TestStabilityGrid:
         verdicts = {(c.hx1, c.hy1): c.verdict for c in cells13}
         assert all(verdicts[(x, y)] == verdicts[(x, -y)] for x, y in verdicts)
 
+    def test_mirrored_rows_equal_direct_integration(self, cells13):
+        """The rows filled from their mirror equal an integration of those rows."""
+        hx1, hy1 = np.linspace(-15.0, 9.0, 13), np.linspace(-12.0, 12.0, 13)
+        verdict, max_im = direct((-1.5, 0.0), hx1, hy1[:6], 1024)
+        mirrored = cells13[:78]
+        assert (mirrored.hy1 < 0).all()
+        assert mirrored.verdict.tolist() == verdict.tolist()
+        assert np.abs(mirrored.max_im - max_im).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "static_field, hy1, rows",
+        [
+            ((-1.5, 0.0), np.linspace(-12.0, 12.0, 13), 7),
+            ((-1.5, 0.8), np.linspace(-12.0, 12.0, 13), 13),
+            ((-1.5, 0.0), np.linspace(-12.0, 10.0, 12), 12),
+        ],
+        ids=["mirrored", "static-hy0", "asymmetric-axis"],
+    )
+    def test_integrated_rows_and_fall_back(self, monkeypatch, static_field, hy1, rows):
+        """Only hy1 >= 0 is integrated when hy0 = 0 and the axis is a mirror;
+        otherwise the whole plane is, and every cell equals a direct integration."""
+        import floqbog.sweep as sweep
+
+        hx1 = np.linspace(-15.0, 9.0, 9)
+        batches = []
+
+        def spy(h0, h1, *args):
+            batches.append(np.shape(h1)[:-2])
+            return propagate(h0, h1, *args)
+
+        monkeypatch.setattr(sweep, "propagate", spy)
+        table = stability_grid(static_field, 5.2, -5.0, 1.0, hx1, hy1, steps=256)
+        assert batches == [(rows, 9)]
+        verdict, max_im = direct(static_field, hx1, hy1, 256)
+        assert table.verdict.tolist() == verdict.tolist()
+        assert np.abs(table.max_im - max_im).max() < 1e-12
+        mirror = table.max_im.reshape(len(hy1), 9)
+        if rows < len(hy1):
+            assert np.array_equal(mirror, mirror[::-1])
+        else:
+            assert not np.array_equal(mirror[:6], mirror[::-1][:6])
+
     def test_refinement_consistency(self):
         coarse = plane(np.linspace(-8.0, 0.0, 3), np.linspace(-4.0, 4.0, 3), 1024)
         fine = plane(np.linspace(-8.0, 0.0, 5), np.linspace(-4.0, 4.0, 5), 1024)
@@ -117,11 +173,12 @@ class TestStabilityGrid:
                 assert c.verdict == "Unstable" and math.isnan(c.max_im)
                 assert "too coarse" in c.error
 
-    def test_eigensolver_failure_isolated_to_its_cell(self, monkeypatch):
-        """A failed batched eig is retried per cell; only the bad cell errors."""
+    @staticmethod
+    def _fifth_cell_fails(monkeypatch, axes):
+        """The plane with its batched eig failing and the fifth per-cell retry
+        failing too; returns (plane without failures, plane, retry count)."""
         import floqbog.sweep as sweep
 
-        axes = np.linspace(-8.0, 0.0, 3), np.linspace(-4.0, 4.0, 3)
         want = plane(*axes, 256)
         real = sweep.eig_branches
         single_calls = []
@@ -135,15 +192,35 @@ class TestStabilityGrid:
             return real(u, omega)
 
         monkeypatch.setattr(sweep, "eig_branches", flaky)
-        got = plane(*axes, 256)
-        assert len(single_calls) == 9
-        bad = got[4]
-        assert (bad.hx1, bad.hy1) == (-4.0, 0.0)
-        assert bad.verdict == "Unstable" and math.isnan(bad.max_im)
-        assert bad.error == "eigensolver failed: Eigenvalues did not converge"
-        rest = np.arange(9) != 4
+        return want, plane(*axes, 256), len(single_calls)
+
+    @staticmethod
+    def _only_bad(want, got, bad):
+        for i in bad:
+            assert got[i].verdict == "Unstable" and math.isnan(got[i].max_im)
+            assert got[i].error == "eigensolver failed: Eigenvalues did not converge"
+        rest = ~np.isin(np.arange(len(got)), bad)
         assert got[rest].tolist() == want[rest].tolist()
         assert all(e is None for e in got.error[rest])
+
+    def test_eigensolver_failure_isolated_to_its_cell(self, monkeypatch):
+        """A failed batched eig is retried per cell; only the bad cell errors.
+
+        The hy1 axis has no mirror, so all 9 cells are solved."""
+        axes = np.linspace(-8.0, 0.0, 3), np.linspace(-4.0, 6.0, 3)
+        want, got, retries = self._fifth_cell_fails(monkeypatch, axes)
+        assert retries == 9
+        assert (got[4].hx1, got[4].hy1) == (-4.0, 1.0)
+        self._only_bad(want, got, [4])
+
+    def test_eigensolver_failure_shared_with_its_mirror(self, monkeypatch):
+        """On a symmetric plane only the 6 cells with hy1 >= 0 are solved; the
+        fifth, (-4, 4), errors together with its mirror cell (-4, -4)."""
+        axes = np.linspace(-8.0, 0.0, 3), np.linspace(-4.0, 4.0, 3)
+        want, got, retries = self._fifth_cell_fails(monkeypatch, axes)
+        assert retries == 6
+        assert [(got[i].hx1, got[i].hy1) for i in (1, 7)] == [(-4.0, -4.0), (-4.0, 4.0)]
+        self._only_bad(want, got, [1, 7])
 
     def test_gamma_points_match_global_verdict(self):
         """Cells on the drive curve agree with the full-chain stability scan."""
