@@ -227,11 +227,8 @@ def _pair_conjugates(eps, zero, omega: float):
     d = eps.shape[-1]
     idx = np.arange(d)
     re, im = eps.real, eps.imag
-
-    def wrap(x):
-        return x - omega * np.round(x / omega)
-
-    dist = np.hypot(wrap(re[..., :, None] - re[..., None, :]), im[..., :, None] + im[..., None, :])
+    dist = np.hypot(fold(re[..., :, None] - re[..., None, :], omega),
+                    im[..., :, None] + im[..., None, :])
     dist[~(zero[..., :, None] & zero[..., None, :])] = np.inf
     dist[..., idx, idx] = np.inf
     partner = dist.argmin(axis=-1)
@@ -243,7 +240,7 @@ def _pair_conjugates(eps, zero, omega: float):
     lo, hi = np.minimum(idx, partner), np.maximum(idx, partner)
     re_lo, re_hi = np.take_along_axis(re, lo, -1), np.take_along_axis(re, hi, -1)
     im_lo, im_hi = np.take_along_axis(im, lo, -1), np.take_along_axis(im, hi, -1)
-    mean_re = fold(re_lo + 0.5 * wrap(re_hi - re_lo), omega)
+    mean_re = fold(re_lo + 0.5 * fold(re_hi - re_lo, omega), omega)
     mean_im = 0.5 * (np.abs(im_lo) + np.abs(im_hi))
     up = np.where(idx == lo, im_lo >= im_hi, im_hi > im_lo)
     return np.where(paired, mean_re + 1j * np.where(up, mean_im, -mean_im), eps)
