@@ -4,14 +4,18 @@
 For every shipped recipe shape and every step count it records the largest
 quasienergy deviation from the adaptive DOP853 oracle of tests/helpers.py
 on sampled points, verdict mismatches, the topological outputs (W^S,
-midgap modes, growth rate) and the pseudo-unitarity residual.  The
-recipes' ``numerics.steps`` are read off this table.
+midgap modes, growth rate) and the pseudo-unitarity residual.  The kernel
+is sixth order, so the deviation falls about 64x per step doubling until
+it reaches the oracle's own error near 1e-11.  The recipes'
+``numerics.steps`` are read off this table: the smallest power of two
+whose deviation stays at or below 1.2e-6, the worst-shape error of the
+previous fourth-order kernel at 256 steps, on every shape.
 
     PYTHONPATH=src python3 scripts/convergence.py --out convergence.json
     PYTHONPATH=src python3 scripts/convergence.py --plane 41 --steps 64 128
 
 The full 201x201 drive plane integrates 40401 propagators per step count
-and takes a few minutes at 2048 steps.
+and takes about a minute at 2048 steps on two cores.
 """
 
 import argparse

@@ -30,7 +30,7 @@ from .dynamics import (
     evolve_vacuum,
     growth_rate_fit,
 )
-from .floquet import DEFAULT_STEPS, IntegrationError, TOL_IM, kgrid_solve
+from .floquet import DEFAULT_STEPS, MIN_STEPS, IntegrationError, TOL_IM, kgrid_solve
 from .model import ModelParams
 from .sweep import effective_phase_overlay, phase_diagram, stability_grid
 from .topology import (
@@ -110,7 +110,7 @@ def validate_config(cfg: dict, command: str) -> dict:
     _check(model, MODEL, "model", MODEL)
     numerics = {**NUMERICS_DEFAULTS, **cfg.get("numerics", {})}
     _check(numerics, NUMERICS, "numerics")
-    for key, lo in (("steps", 64), ("nk", 64)):
+    for key, lo in (("steps", MIN_STEPS), ("nk", 64)):
         if numerics[key] < lo:
             raise ConfigError(f"numerics.{key} must be an integer >= {lo}, got {numerics[key]!r}")
     if numerics["tol_im"] <= 0:

@@ -18,13 +18,18 @@ import numpy as np
 
 from .model import CONJUGATION, HERMITICITY_TOL, ModelParams, bloch_blocks, nambu_metric
 
+#: fewest integrator steps per period ``propagate`` (and ``numerics.steps``) accepts
+MIN_STEPS = 64
 #: smallest power of two whose quasienergy error against an adaptive DOP853
-#: oracle stays below the resonance window of the classifier on every
-#: shipped recipe shape (scripts/convergence.py; 1.2e-6 at worst)
-DEFAULT_STEPS = 256
+#: oracle stays at or below that of 256 fourth-order steps, the count the
+#: recipes were validated with, on every shipped recipe shape
+#: (scripts/convergence.py; 3.8e-7 at worst, on the 201x201 fig2b plane)
+DEFAULT_STEPS = 64
 TOL_IM = 1e-8
 #: Re eps distance, in units of omega, below which opposite-norm branches resonate
 RESONANCE_WINDOW = 1e-6
+#: Re eps distance, in units of omega, below which branches tie in the sort order
+TIE_WINDOW = 1e-12
 TOL_NORM = 1e-6
 #: eigenvector overlap above which an eigenproblem is treated as defective
 DEFECT_OVERLAP = 1.0 - 1e-8
@@ -35,9 +40,8 @@ TOL_RESIDUAL = 1e-4
 
 #: index permutation p of CONJUGATION, (C X C)[i, j] = X[p[i], p[j]]
 _BLOCH_C = CONJUGATION.real.argmax(axis=-1)
-#: Gauss-Legendre nodes of one step and the coefficient of its commutator term
-_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_COMM = math.sqrt(3.0) / 12.0
+#: Gauss-Legendre nodes of one step, as fractions of h
+_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
 class IntegrationError(RuntimeError):
@@ -109,6 +113,47 @@ def _conjugation(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     )
 
 
+def _magnus_basis(m0: np.ndarray, m1: np.ndarray, shape) -> np.ndarray:
+    """M0, M1 and the nested commutators a sixth-order Omega is built from.
+
+    Rows of the returned (8, *shape) array: M0, M1, K = [M0, M1], [M0, K],
+    [M1, K], [M0, [M0, K]], [M0, [M1, K]] = [M1, [M0, K]] and [M1, [M1, K]].
+    """
+    basis = np.empty((8, *shape), dtype=complex)
+    basis[0], basis[1] = m0, m1
+    for out, a, b in ((2, 0, 1), (3, 0, 2), (4, 1, 2), (5, 0, 3), (6, 0, 4), (7, 1, 4)):
+        np.matmul(basis[a], basis[b], out=basis[out])
+        basis[out] -= basis[b] @ basis[a]
+    return basis
+
+
+def _magnus_coefficients(omega: float, h: float, steps: int) -> np.ndarray:
+    """(steps, 8) weights of the ``_magnus_basis`` rows in Omega of each step.
+
+    With a_i = cos(omega (s + c_i) h) at the Gauss nodes c_i, the scheme's
+    alpha1 = h M0 + q1 M1, alpha2 = q2 M1 and alpha3 = q3 M1, where
+    q1 = h a2, q2 = (sqrt(15) h/3)(a3 - a1) and q3 = (10 h/3)(a3 - 2 a2 + a1).
+    Expanding its commutators in the basis gives these weights; the two
+    terms [K, [M0, K]] and [K, [M1, K]] are O(h^7) and dropped, which keeps
+    the order and the time symmetry of the step.
+    """
+    a1, a2, a3 = np.cos(omega * h * (np.arange(steps)[:, None] + _NODES)).T
+    q1 = h * a2
+    q2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
+    q3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+    r = 20.0 * q1 + q3
+    return np.stack([
+        np.full(steps, h),
+        q1 + q3 / 12.0,
+        -h * q2 / 12.0,
+        h * h * q3 / 360.0,
+        h * (r * q3 / 30.0 - q2 * q2) / 240.0,
+        h**3 * q2 / 720.0,
+        h * h * q2 * (2.0 * q1 / 3.0 + q3 / 60.0) / 240.0,
+        h * q1 * q2 * r / 14400.0,
+    ], axis=-1)
+
+
 def propagate(
     h0: np.ndarray, h1: np.ndarray, omega: float, steps: int, snapshots=()
 ) -> Propagation:
@@ -116,17 +161,25 @@ def propagate(
 
     h0, h1 have shape (..., d, d) and broadcast against each other; the
     leading axes are batched so a whole k-grid or drive plane integrates
-    in one pass.  Each of the ``steps`` equal steps h is a fourth-order
-    Magnus step on the two Gauss points t1, t2 of the step,
+    in one pass.  Each of the ``steps`` equal steps h is the sixth-order
+    Magnus step on the three Gauss-Legendre nodes of the step (Blanes,
+    Casas & Ros, BIT 40, 434 (2000)): with A = -i Sigma_z H, A_i its value
+    at node i, alpha1 = h A2, alpha2 = (sqrt(15) h/3)(A3 - A1) and
+    alpha3 = (10 h/3)(A3 - 2 A2 + A1),
 
-        Omega = (h/2)(A1 + A2) + (sqrt(3) h^2/12)[A2, A1],   A = -i Sigma_z H,
+        C1 = [alpha1, alpha2],  C2 = -[alpha1, 2 alpha3 + C1]/60,
+        Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
 
-    mapped onto the group by the diagonal (2,2) Pade approximant of exp,
-    applied as the increment U <- U + (1 - Omega/2 + Omega^2/12)^-1 Omega U.
+    Since A(t) = M0 + cos(omega t) M1, Omega is a fixed combination of M0,
+    M1 and five nested commutators, formed once (``_magnus_basis``); each
+    step only weighs them.  Omega is mapped onto the group by the diagonal
+    (3,3) Pade approximant of exp, applied as the increment
+
+        U <- U + D^-1 (Omega + Omega^3/60) U,  D = 1 - Omega/2 + Omega^2/10 - Omega^3/120.
+
     That map sends the Lie algebra of U(n, n) into the group, so U stays
-    pseudo-unitary to round-off at any step size.  Since A(t) = M0 +
-    cos(omega t) M1, every commutator is a multiple of [M1, M0], which is
-    formed once.
+    pseudo-unitary to round-off at any step size; the quasienergy error
+    falls as steps^-6.
 
     Only the first half period is integrated.  H(T - t) = H(t), and the
     blocks have a conjugation symmetry C H* C = H (C = 1 for real blocks,
@@ -141,14 +194,15 @@ def propagate(
     the second-half snapshots.  This equals the full-period product of the
     same steps up to round-off.
 
-    ``snapshots`` lists step indices s in 0..steps at which U(s h) is
-    recorded.  ``step_norm`` is h (|H0| + |H1|) per propagator, in the
-    max-row-sum norm, which bounds the spectral norm of a Hermitian matrix;
-    above MAX_STEP_NORM the Magnus series is too close to its convergence
-    radius pi and U, while pseudo-unitary, is not accurate.
+    ``steps`` must be at least MIN_STEPS.  ``snapshots`` lists step indices
+    s in 0..steps at which U(s h) is recorded.  ``step_norm`` is
+    h (|H0| + |H1|) per propagator, in the max-row-sum norm, which bounds
+    the spectral norm of a Hermitian matrix; above MAX_STEP_NORM the Magnus
+    series is too close to its convergence radius pi and U, while
+    pseudo-unitary, is not accurate.
     """
-    if steps < 64:
-        raise ValueError(f"need at least 64 integrator steps, got {steps}")
+    if steps < MIN_STEPS:
+        raise ValueError(f"need at least {MIN_STEPS} integrator steps, got {steps}")
     record = set(snapshots)
     if not all(0 <= s <= steps for s in record):
         raise ValueError(f"snapshot steps must lie in 0..{steps}, got {sorted(record)}")
@@ -158,23 +212,22 @@ def propagate(
     shape = np.broadcast_shapes(h0.shape, h1.shape)
     d = shape[-1]
     sz = nambu_metric(d)[:, None]
-    m0 = -1j * sz * h0
-    m1 = -1j * sz * h1
-    comm = m1 @ m0 - m0 @ m1
     h = 2.0 * math.pi / omega / steps
     norms = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
     step_norm = np.broadcast_to(h * norms, shape[:-2])
-    eye = np.eye(d)
-    u = np.broadcast_to(eye, shape).astype(complex)
     half = steps // 2
     forward = steps - half
+    basis = _magnus_basis(-1j * sz * h0, -1j * sz * h1, shape).reshape(8, -1)
+    weights = _magnus_coefficients(omega, h, forward)
+    eye = np.eye(d)
+    u = np.broadcast_to(eye, shape).astype(complex)
     direct = {s if s <= forward else steps - s for s in record}
     seen = {0: u} if 0 in direct else {}
     for s in range(forward):
-        c1 = math.cos(omega * h * (s + _GAUSS[0]))
-        c2 = math.cos(omega * h * (s + _GAUSS[1]))
-        om = h * m0 + (0.5 * h * (c1 + c2)) * m1 + (_COMM * h * h * (c2 - c1)) * comm
-        u = u + np.linalg.solve(eye - 0.5 * om + (om @ om) / 12.0, om @ u)
+        om = (weights[s] @ basis).reshape(shape)
+        om2 = om @ om
+        om3 = om2 @ om
+        u = u + np.linalg.solve(eye - 0.5 * om + 0.1 * om2 - om3 / 120.0, (om + om3 / 60.0) @ u)
         if s + 1 == half:
             u_half = u
         if s + 1 in direct:
@@ -257,10 +310,12 @@ def eig_branches(u, omega: float):
 
     Returns
     -------
-    eps : (..., d) complex, sorted by (Re, Im, cnorm) per batch entry, with
-        Re eps folded into (-omega/2, omega/2]; Im eps > 0 marks a growing mode.
-        Zero-norm branches come as exact conjugate pairs (``_pair_conjugates``),
-        so the order of a pair is set by Im, not by round-off in Re
+    eps : (..., d) complex, sorted by Re per batch entry, with Re eps folded
+        into (-omega/2, omega/2]; Im eps > 0 marks a growing mode.  Zero-norm
+        branches come as exact conjugate pairs (``_pair_conjugates``).
+        Branches whose Re agree to TIE_WINDOW * omega are ordered by Im if
+        zero-norm and then by cnorm, so neither a pair nor two pairs at the
+        same Re (the midgap modes of a chain) are ordered by round-off in Re
     cnorm : (..., d) int in {-1, 0, +1}, the symplectic norm sign, 0 when the
         branch is not normalizable in the Sigma_z metric
     states : (..., d, d) complex, states[..., i, :] is the branch-i vector,
@@ -287,7 +342,11 @@ def eig_branches(u, omega: float):
     cnorm = np.where(normalizable, np.sign(q).astype(int), 0).astype(int)
     eps = _pair_conjugates(eps, cnorm == 0, omega)
 
-    order = np.lexsort((cnorm, eps.imag, eps.real), axis=-1)
+    by_re = np.argsort(eps.real, axis=-1, kind="stable")
+    gaps = np.diff(np.take_along_axis(eps.real, by_re, -1), axis=-1) > TIE_WINDOW * omega
+    rank = np.zeros(eps.shape, dtype=int)
+    np.put_along_axis(rank, by_re[..., 1:], np.cumsum(gaps, axis=-1), axis=-1)
+    order = np.lexsort((cnorm, np.where(cnorm == 0, eps.imag, 0.0), rank), axis=-1)
     eps = np.take_along_axis(eps, order, axis=-1)
     cnorm = np.take_along_axis(cnorm, order, axis=-1)
     defective = np.take_along_axis(defective, order, axis=-1)

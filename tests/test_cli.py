@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import floqbog
 from floqbog.cli import entry, main
+from floqbog.floquet import MIN_STEPS
 from floqbog.topology import TrackingError
 
 MODEL_A = {"nu0": 1.5, "nu0p": 0.0, "nu1": 3.0, "nu1p": 11.0, "mu": -5.0, "omega": 5.2}
@@ -63,7 +65,9 @@ class TestConfigHandling:
     def test_numerics_bounds(self, capsys):
         cfg = write_cfg({"model": MODEL_A})
         assert entry(["winding", "--config", cfg, "--set", "numerics.steps=32"]) == 2
-        assert "numerics.steps" in capsys.readouterr().err
+        assert "numerics.steps must be an integer >= 64, got 32" in capsys.readouterr().err
+        assert entry(["winding", "--config", cfg, "--set", f"numerics.steps={MIN_STEPS - 1}"]) == 2
+        assert f">= {MIN_STEPS}, got {MIN_STEPS - 1}" in capsys.readouterr().err
 
     def test_command_mismatch(self, capsys):
         cfg = write_cfg({"command": "spectrum", "model": MODEL_A})
@@ -416,6 +420,15 @@ class TestChainEvolve:
         flagged = [float(r[2]) for r in read_csv("fig3a.csv")[1:] if r[5] == "1"]
         assert im == max(flagged) > 0.0
         assert rate == pytest.approx(2.0 * im, rel=0.10)
+
+    def test_fig3b_time_grid(self):
+        """fig3b samples every quarter period (25 periods, 101 samples), which
+        lies on the step grid, so t is exactly i T/4, as at any step count
+        divisible by 4."""
+        assert entry(["evolve", "--recipe", "fig3b"]) == 0
+        period = 2.0 * math.pi / MODEL_A["omega"]
+        t = [row[0] for row in read_csv("fig3b.csv")[1:]]
+        assert t == [repr(float(x)) for x in np.arange(101) * (period / 4.0)]
 
     def test_stable_chain_has_no_growth_rate(self, capsys):
         # pairing far below the detuning |mu|: the vacuum stays below 1e-6

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqbog.floquet import (
+    DEFAULT_STEPS,
     MAX_STEP_NORM,
+    MIN_STEPS,
     TOL_IM,
     IntegrationError,
     Propagation,
@@ -19,10 +21,19 @@ from floqbog.floquet import (
     propagate,
     sympl_residual,
 )
-from floqbog.model import CONJUGATION, ModelParams, bloch_blocks, chain_blocks, nambu_metric
+from floqbog.model import (
+    CONJUGATION,
+    I2,
+    SX,
+    ModelParams,
+    bloch_blocks,
+    chain_blocks,
+    field_matrix,
+    nambu_metric,
+)
 from floqbog.topology import evaluate_point
 
-from helpers import dop853_monodromy, expm_monodromy, static_energies
+from helpers import dop853_monodromy, expm_monodromy, magnus6_monodromy, static_energies
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PB = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=6.0, mu=-5.0, omega=5.2)
@@ -113,15 +124,59 @@ class TestIntegrators:
 
     def test_step_validation(self):
         h0, h1 = bloch_blocks(PA, np.asarray(0.0))
-        with pytest.raises(ValueError):
-            propagate(h0, h1, PA.omega, 32)
+        with pytest.raises(ValueError, match=f"at least {MIN_STEPS} integrator steps"):
+            propagate(h0, h1, PA.omega, MIN_STEPS - 1)
+        propagate(h0, h1, PA.omega, MIN_STEPS)
+
+    @pytest.mark.parametrize("case", ["bloch", "chain"])
+    def test_sixth_order_convergence(self, case):
+        """The error against DOP853 falls about 64x per step doubling: a Bloch
+        block with nu0p != 0 (complex blocks) and the real 8-cell chain."""
+        h0, h1 = bloch_blocks(PN, np.asarray(1.1)) if case == "bloch" else chain_blocks(PA, 8)
+        ref = dop853_monodromy(h0, h1, PA.omega)
+        err64, err128 = (np.abs(propagate(h0, h1, PA.omega, n).u - ref).max() for n in (64, 128))
+        assert err64 > 40.0 * err128
+
+    def test_default_steps_fig1b_sample(self):
+        """At DEFAULT_STEPS, 16 momenta of the fig1b k-grid stay within 5e-7 of DOP853."""
+        ks = kgrid(256)[np.linspace(0, 255, 16).astype(int)]
+        h0, h1 = bloch_blocks(PA, ks)
+        oracle = np.array([dop853_monodromy(a, b, PA.omega) for a, b in zip(h0, h1)])
+        ref, _, _, _ = eig_branches(oracle, PA.omega)
+        eps, _, _, _ = eig_branches(propagate(h0, h1, PA.omega, DEFAULT_STEPS).u, PA.omega)
+        gap = np.abs(fold(eps.real[:, :, None] - ref.real[:, None, :], PA.omega))
+        gap += np.abs(eps.imag[:, :, None] - ref.imag[:, None, :])
+        assert gap.min(axis=-1).max() < 5e-7
+
+    @pytest.mark.parametrize("case", ["complex-static-field", "k-batch", "chain", "odd"])
+    def test_matches_plain_stepper(self, case):
+        """The folded kernel with its hand-expanded Omega equals the scheme
+        stepped plainly over the whole period (``magnus6_monodromy``)."""
+        steps, marks = 64, ()
+        if case == "complex-static-field":
+            hx, hy = np.meshgrid(np.linspace(-9.0, 9.0, 3), np.linspace(-6.0, 6.0, 3))
+            h1 = field_matrix(hx, hy).reshape(-1, 4, 4)
+            h0 = field_matrix(-1.5, 0.8) + 5.0 * np.eye(4) + np.kron(SX, I2)
+        elif case == "k-batch":
+            h0, h1 = bloch_blocks(PN, kgrid(16))
+        elif case == "chain":
+            h0, h1 = chain_blocks(PA, 20)
+            marks = (0, 13, 32, 33, 51, 64)
+        else:
+            steps, marks = 71, (20, 35, 36, 50, 71)
+            h0, h1 = bloch_blocks(PN, np.array([0.4, -2.3]))
+        prop = propagate(h0, h1, PA.omega, steps, snapshots=marks)
+        ref, ref_snaps = magnus6_monodromy(h0, h1, PA.omega, steps, marks)
+        assert np.abs(prop.u - ref).max() < 1e-13
+        for s in marks:
+            assert np.abs(prop.snapshots[s] - ref_snaps[s]).max() < 1e-13
 
     def test_snapshots(self):
         """U(s h) is recorded at the requested steps on both sides of the midpoint.
 
         Second-half snapshots come from the time reflection; odd step counts
-        take one middle step.  The tolerance is the 256-step one scaled by the
-        fourth-order error law.
+        take one middle step.  The tolerance is 1e-6 at 64 steps, scaled by the
+        sixth-order error law.
         """
         h0, h1 = bloch_blocks(PA, np.asarray(0.7))
         for steps in (256, 65):
@@ -130,7 +185,7 @@ class TestIntegrators:
             assert sorted(prop.snapshots) == list(marks)
             assert np.array_equal(prop.snapshots[0], np.eye(4))
             assert np.array_equal(prop.snapshots[steps], prop.u)
-            tol = 1e-6 * (256 / steps) ** 4
+            tol = 1e-6 * (64 / steps) ** 6
             for s in marks[1:]:
                 ref = dop853_monodromy(h0, h1, PA.omega, fraction=s / steps)
                 assert np.abs(prop.snapshots[s] - ref).max() < tol
