@@ -3,10 +3,10 @@
 Nothing here may import from the integrator or eigensolver code paths it
 validates: the monodromy oracles use scipy's general-purpose ODE machinery
 and matrix exponentials, the reference Magnus stepper takes the scheme's
-commutators literally over the whole period, the static spectrum is the closed form of the
-4x4 Bogoliubov problem, the chiral residual checks the model's symmetry
-from its closed form, and Bessel values come from mpmath's arbitrary
-precision series.
+commutators literally over the whole period, the static spectrum is the
+closed form of the 4x4 Bogoliubov problem, the chiral residual checks the
+model's symmetry from its closed form, and Bessel values come from
+mpmath's arbitrary precision series.
 """
 
 from __future__ import annotations
