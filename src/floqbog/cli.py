@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from importlib import resources
@@ -48,9 +49,10 @@ class ConfigError(ValueError):
 
 NUMERICS_DEFAULTS = {"steps": DEFAULT_STEPS, "nk": 256, "tol_im": TOL_IM}
 
-# A schema maps each key to its kind: int, float (an int is accepted, a bool
-# never is), bool, str, dict (any object), a tuple of kinds (a list of that length)
-# or a nested schema, whose keys are all required except in an end model.
+# A schema maps each key to its kind: int, float (a finite number; an int is
+# accepted, a bool never is), bool, str, dict (any object), a tuple of kinds
+# (a list of that length) or a nested schema, whose keys are all required
+# except in an end model.
 MODEL = {f.name: float for f in fields(ModelParams)}
 NUMERICS = {"steps": int, "nk": int, "tol_im": float}
 AXIS = {"min": float, "max": float, "points": int}
@@ -79,7 +81,9 @@ def _fits(value, kind) -> bool:
         return isinstance(value, list) and len(value) == len(kind) and all(map(_fits, value, kind))
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:  # json reads Infinity and NaN as floats
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 def _check(block, schema: dict, path: str, required=()) -> None:

@@ -60,24 +60,31 @@ def kgrid(nk: int) -> np.ndarray:
 def mirror_half(values) -> tuple[np.ndarray, np.ndarray]:
     """Entries to compute on an axis under the reflection x -> -x, and the fill map.
 
-    Returns (half, take).  When every negative entry of ``values`` has its
-    negative on the axis, to four ulp of max |x|, ``half`` indexes the
-    entries that are not negative; otherwise it indexes every entry.
-    ``take[i]`` is the position in ``half`` of entry i, or of its mirror image
-    when entry i is not computed itself.
+    Returns (half, take).  ``half`` indexes the entries that are not negative,
+    to four ulp of max |x|, and the negative entries whose negative is not on
+    the axis to that tolerance: a lone entry is computed itself, and every
+    other negative entry is left to its mirror.  ``take[i]`` is the position
+    in ``half`` of entry i, or of its mirror image when entry i is not
+    computed itself.
     """
     x = np.asarray(values, dtype=float)
     tol = 4.0 * np.spacing(np.abs(x).max(initial=0.0))
     mirror = np.abs(x[:, None] + x).argmin(axis=1)
-    lone = (x <= -tol) & (np.abs(x + x[mirror]) > tol)
-    keep = (x > -tol) | lone.any()
+    lone = np.abs(x + x[mirror]) > tol
+    keep = (x > -tol) | lone
     half = np.flatnonzero(keep)
     return half, np.searchsorted(half, np.where(keep, np.arange(x.size), mirror))
 
 
 def fold(x, omega: float):
-    """Fold real (quasi)energies into (-omega/2, omega/2], ties to +omega/2."""
-    return omega / 2.0 - np.mod(omega / 2.0 - np.asarray(x), omega)
+    """Fold real (quasi)energies into (-omega/2, omega/2], ties to +omega/2.
+
+    A value within TIE_WINDOW * omega above -omega/2 counts as a tie too and
+    goes to the top end, so a branch at the zone edge lands at +omega/2
+    whichever side round-off puts it on.
+    """
+    y = omega / 2.0 - np.mod(omega / 2.0 - np.asarray(x), omega)
+    return y + omega * (y < (TIE_WINDOW - 0.5) * omega)
 
 
 class Propagation(NamedTuple):

@@ -53,15 +53,26 @@ def stability_grid(
     ``error``.  When the batched eigensolve fails, the cells are retried one
     by one and only those that fail again are reported as errors.
 
-    With hy0 = 0 in ``static_field``, H(hx1, -hy1) = C H(hx1, hy1) C for
-    C = CONJUGATION, so a cell and its mirror have similar propagators and
-    the same verdict, max_im and error: only the rows with hy1 >= 0 are
-    integrated and each is copied to its mirror row, provided every
-    negative hy1 has its negative on the axis (``mirror_half``).
+    With hy0 = 0 in ``static_field``, the plane has two mirror symmetries,
+    and only one quadrant of it is integrated:
+
+    - hy1 -> -hy1: H(hx1, -hy1) = C H(hx1, hy1) C for C = CONJUGATION;
+    - hx1 -> -hx1: shifting time by T/2 flips cos(omega t), so
+      H_(hx1, hy1)(t + T/2) = H_(-hx1, -hy1)(t), whose monodromy is
+      W U(T) W^-1 with W = U(T/2); composed with C this maps hy1 back.
+
+    A cell and its mirrors therefore have similar propagators and the same
+    verdict, max_im and error.  On each axis ``mirror_half`` picks the
+    entries to integrate: those not negative, and each negative entry whose
+    negative is not on the axis; the other entries copy their mirror.  With
+    hy0 != 0 only the point reflection (hx1, hy1) -> (-hx1, -hy1) holds,
+    which is not separable, and the whole plane is integrated.
     """
-    n2 = len(hy1)
-    rows, fill = mirror_half(hy1) if static_field[1] == 0.0 else (np.arange(n2),) * 2
-    x, y = np.meshgrid(hx1, np.asarray(hy1)[rows])  # (rows, n1)
+    mirrored = static_field[1] == 0.0
+    (rows, fill_rows), (cols, fill_cols) = (
+        mirror_half(a) if mirrored else (np.arange(len(a)),) * 2 for a in (hy1, hx1)
+    )
+    x, y = np.meshgrid(np.asarray(hx1)[cols], np.asarray(hy1)[rows])  # (rows, cols)
     h1 = field_matrix(x, y)
     static = (
         field_matrix(static_field[0], static_field[1])
@@ -94,6 +105,7 @@ def stability_grid(
                 classify(cell)
             except np.linalg.LinAlgError as exc:
                 error[cell] = f"eigensolver failed: {exc}"
+    fill = np.ix_(fill_rows, fill_cols)
     verdict = np.where(codes == 2, "Unstable", "Stable")[fill]
     x, y = np.meshgrid(hx1, hy1)  # (n2, n1)
     return np.rec.fromarrays(

@@ -130,6 +130,14 @@ BAD_VALUES = [
      "numerics.tol_im must be a number"),
     (["spectrum", "--recipe", "fig1b", "--set", "task.alpha=0.5"],
      "task.alpha must be an integer"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "task.hy1.max=Infinity"],
+     "task.hy1.max must be a number, got inf"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "numerics.tol_im=Infinity"],
+     "numerics.tol_im must be a number, got inf"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "task.hx1.min=-Infinity"],
+     "task.hx1.min must be a number, got -inf"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "task.static_field=[Infinity, 0]"],
+     "task.static_field must be a list of two numbers, got [inf, 0]"),
 ]
 
 

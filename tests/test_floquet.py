@@ -18,6 +18,7 @@ from floqbog.floquet import (
     fold,
     kgrid,
     kgrid_solve,
+    mirror_half,
     propagate,
     sympl_residual,
 )
@@ -76,6 +77,56 @@ class TestFold:
         out = fold(np.array([0.0, 2.7, -2.6]), 5.2)
         assert out.shape == (3,)
         assert out[2] == pytest.approx(2.6)
+
+    def test_near_tie_goes_up(self):
+        """Within TIE_WINDOW * omega above -omega/2 is a tie; farther is not."""
+        w = 5.2
+        out = fold(np.array([-2.6 + 1e-15, -2.6 + 4e-12, -2.6 + 1e-11]), w)
+        assert out[:2].tolist() == pytest.approx([2.6, 2.6], abs=1e-11)
+        assert out[2] == pytest.approx(-2.6 + 1e-11, abs=1e-15)
+
+    def test_zone_edge_pair_matches_direct_integration(self):
+        """The pair at Re eps = omega/2 of PN at k = -0.2945 (nk 64), filled
+        from +k, reads +omega/2 as a direct integration of k does, not -omega/2."""
+        ks, eps, _, _ = kgrid_solve(PN, 64)
+        (i,) = np.nonzero(np.abs(ks + 0.2945) < 1e-4)[0]
+        direct = bloch_branches(PN, ks[i], DEFAULT_STEPS)[0]
+        assert np.abs(eps[i].real - direct.real).max() < 1e-12
+        assert eps[i].real.max() == pytest.approx(PN.omega / 2, abs=1e-12)
+
+
+class TestMirrorHalf:
+    @staticmethod
+    def check(values):
+        """Every entry is computed or copied from its mirror, to four ulp, and
+        the entries left out are exactly the negative ones whose mirror is on
+        the axis; returns the number of entries computed."""
+        x = np.asarray(values, dtype=float)
+        half, take = mirror_half(x)
+        tol = 4.0 * np.spacing(np.abs(x).max())
+        got = x[half][take]
+        own = np.isin(np.arange(x.size), half)
+        assert np.array_equal(got[own], x[own])
+        assert (np.abs(got[~own] + x[~own]) <= tol).all()
+        assert (x[~own] < 0).all() and (got[~own] > 0).all()
+        mirrored = (np.abs(x[:, None] + x) <= tol).any(axis=1)
+        assert np.array_equal(~own, (x <= -tol) & mirrored)
+        return half.size
+
+    @given(n=st.integers(2, 60), offset=st.integers(-60, 0), step=st.floats(1e-3, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_partial_mirrors(self, n, offset, step, seed):
+        """Axes of any length and offset, so only part of the negative entries
+        have a mirror, in any order."""
+        axis = np.linspace(offset * step, (offset + n - 1) * step, n)
+        self.check(np.random.default_rng(seed).permutation(axis))
+
+    def test_shipped_axes(self):
+        assert self.check(np.linspace(-15.0, 9.0, 41)) == 26
+        assert self.check(np.linspace(-12.0, 12.0, 41)) == 21
+        for nk in (64, 65, 128, 256):
+            assert self.check(kgrid(nk)) == nk // 2 + 1
 
 
 class TestKgrid:

@@ -11,6 +11,8 @@ from floqbog.model import I2, SX, ModelParams, drive_amplitudes, field_matrix
 from floqbog.sweep import effective_phase_overlay, phase_diagram, stability_grid
 from floqbog.topology import evaluate_point
 
+from helpers import dop853_monodromy
+
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 
 BASE = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=0.0, mu=-5.0, omega=5.2, g=1.0)
@@ -123,18 +125,46 @@ class TestStabilityGrid:
         assert mirrored.verdict.tolist() == verdict.tolist()
         assert np.abs(mirrored.max_im - max_im).max() < 1e-12
 
+    @pytest.mark.parametrize("steps", [64, 65])
+    def test_mirrored_columns_equal_direct_integration(self, steps):
+        """The hx1 < 0 columns filled from their mirror (hx1 = -9 .. -1) equal
+        an integration of those cells, at an even and an odd step count."""
+        hx1, hy1 = np.linspace(-15.0, 9.0, 13), np.linspace(-12.0, 12.0, 13)
+        table = plane(hx1, hy1, steps)
+        verdict, max_im = direct((-1.5, 0.0), hx1, hy1, steps)
+        filled = (table.hx1 < -0.5) & (table.hx1 > -9.5)
+        assert filled.sum() == 5 * 13
+        assert table.verdict[filled].tolist() == verdict[filled].tolist()
+        assert np.abs(table.max_im[filled] - max_im[filled]).max() < 1e-12
+
+    def test_mirrored_cells_match_adaptive_reference(self, cells13):
+        """Cells filled from a mirror (hx1 < 0 and hy1 < 0), one stable and two
+        unstable, against an adaptive DOP853 integration of the cell itself."""
+        static = field_matrix(-1.5, 0.0) + 5.0 * np.eye(4) + np.kron(SX, I2)
+        for hx1, hy1 in [(-9.0, -6.0), (-3.0, -6.0), (-1.0, -8.0)]:
+            (cell,) = cells13[(cells13.hx1 == hx1) & (cells13.hy1 == hy1)]
+            ref = dop853_monodromy(static, field_matrix(hx1, hy1), 5.2)
+            eps, cnorm, _, _ = eig_branches(ref, 5.2)
+            want = "Unstable" if classify_arrays(eps, cnorm, 5.2, TOL_IM) == 2 else "Stable"
+            assert cell.verdict == want
+            assert abs(cell.max_im - eps.imag.max()) < 1e-9
+
     @pytest.mark.parametrize(
-        "static_field, hy1, rows",
+        "static_field, hy1, shape, symmetric_rows",
         [
-            ((-1.5, 0.0), np.linspace(-12.0, 12.0, 13), 7),
-            ((-1.5, 0.8), np.linspace(-12.0, 12.0, 13), 13),
-            ((-1.5, 0.0), np.linspace(-12.0, 10.0, 12), 12),
+            ((-1.5, 0.0), np.linspace(-12.0, 12.0, 13), (7, 6), slice(0, 13)),
+            ((-1.5, 0.8), np.linspace(-12.0, 12.0, 13), (13, 9), None),
+            ((-1.5, 0.0), np.linspace(-12.0, 10.0, 12), (7, 6), slice(1, 12)),
         ],
         ids=["mirrored", "static-hy0", "asymmetric-axis"],
     )
-    def test_integrated_rows_and_fall_back(self, monkeypatch, static_field, hy1, rows):
-        """Only hy1 >= 0 is integrated when hy0 = 0 and the axis is a mirror;
-        otherwise the whole plane is, and every cell equals a direct integration."""
+    def test_integrated_rows_and_fall_back(
+        self, monkeypatch, static_field, hy1, shape, symmetric_rows
+    ):
+        """When hy0 = 0, only hy1 >= 0 and hx1 >= 0 are integrated, plus the
+        negative entries with no mirror on their axis (hx1 = -15, -12 and
+        hy1 = -12 on the asymmetric axis); with hy0 != 0 the whole plane is.
+        Every cell equals a direct integration."""
         import floqbog.sweep as sweep
 
         hx1 = np.linspace(-15.0, 9.0, 9)
@@ -146,15 +176,17 @@ class TestStabilityGrid:
 
         monkeypatch.setattr(sweep, "propagate", spy)
         table = stability_grid(static_field, 5.2, -5.0, 1.0, hx1, hy1, steps=256)
-        assert batches == [(rows, 9)]
+        assert batches == [shape]
         verdict, max_im = direct(static_field, hx1, hy1, 256)
         assert table.verdict.tolist() == verdict.tolist()
         assert np.abs(table.max_im - max_im).max() < 1e-12
-        mirror = table.max_im.reshape(len(hy1), 9)
-        if rows < len(hy1):
-            assert np.array_equal(mirror, mirror[::-1])
+        grid = table.max_im.reshape(len(hy1), 9)
+        if symmetric_rows is None:
+            assert not np.array_equal(grid[:6], grid[::-1][:6])
         else:
-            assert not np.array_equal(mirror[:6], mirror[::-1][:6])
+            quadrants = grid[symmetric_rows, 2:]  # hx1 in [-9, 9], hy1 mirrored
+            assert np.array_equal(quadrants, quadrants[::-1])
+            assert np.array_equal(quadrants, quadrants[:, ::-1])
 
     def test_refinement_consistency(self):
         coarse = plane(np.linspace(-8.0, 0.0, 3), np.linspace(-4.0, 4.0, 3), 1024)
