@@ -335,8 +335,8 @@ class TestQuasienergies:
         """Momenta k < 0 filled from -k equal an integration of the whole grid,
         row by row: the same branches (eps on the quasienergy circle to 1e-12,
         cnorm) and the same states up to a phase, to 1e-10 since eigenvectors
-        are conditioned by the branch separation.  Rows are matched as sets:
-        a pair at Re eps = +-omega/2 folds to either end by round-off."""
+        are conditioned by the branch separation.  Rows are matched as sets,
+        so the comparison does not rest on the branch order."""
         ks, eps, cnorm, states = kgrid_solve(params, nk, 256)
         prop = propagate(*bloch_blocks(params, ks), params.omega, 256)
         eps_f, cnorm_f, states_f, _ = eig_branches(prop.u, params.omega)
