@@ -146,12 +146,12 @@ def chain(oracle, steps_list) -> tuple[list[dict], list[dict]]:
     for steps in steps_list:
         prop = propagate(h0, h1, p.omega, steps)
         spec = chain_spectrum(p, ca["task"]["cells"], steps)
-        _, (left, right) = detect_midgap(spec)
-        mid_im = spec.eps[list(spec.midgap)].imag
+        flagged, (left, right) = detect_midgap(spec)
+        mid_im = spec.eps[list(flagged)].imag
         spectra.append({
             "steps": steps,
             "max_deps": eps_deviation(eig_branches(prop.u, p.omega)[0], ref, p.omega),
-            "midgap": len(spec.midgap),
+            "midgap": len(flagged),
             "left_right": [left, right],
             "min_midgap_im": float(np.abs(mid_im).min()) if len(mid_im) else None,
             "max_midgap_im": float(mid_im.max()) if len(mid_im) else None,

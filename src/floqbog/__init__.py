@@ -25,7 +25,7 @@ from .topology import (
     InvariantUndefinedError,
     TrackedBands,
     TrackingError,
-    evaluate_point,
+    evaluate_points,
     scan_path,
     select_band_set,
     symplectic_winding,
@@ -76,7 +76,7 @@ __all__ = [
     "effective_phase_overlay",
     "effective_quasienergies",
     "effective_spectrum",
-    "evaluate_point",
+    "evaluate_points",
     "evolve_vacuum",
     "fold",
     "growth_rate_fit",

@@ -31,7 +31,7 @@ from .dynamics import (
     evolve_vacuum,
     growth_rate_fit,
 )
-from .floquet import DEFAULT_STEPS, MIN_STEPS, IntegrationError, TOL_IM, kgrid_solve
+from .floquet import DEFAULT_STEPS, MIN_STEPS, IntegrationError, TOL_IM, check_cells, kgrid_solve
 from .model import ModelParams
 from .sweep import effective_phase_overlay, phase_diagram, stability_grid
 from .topology import (
@@ -244,7 +244,8 @@ def write_outputs(cfg: dict, table: np.recarray, meta: dict | None = None):
 def cmd_spectrum(cfg: dict) -> int:
     params = ModelParams(**cfg["model"])
     nk, steps = cfg["numerics"]["nk"], cfg["numerics"]["steps"]
-    ks, eps, cnorm, _ = kgrid_solve(params, nk, steps)
+    ks, (eps,), (cnorm,), _, error = kgrid_solve([params], nk, steps)
+    check_cells(error)
     nb = eps.shape[1]
     columns = {"k": ks}
     for label, values in (("re_eps", eps.real), ("im_eps", eps.imag), ("cnorm", cnorm)):

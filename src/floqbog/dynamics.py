@@ -12,11 +12,18 @@ the bulk stays quiet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import DEFAULT_STEPS, check_propagation, eig_branches, kgrid_solve, propagate
+from .floquet import (
+    DEFAULT_STEPS,
+    check_cells,
+    check_propagation,
+    eig_branches,
+    kgrid_solve,
+    propagate,
+)
 from .model import ModelParams, chain_blocks
 
 #: occupation beyond which the linear Bogoliubov description is hopeless
@@ -30,15 +37,13 @@ class ChainSpectrum:
     """Floquet spectrum of the open chain with localization diagnostics.
 
     ``eps``, ``cnorm`` and ``states`` are the branches of ``eig_branches``
-    (``states[i]`` is the branch-i vector).  ``midgap`` holds branch indices
-    flagged by detect_midgap with default settings; ``edge_weights`` aligns
-    with the branches.
+    (``states[i]`` is the branch-i vector); ``edge_weights`` aligns with the
+    branches.  ``detect_midgap`` flags the midgap modes.
     """
 
     eps: np.ndarray
     cnorm: np.ndarray
     states: np.ndarray
-    midgap: tuple[int, ...]
     edge_weights: np.ndarray
     omega: float
     cells: int
@@ -57,8 +62,6 @@ class EvolutionTrace:
     occupations: np.ndarray
     sympl_residual: np.ndarray
     truncated: bool
-    params: ModelParams
-    cells: int
 
 
 def edge_weight(state: np.ndarray, fraction: float = 0.1) -> float:
@@ -113,7 +116,8 @@ def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()
 
 def _bulk_gap(params: ModelParams, nk: int = 128, steps: int = DEFAULT_STEPS) -> float:
     """Distance between the folded bulk bands across Re eps = 0."""
-    _, eps, _, _ = kgrid_solve(params, nk, steps)
+    _, eps, _, _, error = kgrid_solve([params], nk, steps)
+    check_cells(error)
     return 2.0 * float(np.abs(eps.real).min())
 
 
@@ -126,11 +130,9 @@ def chain_spectrum(
     u, _ = _chain_propagation(params, cells, steps)
     eps, cnorm, states, _ = eig_branches(u, params.omega)
     weights = np.array([edge_weight(state) for state in states])
-    spec = ChainSpectrum(
-        eps, cnorm, states, (), weights, params.omega, cells, _bulk_gap(params, steps=steps)
+    return ChainSpectrum(
+        eps, cnorm, states, weights, params.omega, cells, _bulk_gap(params, steps=steps)
     )
-    flagged, _ = detect_midgap(spec)
-    return replace(spec, midgap=flagged)
 
 
 def _side_balance(states: np.ndarray) -> np.ndarray:
@@ -241,9 +243,7 @@ def evolve_vacuum(
         if occ.max() > OVERFLOW_OCC:
             truncated = True
             break
-    return EvolutionTrace(
-        np.array(times), np.array(occs), np.array(resid), truncated, params, cells
-    )
+    return EvolutionTrace(np.array(times), np.array(occs), np.array(resid), truncated)
 
 
 def growth_rate_fit(

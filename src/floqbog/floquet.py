@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CONJUGATION, HERMITICITY_TOL, ModelParams, bloch_blocks, nambu_metric
+from .model import CONJUGATION, HERMITICITY_TOL, bloch_blocks, nambu_metric
 
 #: fewest integrator steps per period ``propagate`` (and ``numerics.steps``) accepts
 MIN_STEPS = 64
@@ -45,7 +45,7 @@ _NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10
 
 
 class IntegrationError(RuntimeError):
-    """Monodromy integration produced non-finite or non-pseudo-unitary output."""
+    """A propagator failed the integration checks or the eigensolver."""
 
 
 def kgrid(nk: int) -> np.ndarray:
@@ -99,14 +99,14 @@ def _conjugation(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     """Index permutation p of the batch's conjugation symmetry C, C H* C = H.
 
     C is a real permutation with C^2 = 1 that commutes with Sigma_z, applied
-    as (C X C)[i, j] = X[p[i], p[j]]: the identity for real blocks (the open
-    chain), the sublattice exchange CONJUGATION for the 4x4 Bloch blocks.
+    as (C X C)[i, j] = X[p[i], p[j]]: the sublattice exchange CONJUGATION for
+    4x4 blocks, which every Bloch block has, and otherwise the identity for
+    real blocks (the open chain).  CONJUGATION is tried first, so a real
+    Bloch block gets the same C alone as in a batch with complex ones.
     Raises ValueError when neither holds for both blocks.
     """
     d = h0.shape[-1]
-    candidates = [np.arange(d)]
-    if d == 4:
-        candidates.append(_BLOCH_C)
+    candidates = [_BLOCH_C, np.arange(d)] if d == 4 else [np.arange(d)]
     for p in candidates:
         if all(
             np.abs(h[..., p[:, None], p].conj() - h).max(initial=0.0)
@@ -255,22 +255,43 @@ def sympl_residual(u) -> np.ndarray:
     return np.abs(np.swapaxes(u.conj(), -1, -2) * sz @ u - np.diag(sz)).max(axis=(-2, -1))
 
 
+def _cell_errors(prop: Propagation, what: str, cell_axes: int) -> np.ndarray:
+    """Failure message, starting with ``what``, of each cell of a batch, or None.
+
+    The first ``cell_axes`` batch axes index the cells.  The propagators along
+    the others (a k-grid point's momenta) fail together, on their largest step
+    norm, any non-finite entry or their largest pseudo-unitarity residual.
+    """
+    members = tuple(range(cell_axes, prop.step_norm.ndim))
+    coarse = prop.step_norm.max(axis=members)
+    finite = np.isfinite(prop.u).all(axis=(*members, -2, -1))
+    residual = sympl_residual(prop.u).max(axis=members)
+    error = np.full(coarse.shape, None, dtype=object)
+    for cell in map(tuple, np.argwhere(residual > TOL_RESIDUAL)):
+        error[cell] = (
+            f"{what}: pseudo-unitarity residual {residual[cell]:.2e} exceeds {TOL_RESIDUAL}"
+        )
+    error[~finite] = f"{what}: propagator has non-finite entries"
+    for cell in map(tuple, np.argwhere(coarse > MAX_STEP_NORM)):
+        error[cell] = (
+            f"{what}: integrator step too coarse for the drive (h (|H0| + |H1|) = "
+            f"{coarse[cell]:.3g} > {MAX_STEP_NORM}); increase the step count"
+        )
+    return error
+
+
+def check_cells(error) -> None:
+    """Raise IntegrationError with the first message of a per-cell ``error``
+    array, if any: the raising form of ``solve_cells`` for callers of one cell."""
+    failed = [e for e in np.ravel(error) if e is not None]
+    if failed:
+        raise IntegrationError(failed[0])
+
+
 def check_propagation(prop: Propagation, what: str) -> None:
-    """Raise IntegrationError, naming ``what``, if any propagator of the batch
-    fails the step-size guard, has non-finite entries or is not pseudo-unitary."""
-    coarse = float(prop.step_norm.max())
-    if coarse > MAX_STEP_NORM:
-        raise IntegrationError(
-            f"{what}: integrator step too coarse for the drive "
-            f"(h (|H0| + |H1|) = {coarse:.3g} > {MAX_STEP_NORM}); increase the step count"
-        )
-    if not np.isfinite(prop.u).all():
-        raise IntegrationError(f"{what}: propagator has non-finite entries")
-    res = float(sympl_residual(prop.u).max())
-    if res > TOL_RESIDUAL:
-        raise IntegrationError(
-            f"{what}: pseudo-unitarity residual {res:.2e} exceeds {TOL_RESIDUAL}"
-        )
+    """Raise IntegrationError, naming ``what``, if the whole batch taken as
+    one cell fails the checks of ``_cell_errors``."""
+    check_cells(_cell_errors(prop, what, 0))
 
 
 def _pair_conjugates(eps, zero, omega: float):
@@ -381,22 +402,55 @@ def classify_arrays(eps, cnorm, omega: float, tol_im: float):
     return np.where(unstable, 2, np.where(marginal, 1, 0))
 
 
-def kgrid_solve(params: ModelParams, nk: int, steps: int = DEFAULT_STEPS):
-    """Batched quasienergy solve over the full momentum grid.
+def solve_cells(prop: Propagation, omega: float, what: str, cell_axes: int):
+    """(eps, cnorm, states, error): ``eig_branches`` of ``prop.u`` and ``_cell_errors``.
 
-    Returns (ks, eps, cnorm, states) with shapes (nk,), (nk, 4), (nk, 4)
-    and (nk, 4, 4); branch vectors along the last axis of ``states``.
-    Only the momenta k >= 0 are integrated: H_{-k} = C H_k C with C =
-    CONJUGATION for every parameter set, so U_{-k} = C U_k C, and -k takes
-    the eps and cnorm of k and its states with C applied to their components.
+    Failed cells skip the eigensolver and get NaN eps and states.  When the
+    batched eigensolve fails, each cell is retried alone, and those that fail
+    again get ``eigensolver failed: ...``, so one bad cell never fails the rest.
+    """
+    error = _cell_errors(prop, what, cell_axes)
+    eps = np.full(prop.u.shape[:-1], complex(math.nan, math.nan))
+    cnorm = np.zeros(prop.u.shape[:-1], dtype=int)
+    states = np.full(prop.u.shape, complex(math.nan, math.nan))
+
+    def solve(cells):
+        eps[cells], cnorm[cells], states[cells], _ = eig_branches(prop.u[cells], omega)
+
+    ok = np.equal(error, None)
+    try:
+        solve(ok)
+    except np.linalg.LinAlgError:
+        for cell in map(tuple, np.argwhere(ok)):
+            try:
+                solve(cell)
+            except np.linalg.LinAlgError as exc:
+                error[cell] = f"eigensolver failed: {exc}"
+    return eps, cnorm, states, error
+
+
+def kgrid_solve(points, nk: int, steps: int = DEFAULT_STEPS):
+    """Batched quasienergy solve of a sequence of P parameter sets over the momentum grid.
+
+    Returns (ks, eps, cnorm, states, error) shaped (nk,), (P, nk, 4), (P, nk, 4),
+    (P, nk, 4, 4) and (P,), branch vectors along the last axis.  Each point is
+    one cell of ``solve_cells``, and points sharing omega share one ``propagate``
+    call.  Only k >= 0 is integrated: H_{-k} = C H_k C with C = CONJUGATION for
+    every parameter set, so U_{-k} = C U_k C, and -k takes the eps and cnorm of
+    k and its states with C applied to their components.
     """
     ks = kgrid(nk)
     half, take = mirror_half(ks)
-    h0, h1 = bloch_blocks(params, ks[half])
-    prop = propagate(h0, h1, params.omega, steps)
-    check_propagation(prop, "k-grid")
-    eps, cnorm, states, _ = eig_branches(prop.u, params.omega)
-    states = states[take]
+    eps = np.empty((len(points), len(half), 4), dtype=complex)
+    cnorm = np.empty(eps.shape, dtype=int)
+    states = np.empty((*eps.shape, 4), dtype=complex)
+    error = np.empty(len(points), dtype=object)
+    for omega in dict.fromkeys(p.omega for p in points):
+        group = [i for i, p in enumerate(points) if p.omega == omega]
+        h0, h1 = (np.stack(b) for b in zip(*(bloch_blocks(points[i], ks[half]) for i in group)))
+        solved = solve_cells(propagate(h0, h1, omega, steps), omega, "k-grid", 1)
+        eps[group], cnorm[group], states[group], error[group] = solved
+    states = states[:, take]
     mirrored = half[take] != np.arange(nk)
-    states[mirrored] = states[mirrored][..., _BLOCH_C]
-    return ks, eps[take], cnorm[take], states
+    states[:, mirrored] = states[:, mirrored][..., _BLOCH_C]
+    return ks, eps[:, take], cnorm[:, take], states, error

@@ -13,21 +13,12 @@ cell in row-major order (x fastest), whose field names are the CSV header.
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields, replace
 
 import numpy as np
 
 from .effective import effective_spectrum, resolve_indices
-from .floquet import (
-    DEFAULT_STEPS,
-    MAX_STEP_NORM,
-    TOL_IM,
-    classify_arrays,
-    eig_branches,
-    mirror_half,
-    propagate,
-)
+from .floquet import DEFAULT_STEPS, TOL_IM, classify_arrays, mirror_half, propagate, solve_cells
 from .model import SX, I2, ModelParams, field_matrix
 from .topology import evaluate_points
 
@@ -48,10 +39,9 @@ def stability_grid(
     verdict, max_im and error.  Valid as a chain diagnostic when the static
     field is k-independent (nu0p = 0), in which case every momentum of the
     full model lands on some point of this plane.  All cells integrate in
-    one batched pass; a cell whose propagator fails the step-size guard or
-    is non-finite is kept out of the eigensolver and reported through its
-    ``error``.  When the batched eigensolve fails, the cells are retried one
-    by one and only those that fail again are reported as errors.
+    one batched pass, and each cell is one cell of ``solve_cells``: a cell
+    that fails the integration checks or the eigensolver is Unstable with
+    NaN max_im and carries the message in its ``error``.
 
     With hy0 = 0 in ``static_field``, the plane has two mirror symmetries,
     and only one quadrant of it is integrated:
@@ -80,36 +70,13 @@ def stability_grid(
         + g * np.kron(SX, I2)
     )
     prop = propagate(static, h1, omega, steps)
-    ok = (prop.step_norm <= MAX_STEP_NORM) & np.isfinite(prop.u).all(axis=(-2, -1))
-    codes = np.full(ok.shape, 2)
-    max_im = np.full(ok.shape, math.nan)
-    error = np.full(ok.shape, None, dtype=object)
-    error[~ok] = "non-finite propagator"
-    for cell in zip(*np.nonzero(prop.step_norm > MAX_STEP_NORM)):
-        error[cell] = (
-            f"integrator step too coarse for the drive (h (|H0| + |H1|) = "
-            f"{prop.step_norm[cell]:.3g} > {MAX_STEP_NORM}); increase the step count"
-        )
-
-    def classify(cells):
-        eps, cnorm, _, _ = eig_branches(prop.u[cells], omega)
-        codes[cells] = classify_arrays(eps, cnorm, omega, tol_im)
-        max_im[cells] = eps.imag.max(axis=-1)
-
-    try:
-        classify(ok)
-    except np.linalg.LinAlgError:
-        # one matrix the eigensolver rejects must not take down the grid
-        for cell in zip(*np.nonzero(ok)):
-            try:
-                classify(cell)
-            except np.linalg.LinAlgError as exc:
-                error[cell] = f"eigensolver failed: {exc}"
+    eps, cnorm, _, error = solve_cells(prop, omega, "drive plane", 2)
+    codes = np.where(np.equal(error, None), classify_arrays(eps, cnorm, omega, tol_im), 2)
     fill = np.ix_(fill_rows, fill_cols)
     verdict = np.where(codes == 2, "Unstable", "Stable")[fill]
     x, y = np.meshgrid(hx1, hy1)  # (n2, n1)
     return np.rec.fromarrays(
-        [a.ravel() for a in (x, y, verdict, max_im[fill], error[fill])],
+        [a.ravel() for a in (x, y, verdict, eps.imag.max(axis=-1)[fill], error[fill])],
         names=["hx1", "hy1", "verdict", "max_im", "error"],
     )
 

@@ -18,14 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .floquet import (
-    DEFAULT_STEPS,
-    TOL_IM,
-    IntegrationError,
-    classify_arrays,
-    kgrid,
-    kgrid_solve,
-)
+from .floquet import DEFAULT_STEPS, TOL_IM, check_cells, classify_arrays, kgrid, kgrid_solve
 from .model import ModelParams, nambu_metric, static_fields
 
 #: matched-overlap magnitude below which a tracking is rejected
@@ -44,10 +37,6 @@ class TrackingError(RuntimeError):
 
 class InvariantUndefinedError(RuntimeError):
     """A topological invariant was requested where it is not defined."""
-
-
-#: numerical failures that ``evaluate_point`` records per point instead of raising
-_POINT_ERRORS = (IntegrationError, TrackingError, InvariantUndefinedError)
 
 
 @dataclass(frozen=True)
@@ -101,12 +90,6 @@ def winding_undriven(params: ModelParams, nk: int = 256) -> int:
     return int(w)
 
 
-def _grid_data(params: ModelParams, nk: int, steps: int):
-    ks, eps, cnorm, states = kgrid_solve(params, nk, steps)
-    codes = classify_arrays(eps, cnorm, params.omega, TOL_IM)
-    return ks, eps, cnorm, states, codes
-
-
 def _best_matching(ov: np.ndarray) -> np.ndarray:
     """Column matched to each row by the largest-total matching of a 4x4 overlap."""
     return PERMS[ov[np.arange(4), PERMS].sum(axis=1).argmax()]
@@ -149,8 +132,9 @@ def track_bands(params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS) 
     as an assignment problem solved by exhaustive search over the 4!
     matchings); requires a globally strongly stable system.
     """
-    ks, eps, cnorm, states, codes = _grid_data(params, nk, steps)
-    if (codes != 0).any():
+    ks, (eps,), (cnorm,), (states,), error = kgrid_solve([params], nk, steps)
+    check_cells(error)
+    if (classify_arrays(eps, cnorm, params.omega, TOL_IM) != 0).any():
         raise InvariantUndefinedError(
             "band tracking and W^S require a globally strongly stable system "
             f"(worst Im eps = {eps.imag.max():.2e})"
@@ -216,47 +200,40 @@ def symplectic_winding(
 
 
 def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelParams:
-    """Linear interpolation of every model parameter."""
-    values = {
-        f.name: (1.0 - fraction) * getattr(start, f.name) + fraction * getattr(end, f.name)
-        for f in fields(ModelParams)
-    }
+    """Linear interpolation of every model parameter; a parameter whose two
+    endpoints are equal is returned unchanged, not rounded."""
+    values = {}
+    for f in fields(ModelParams):
+        a, b = getattr(start, f.name), getattr(end, f.name)
+        values[f.name] = a if a == b else (1.0 - fraction) * a + fraction * b
     return replace(start, **values)
 
 
-def evaluate_point(
-    params: ModelParams, nk: int = 128, steps: int = DEFAULT_STEPS
-) -> tuple[bool, float, int | None, str | None]:
-    """One-shot (stable, max_im, ws, error) summary of a parameter set.
+def evaluate_points(points, nk: int = 128, steps: int = DEFAULT_STEPS):
+    """Columns stable, max_im, ws and error (None where undefined) of a sequence of points.
 
-    Failures of the integrator, the tracking, or the invariant are reported
-    through the error slot, so grid and path drivers always complete; any
-    other exception is a defect and propagates.
+    All points solve in one ``kgrid_solve``; tracking and the Wilson loop run
+    per point.  A point that fails there, or whose tracking fails, carries the
+    message in its error (unstable with NaN max_im if it failed to solve), so
+    grid and path drivers complete; any other exception propagates.
     """
-    try:
-        ks, eps, cnorm, states, codes = _grid_data(params, nk, steps)
-    except _POINT_ERRORS as exc:
-        return False, math.nan, None, str(exc)
-    stable = bool((codes != 2).all())
-    max_im = float(eps.imag.max())
-    ws, err = None, None
-    if stable and (codes == 0).all():
-        try:
-            ws = _winding_from_tracked(_track(ks, eps, cnorm, states, params.omega)).ws
-        except _POINT_ERRORS as exc:
-            err = str(exc)
-    elif stable:
-        err = "not strongly stable: W^S undefined"
-    return stable, max_im, ws, err
-
-
-def evaluate_points(points, nk: int, steps: int):
-    """``evaluate_point`` over a sequence of parameter sets, as the four
-    columns stable (bool), max_im (float), ws and error (objects, None where
-    undefined)."""
-    stable, max_im, ws, error = zip(*(evaluate_point(p, nk, steps) for p in points))
-    return (np.array(stable), np.array(max_im), np.array(ws, dtype=object),
-            np.array(error, dtype=object))
+    ks, eps, cnorm, states, error = kgrid_solve(points, nk, steps)
+    max_im = eps.imag.max(axis=(1, 2))
+    stable = np.zeros(len(points), dtype=bool)
+    ws = np.full(len(points), None, dtype=object)
+    for i in np.flatnonzero(np.equal(error, None)):
+        omega = points[i].omega
+        codes = classify_arrays(eps[i], cnorm[i], omega, TOL_IM)
+        stable[i] = (codes != 2).all()
+        if stable[i] and (codes == 0).all():
+            try:
+                tracked = _track(ks, eps[i], cnorm[i], states[i], omega)
+                ws[i] = _winding_from_tracked(tracked).ws
+            except TrackingError as exc:
+                error[i] = str(exc)
+        elif stable[i]:
+            error[i] = "not strongly stable: W^S undefined"
+    return stable, max_im, ws, error
 
 
 def scan_path(
@@ -269,8 +246,8 @@ def scan_path(
     """Stability and W^S along a straight parameter path.
 
     Returns a table with the fields fraction, every model parameter,
-    stable, max_im, ws and error, one row per point.  Per-point failures
-    are recorded, never raised, so a scan always completes.  Whenever W^S
+    stable, max_im, ws and error, one row per point (``evaluate_points``:
+    a point's numerical failure is recorded in its error).  Whenever W^S
     differs between two stable points, physics requires at least one
     unstable point in between.
     """

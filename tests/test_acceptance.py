@@ -29,7 +29,7 @@ from floqbog.topology import (
     symplectic_winding,
     track_bands,
     winding_undriven,
-    evaluate_point,
+    evaluate_points,
 )
 
 from helpers import chiral_residual, static_energies
@@ -49,7 +49,7 @@ def chain20():
 
 def test_acceptance_1_global_stability_at_a():
     t0 = time.perf_counter()
-    stable, max_im = evaluate_point(PA, nk=256, steps=2048)[:2]
+    (stable,), (max_im,) = evaluate_points([PA], nk=256, steps=2048)[:2]
     dt = time.perf_counter() - t0
     ok = stable and max_im < 1e-6 and dt < 10.0
     report(1, ok, f"256-point grid max Im eps = {max_im:.2e} (< 1e-6), {dt:.1f}s (< 10s)")
@@ -60,7 +60,7 @@ def test_acceptance_1_global_stability_at_a():
 
 def test_acceptance_2_instability_at_b():
     t0 = time.perf_counter()
-    stable, max_im = evaluate_point(PB, nk=256, steps=2048)[:2]
+    (stable,), (max_im,) = evaluate_points([PB], nk=256, steps=2048)[:2]
     dt = time.perf_counter() - t0
     ok = (not stable) and max_im > 1e-3 and dt < 10.0
     report(2, ok, f"max Im eps = {max_im:.2e} (> 1e-3), {dt:.1f}s (< 10s)")
@@ -72,7 +72,7 @@ def test_acceptance_2_instability_at_b():
 def test_acceptance_3_symplectic_winding():
     results = {nk: symplectic_winding(PA, nk=nk, steps=2048) for nk in (128, 256, 512)}
     trivial = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=0.0, mu=-5.0, omega=5.2)
-    stable_triv = evaluate_point(trivial, nk=128, steps=1024)[0]
+    (stable_triv,) = evaluate_points([trivial], nk=128, steps=1024)[0]
     res_triv = symplectic_winding(trivial, nk=256, steps=2048)
     ok = (
         all(r.ws == 2 and r.residual < 0.05 for r in results.values())
@@ -125,7 +125,7 @@ def test_acceptance_4_finite_chain_midgap(chain20):
 def test_acceptance_5_edge_growth_rate(chain20):
     trace = evolve_vacuum(PA, cells=20, t_max=25.0, n_samples=101, steps_per_period=2048)
     rate = growth_rate_fit(trace)
-    target = 2.0 * max(chain20.eps[i].imag for i in chain20.midgap)
+    target = 2.0 * max(chain20.eps[i].imag for i in detect_midgap(chain20)[0])
     rel = abs(rate - target) / target
     n_end = trace.occupations[-1]
     quiet = n_end[19] / n_end[0]
@@ -140,7 +140,7 @@ def test_acceptance_5_edge_growth_rate(chain20):
 def test_acceptance_6_effective_agreement():
     nk = 256
     _, ep, em, verdict_a = effective_spectrum(PA, nk=nk, alpha=0, beta=-2)
-    _, eps, _, _ = kgrid_solve(PA, nk, 2048)
+    _, (eps,), _, _, _ = kgrid_solve([PA], nk, 2048)
     half = PA.omega / 2.0
     worst = 0.0
     for branch in (ep.real, em.real):
@@ -189,7 +189,7 @@ def test_acceptance_7_property_suite():
 
     closure = 0.0
     for p in (PA, PB):
-        ks, eps, _, _ = kgrid_solve(p, 64, 2048)
+        ks, (eps,), _, _, _ = kgrid_solve([p], 64, 2048)
         for i in range(64):
             closure = max(closure, setdist(eps[i], eps[i].conj(), p.omega))
         for i, k in enumerate(ks[:-1]):
@@ -297,7 +297,7 @@ def test_acceptance_8_instability_separates_phases():
         want = 2 if topological else 0
         for _ in range(40):
             p = draw(topological)
-            stable, _, ws, _ = evaluate_point(p, nk=128, steps=1024)
+            (stable,), _, (ws,), _ = evaluate_points([p], nk=128, steps=1024)
             if stable and ws == want:
                 return p
         raise AssertionError(f"no stable W^S={want} endpoint found in 40 draws")

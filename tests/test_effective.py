@@ -143,7 +143,7 @@ class TestSpectrum:
             warnings.simplefilter("ignore")
             ks, ep, em, verdict = effective_spectrum(PA, nk=nk, alpha=0, beta=-2)
         assert verdict == "Stable"
-        _, eps, _, _ = kgrid_solve(PA, nk, steps=1024)
+        _, (eps,), _, _, _ = kgrid_solve([PA], nk, steps=1024)
         half = PA.omega / 2.0
         for branch in (ep.real, em.real):
             diffs = np.abs(fold(branch[:, None] - eps.real, half))

@@ -32,7 +32,7 @@ from floqbog.model import (
     field_matrix,
     nambu_metric,
 )
-from floqbog.topology import evaluate_point
+from floqbog.topology import evaluate_points
 
 from helpers import dop853_monodromy, expm_monodromy, magnus6_monodromy, static_energies
 
@@ -88,7 +88,7 @@ class TestFold:
     def test_zone_edge_pair_matches_direct_integration(self):
         """The pair at Re eps = omega/2 of PN at k = -0.2945 (nk 64), filled
         from +k, reads +omega/2 as a direct integration of k does, not -omega/2."""
-        ks, eps, _, _ = kgrid_solve(PN, 64)
+        ks, (eps,), _, _, _ = kgrid_solve([PN], 64)
         (i,) = np.nonzero(np.abs(ks + 0.2945) < 1e-4)[0]
         direct = bloch_branches(PN, ks[i], DEFAULT_STEPS)[0]
         assert np.abs(eps[i].real - direct.real).max() < 1e-12
@@ -301,10 +301,10 @@ class TestQuasienergies:
         assert np.allclose(np.abs(np.linalg.norm(states, axis=-1)), 1.0)
 
     def test_sort_is_deterministic(self):
-        ks, eps, cnorm, states = kgrid_solve(PA, 64, steps=512)
+        ks, (eps,), (cnorm,), (states,), _ = kgrid_solve([PA], 64, steps=512)
         assert eps.shape == (64, 4) and states.shape == (64, 4, 4)
         assert (np.diff(eps.real, axis=-1) >= -1e-15).all()
-        ks2, eps2, cnorm2, states2 = kgrid_solve(PA, 64, steps=512)
+        ks2, (eps2,), (cnorm2,), (states2,), _ = kgrid_solve([PA], 64, steps=512)
         assert np.array_equal(eps, eps2) and np.array_equal(states, states2)
 
     @pytest.mark.parametrize("case", ["fig1c", "chain"])
@@ -337,7 +337,7 @@ class TestQuasienergies:
         cnorm) and the same states up to a phase, to 1e-10 since eigenvectors
         are conditioned by the branch separation.  Rows are matched as sets,
         so the comparison does not rest on the branch order."""
-        ks, eps, cnorm, states = kgrid_solve(params, nk, 256)
+        ks, (eps,), (cnorm,), (states,), _ = kgrid_solve([params], nk, 256)
         prop = propagate(*bloch_blocks(params, ks), params.omega, 256)
         eps_f, cnorm_f, states_f, _ = eig_branches(prop.u, params.omega)
         re = np.abs(eps[:, :, None].real - eps_f[:, None, :].real) % params.omega
@@ -353,7 +353,7 @@ class TestQuasienergies:
         assert np.abs(states * phase[..., None] - states_f).max() < 1e-10
 
     def test_spectrum_k_reflection(self):
-        ks, eps, _, _ = kgrid_solve(PA, 64, steps=1024)
+        ks, (eps,), _, _, _ = kgrid_solve([PA], 64, steps=1024)
         for i, k in enumerate(ks[:-1]):
             (j,) = np.nonzero(np.abs(ks + k) < 1e-12)
             if j.size:
@@ -388,11 +388,11 @@ class TestClassification:
         assert verdict(eps, cnorm, p.omega) == 1
 
     def test_unstable(self):
-        stable, max_im = evaluate_point(PB, nk=64, steps=1024)[:2]
+        (stable,), (max_im,) = evaluate_points([PB], nk=64, steps=1024)[:2]
         assert not stable and max_im > 1e-3
 
     def test_globally_stable_point(self):
-        stable, max_im = evaluate_point(PA, nk=64, steps=1024)[:2]
+        (stable,), (max_im,) = evaluate_points([PA], nk=64, steps=1024)[:2]
         assert stable and max_im < 1e-6
 
     def test_classify_arrays_batched(self):

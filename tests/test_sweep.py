@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from floqbog import floquet
 from floqbog.cli import _axis
 from floqbog.floquet import TOL_IM, classify_arrays, eig_branches, kgrid, propagate
 from floqbog.model import I2, SX, ModelParams, drive_amplitudes, field_matrix
 from floqbog.sweep import effective_phase_overlay, phase_diagram, stability_grid
-from floqbog.topology import evaluate_point
+from floqbog.topology import evaluate_points, scan_path
 
 from helpers import dop853_monodromy
 
@@ -37,6 +38,24 @@ def direct(static_field, hx1, hy1, steps):
         verdict += np.where(codes == 2, "Unstable", "Stable").tolist()
         max_im += eps.imag.max(axis=-1).tolist()
     return np.array(verdict), np.array(max_im)
+
+
+def fifth_cell_fails(monkeypatch, batch_ndim):
+    """Make every eig of a whole batch (``batch_ndim`` dimensions) fail, and the
+    fifth retry of a single cell too; returns the list of cell retries."""
+    real = floquet.eig_branches
+    single_calls = []
+
+    def flaky(u, omega):
+        if np.ndim(u) == batch_ndim:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        single_calls.append(u)
+        if len(single_calls) == 5:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(u, omega)
+
+    monkeypatch.setattr(floquet, "eig_branches", flaky)
+    return single_calls
 
 
 @pytest.fixture(scope="module")
@@ -209,21 +228,8 @@ class TestStabilityGrid:
     def _fifth_cell_fails(monkeypatch, axes):
         """The plane with its batched eig failing and the fifth per-cell retry
         failing too; returns (plane without failures, plane, retry count)."""
-        import floqbog.sweep as sweep
-
         want = plane(*axes, 256)
-        real = sweep.eig_branches
-        single_calls = []
-
-        def flaky(u, omega):
-            if np.ndim(u) == 3:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            single_calls.append(u)
-            if len(single_calls) == 5:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(u, omega)
-
-        monkeypatch.setattr(sweep, "eig_branches", flaky)
+        single_calls = fifth_cell_fails(monkeypatch, 3)
         return want, plane(*axes, 256), len(single_calls)
 
     @staticmethod
@@ -256,7 +262,7 @@ class TestStabilityGrid:
 
     def test_gamma_points_match_global_verdict(self):
         """Cells on the drive curve agree with the full-chain stability scan."""
-        stable_a, _ = evaluate_point(PA, nk=64, steps=1024)[:2]
+        (stable_a,), _ = evaluate_points([PA], nk=64, steps=1024)[:2]
         assert stable_a
         for hx1, hy1 in zip(*drive_amplitudes(PA, kgrid(8))):
             lo = plane(np.linspace(hx1, hx1 + 1.0, 2), np.linspace(hy1, hy1 + 1.0, 2), 1024)
@@ -288,7 +294,7 @@ class TestPhaseDiagram:
         assert phase_row.mu.tolist() == np.repeat(mu, len(nu1p)).tolist()
         for cell in phase_row:
             p = replace(BASE, nu1p=cell.nu1p, mu=cell.mu)
-            stable, max_im, ws, err = evaluate_point(p, nk=64, steps=512)
+            (stable,), (max_im,), (ws,), (err,) = evaluate_points([p], nk=64, steps=512)
             verdict = "Stable" if stable else "Unstable"
             assert cell.tolist() == (cell.nu1p, cell.mu, verdict, max_im, ws, err)
 
@@ -300,6 +306,62 @@ class TestPhaseDiagram:
             phase_diagram(BASE, ("mu", axis), ("mu", axis))
         with pytest.raises(ValueError, match="must differ"):
             effective_phase_overlay(BASE, ("nu1p", axis), ("nu1p", axis))
+
+
+class TestBatchedPoints:
+    """scan_path and phase_diagram solve all their points in one batch, and
+    one point's failure stays in that point's row."""
+
+    TRIVIAL = replace(PA, nu1p=0.0)
+    AXES = (("nu1p", np.linspace(9.0, 11.0, 3)), ("mu", np.linspace(-5.05, -4.95, 3)))
+    DRIVERS = {
+        "scan": lambda: scan_path(PA, TestBatchedPoints.TRIVIAL, 16, nk=64, steps=64),
+        "phase": lambda: phase_diagram(PA, *TestBatchedPoints.AXES, nk=64, steps=64),
+    }
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_one_propagate_call(self, monkeypatch, driver):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "propagate", counted)
+        self.DRIVERS[driver]()
+        assert len(calls) == 1
+
+    def test_one_call_per_omega(self, monkeypatch):
+        """Points are grouped by drive frequency, and each row equals the
+        point solved alone."""
+        other = replace(PA, omega=6.0)
+        points = [PA, other, replace(PA, nu1p=6.0), replace(other, mu=-4.9)]
+        alone = [[c[0] for c in evaluate_points([p], nk=64, steps=64)] for p in points]
+        calls = []
+
+        def counted(h0, h1, omega, steps):
+            calls.append(omega)
+            return propagate(h0, h1, omega, steps)
+
+        monkeypatch.setattr(floquet, "propagate", counted)
+        batched = evaluate_points(points, nk=64, steps=64)
+        assert calls == [5.2, 6.0]
+        assert [list(row) for row in zip(*batched)] == alone
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_eigensolver_failure_isolated_to_its_point(self, monkeypatch, driver):
+        """The batched eig fails, each point is retried alone, and only the
+        fifth point, whose retry fails too, carries the error."""
+        want = self.DRIVERS[driver]()
+        retries = fifth_cell_fails(monkeypatch, 4)
+        got = self.DRIVERS[driver]()
+        assert len(retries) == len(got)
+        bad = got[4]
+        assert bad.error == "eigensolver failed: Eigenvalues did not converge"
+        assert math.isnan(bad.max_im) and bad.ws is None
+        assert not bad.stable if driver == "scan" else bad.verdict == "Unstable"
+        rest = np.arange(len(got)) != 4
+        assert got[rest].tolist() == want[rest].tolist()
 
 
 class TestEffectiveOverlay:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -16,7 +17,7 @@ from floqbog.topology import (
     TrackingError,
     _band_phase,
     _best_matching,
-    evaluate_point,
+    evaluate_points,
     interpolate,
     scan_path,
     select_band_set,
@@ -143,6 +144,8 @@ class TestScanPath:
         assert mid.mu == pytest.approx(-5.0)
         assert interpolate(PA, PB, 0.0) == PA
         assert interpolate(PA, PB, 1.0) == PB
+        for f in np.linspace(0.0, 1.0, 16):
+            assert interpolate(PA, PB, float(f)) == replace(PA, nu1p=(1 - f) * 11.0 + f * 6.0)
 
     def test_rejects_short_paths(self):
         with pytest.raises(ValueError):
@@ -166,20 +169,40 @@ class TestScanPath:
 
 
 class TestEvaluatePoint:
+    """A point's numerical failure is recorded in its row, with the message the
+    point raises when it is solved alone, and never raised for the batch."""
+
+    #: far past the step-size guard at the default 64 steps
+    COARSE = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=2e3, mu=-5.0, omega=5.2)
+    #: g = 0 and mu = 0: each particle band is degenerate with an opposite-norm
+    #: hole band at every k, so the point is marginal and W^S undefined
+    MARGINAL = ModelParams(nu0=1.0, nu0p=0.5, nu1=0.0, nu1p=0.0, mu=0.0, omega=5.2, g=0.0)
+
     @pytest.mark.parametrize("error", [IntegrationError, TrackingError, InvariantUndefinedError])
     def test_numerical_failure_is_recorded(self, monkeypatch, error):
-        def fail(*args):
-            raise error("boom")
+        if error is TrackingError:
+            def fail(*args):
+                raise TrackingError("boom")
 
-        monkeypatch.setattr(topology, "kgrid_solve", fail)
-        stable, max_im, ws, err = evaluate_point(PA, nk=64)
-        assert not stable and math.isnan(max_im) and ws is None and err == "boom"
+            monkeypatch.setattr(topology, "_track", fail)
+        point = {IntegrationError: self.COARSE, TrackingError: PA,
+                 InvariantUndefinedError: self.MARGINAL}[error]
+        with pytest.raises(error) as alone:
+            symplectic_winding(point, nk=64)
+        stable, max_im, ws, err = (column[1] for column in evaluate_points([PB, point, PA], nk=64))
+        assert ws is None
+        if error is IntegrationError:
+            assert not stable and math.isnan(max_im) and err == str(alone.value)
+        elif error is TrackingError:
+            assert stable and max_im < 1e-6 and err == "boom"
+        else:
+            assert stable and err == "not strongly stable: W^S undefined"
 
     def test_defect_propagates(self, monkeypatch):
         """A programming error is not a cell error: it must surface."""
         def broken(*args):
             raise TypeError("not a numerical failure")
 
-        monkeypatch.setattr(topology, "kgrid_solve", broken)
+        monkeypatch.setattr(topology, "_track", broken)
         with pytest.raises(TypeError, match="not a numerical failure"):
-            evaluate_point(PA, nk=64)
+            evaluate_points([PB, PA], nk=64)
