@@ -7,6 +7,10 @@ are a CSV table plus a JSON metadata sidecar carrying the fully resolved
 configuration, so every file can be regenerated from its sidecar alone.
 Exit codes: 0 success, 2 invalid input, 3 numerical failure,
 4 invariant undefined.
+
+Every command is a function ``(params, cfg) -> (table, meta, summary)``;
+``main`` alone builds the validated ``ModelParams``, writes the outputs and
+prints the summary line.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -54,6 +58,7 @@ NUMERICS_DEFAULTS = {"steps": DEFAULT_STEPS, "nk": 256, "tol_im": TOL_IM}
 # (a list of that length) or a nested schema, whose keys are all required
 # except in an end model.
 MODEL = {f.name: float for f in fields(ModelParams)}
+MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelParams) if f.default is not MISSING}
 NUMERICS = {"steps": int, "nk": int, "tol_im": float}
 AXIS = {"min": float, "max": float, "points": int}
 NAMED_AXIS = {"name": str, **AXIS}
@@ -110,7 +115,7 @@ def validate_config(cfg: dict, command: str) -> dict:
     _check(cfg, CONFIG, "config")
     if cfg.get("command", command) != command:
         raise ConfigError(f"config is for command {cfg['command']!r}, invoked as {command!r}")
-    model = {"g": 1.0, **cfg.get("model", {})}
+    model = {**MODEL_DEFAULTS, **cfg.get("model", {})}
     _check(model, MODEL, "model", MODEL)
     numerics = {**NUMERICS_DEFAULTS, **cfg.get("numerics", {})}
     _check(numerics, NUMERICS, "numerics")
@@ -221,7 +226,7 @@ def _axis(task: dict, key: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def write_outputs(cfg: dict, table: np.recarray, meta: dict | None = None):
+def write_outputs(cfg: dict, table: np.recarray, meta: dict):
     """Write ``table`` as ``<prefix>.csv`` and the config plus ``meta`` as
     ``<prefix>.meta.json``; returns both paths."""
     prefix = Path(cfg["output"]["path"])
@@ -233,16 +238,13 @@ def write_outputs(cfg: dict, table: np.recarray, meta: dict | None = None):
         writer.writerow(table.dtype.names)
         for row in table.tolist():
             writer.writerow([_fmt(v) for v in row])
-    sidecar = {"config": cfg, "version": __version__}
-    if meta:
-        sidecar["result"] = meta
+    sidecar = {"config": cfg, "version": __version__, "result": meta}
     meta_path = prefix.with_suffix(".meta.json")
     meta_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return csv_path, meta_path
 
 
-def cmd_spectrum(cfg: dict) -> int:
-    params = ModelParams(**cfg["model"])
+def cmd_spectrum(params: ModelParams, cfg: dict):
     nk, steps = cfg["numerics"]["nk"], cfg["numerics"]["steps"]
     ks, (eps,), (cnorm,), _, error = kgrid_solve([params], nk, steps)
     check_cells(error)
@@ -253,106 +255,80 @@ def cmd_spectrum(cfg: dict) -> int:
     meta: dict = {"max_im": float(eps.imag.max())}
     if cfg["task"].get("effective_overlay", True):
         alpha, beta = resolve_indices(params, cfg["task"].get("alpha"), cfg["task"].get("beta"))
-        _, ep, em, verdict = effective_spectrum(params, nk, alpha, beta)
+        _, ep, em, verdict = effective_spectrum(params, nk, alpha, beta, cfg["numerics"]["tol_im"])
         columns.update(eff_re_plus=ep.real, eff_im_plus=ep.imag,
                        eff_re_minus=em.real, eff_im_minus=em.imag)
         meta.update(effective_verdict=verdict, alpha=alpha, beta=beta)
-    paths = write_outputs(cfg, _table(columns), meta)
-    print(f"spectrum: {nk} momenta, max Im eps = {meta['max_im']:.3e} -> {paths[0]}")
-    return 0
+    return _table(columns), meta, f"spectrum: {nk} momenta, max Im eps = {meta['max_im']:.3e}"
 
 
-def cmd_stability_grid(cfg: dict) -> int:
-    m = cfg["model"]
+def cmd_stability_grid(params: ModelParams, cfg: dict):
     task = cfg["task"]
     if "static_field" in task:
         hx0, hy0 = (float(v) for v in task["static_field"])
-    elif m["nu0p"] == 0.0:
-        hx0, hy0 = -m["nu0"], 0.0
+    elif params.nu0p == 0.0:
+        hx0, hy0 = -params.nu0, 0.0
     else:
         raise ConfigError(
             "task.static_field is required when nu0p != 0 (static field is k-dependent)"
         )
     table = stability_grid(
-        (hx0, hy0), m["omega"], m["mu"], m["g"], _axis(task, "hx1"), _axis(task, "hy1"),
+        (hx0, hy0), params.omega, params.mu, params.g, _axis(task, "hx1"), _axis(task, "hy1"),
         steps=cfg["numerics"]["steps"], tol_im=cfg["numerics"]["tol_im"],
     )
     unstable = int((table.verdict == "Unstable").sum())
-    paths = write_outputs(
-        cfg, table,
-        {"static_field": [hx0, hy0], "unstable_cells": unstable, "total_cells": len(table)},
-    )
-    print(f"stability-grid: {unstable}/{len(table)} unstable cells -> {paths[0]}")
-    return 0
+    meta = {"static_field": [hx0, hy0], "unstable_cells": unstable, "total_cells": len(table)}
+    return table, meta, f"stability-grid: {unstable}/{len(table)} unstable cells"
 
 
-def cmd_phase_diagram(cfg: dict) -> int:
+def cmd_phase_diagram(params: ModelParams, cfg: dict):
     task = cfg["task"]
-    base = ModelParams(**cfg["model"])
     axes = [(task[key]["name"], _axis(task, key)) for key in ("axis1", "axis2")]
-    table = phase_diagram(base, *axes, nk=cfg["numerics"]["nk"], steps=cfg["numerics"]["steps"])
+    table = phase_diagram(params, *axes, **cfg["numerics"])
     if task.get("overlay"):
-        overlay = effective_phase_overlay(base, *axes, nk=task.get("overlay_nk", 64))
+        overlay = effective_phase_overlay(params, *axes, nk=task.get("overlay_nk", 64),
+                                          tol_im=cfg["numerics"]["tol_im"])
         columns = {name: table[name] for name in table.dtype.names}
         table = _table({**columns, "eff_verdict": overlay.verdict, "eff_max_im": overlay.max_im})
     unstable = int((table.verdict == "Unstable").sum())
-    paths = write_outputs(cfg, table, {"unstable_cells": unstable, "total_cells": len(table)})
-    print(f"phase-diagram: {unstable}/{len(table)} unstable cells -> {paths[0]}")
-    return 0
+    meta = {"unstable_cells": unstable, "total_cells": len(table)}
+    return table, meta, f"phase-diagram: {unstable}/{len(table)} unstable cells"
 
 
-def cmd_winding(cfg: dict) -> int:
-    params = ModelParams(**cfg["model"])
+def cmd_winding(params: ModelParams, cfg: dict):
     w = winding_undriven(params, cfg["numerics"]["nk"])
-    paths = write_outputs(cfg, _table({"w": [w], "nk": [cfg["numerics"]["nk"]]}), {"w": w})
-    print(f"winding: W = {w} -> {paths[0]}")
-    return 0
+    return _table({"w": [w], "nk": [cfg["numerics"]["nk"]]}), {"w": w}, f"winding: W = {w}"
 
 
-def cmd_ws(cfg: dict) -> int:
-    params = ModelParams(**cfg["model"])
-    result = symplectic_winding(params, cfg["numerics"]["nk"], cfg["numerics"]["steps"])
+def cmd_ws(params: ModelParams, cfg: dict):
+    result = symplectic_winding(params, **cfg["numerics"])
     table = _table({"ws": [result.ws], "raw": [result.raw], "residual": [result.residual],
                     "bandset_size": [result.bandset_size], "nk": [cfg["numerics"]["nk"]]})
-    paths = write_outputs(cfg, table, {"ws": result.ws, "residual": result.residual})
-    print(f"ws: W^S = {result.ws} (residual {result.residual:.2e}) -> {paths[0]}")
-    return 0
+    return (table, {"ws": result.ws, "residual": result.residual},
+            f"ws: W^S = {result.ws} (residual {result.residual:.2e})")
 
 
-def cmd_chain(cfg: dict) -> int:
-    params = ModelParams(**cfg["model"])
+def cmd_chain(params: ModelParams, cfg: dict):
     task = cfg["task"]
     spec = chain_spectrum(params, task.get("cells", 20), cfg["numerics"]["steps"])
     if "fraction" in task:
         weights = np.array([edge_weight(state, task["fraction"]) for state in spec.states])
         spec = replace(spec, edge_weights=weights)
-    idx, (left, right) = detect_midgap(
-        spec, task.get("window"), task.get("edge_threshold", 0.5)
-    )
+    idx, (left, right) = detect_midgap(spec, task.get("window"), task.get("edge_threshold", 0.5))
     index = np.arange(len(spec.eps))
     table = _table({"index": index, "re_eps": spec.eps.real, "im_eps": spec.eps.imag,
                     "cnorm": spec.cnorm, "edge_weight": spec.edge_weights,
                     "midgap": np.isin(index, idx).astype(int)})
     max_midgap_im = float(spec.eps.imag[list(idx)].max()) if idx else None
-    paths = write_outputs(
-        cfg, table,
-        {"midgap": list(idx), "left": left, "right": right, "bulk_gap": spec.bulk_gap,
-         "max_midgap_im": max_midgap_im},
-    )
-    print(f"chain: {len(idx)} midgap states ({left} left, {right} right) -> {paths[0]}")
-    return 0
+    meta = {"midgap": list(idx), "left": left, "right": right, "bulk_gap": spec.bulk_gap,
+            "max_midgap_im": max_midgap_im}
+    return table, meta, f"chain: {len(idx)} midgap states ({left} left, {right} right)"
 
 
-def cmd_evolve(cfg: dict) -> int:
-    params = ModelParams(**cfg["model"])
+def cmd_evolve(params: ModelParams, cfg: dict):
     task = cfg["task"]
-    trace = evolve_vacuum(
-        params,
-        task.get("cells", 20),
-        task.get("t_max", 25.0),
-        task.get("samples", 101),
-        cfg["numerics"]["steps"],
-    )
+    trace = evolve_vacuum(params, task.get("cells", 20), task.get("t_max", 25.0),
+                          task.get("samples", 101), cfg["numerics"]["steps"])
     occ = trace.occupations
     table = _table({"t": trace.times, **{f"n_{j + 1}": occ[:, j] for j in range(occ.shape[1])},
                     "sympl_residual": trace.sympl_residual})
@@ -360,28 +336,17 @@ def cmd_evolve(cfg: dict) -> int:
         rate = growth_rate_fit(trace)
     except ValueError:  # no exponential regime: the vacuum does not grow
         rate = None
-    paths = write_outputs(
-        cfg, table,
-        {"truncated": trace.truncated, "final_n1": float(occ[-1, 0]), "growth_rate": rate},
-    )
-    print(
-        f"evolve: {len(trace.times)} samples, n_1(end) = {occ[-1, 0]:.3e}"
-        f"{' (truncated)' if trace.truncated else ''} -> {paths[0]}"
-    )
-    return 0
+    meta = {"truncated": trace.truncated, "final_n1": float(occ[-1, 0]), "growth_rate": rate}
+    return table, meta, (f"evolve: {len(trace.times)} samples, n_1(end) = {occ[-1, 0]:.3e}"
+                         f"{' (truncated)' if trace.truncated else ''}")
 
 
-def cmd_scan_path(cfg: dict) -> int:
-    start = ModelParams(**cfg["model"])
+def cmd_scan_path(params: ModelParams, cfg: dict):
     end = ModelParams(**cfg["task"]["end_model"])
-    table = scan_path(
-        start, end, cfg["task"].get("points", 17),
-        cfg["numerics"]["nk"], cfg["numerics"]["steps"],
-    )
+    table = scan_path(params, end, cfg["task"].get("points", 17), **cfg["numerics"])
     n_unstable = int((~table.stable).sum())
-    paths = write_outputs(cfg, table, {"unstable_points": n_unstable})
-    print(f"scan-path: {n_unstable}/{len(table)} unstable points -> {paths[0]}")
-    return 0
+    return (table, {"unstable_points": n_unstable},
+            f"scan-path: {n_unstable}/{len(table)} unstable points")
 
 
 COMMANDS = {
@@ -419,7 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](resolve_config(args, args.command))
+    cfg = resolve_config(args, args.command)
+    table, meta, summary = COMMANDS[args.command](ModelParams(**cfg["model"]), cfg)
+    csv_path, _ = write_outputs(cfg, table, meta)
+    print(f"{summary} -> {csv_path}")
+    return 0
 
 
 def entry(argv=None) -> int:

@@ -45,8 +45,6 @@ class ChainSpectrum:
     cnorm: np.ndarray
     states: np.ndarray
     edge_weights: np.ndarray
-    omega: float
-    cells: int
     bulk_gap: float
 
 
@@ -130,9 +128,7 @@ def chain_spectrum(
     u, _ = _chain_propagation(params, cells, steps)
     eps, cnorm, states, _ = eig_branches(u, params.omega)
     weights = np.array([edge_weight(state) for state in states])
-    return ChainSpectrum(
-        eps, cnorm, states, weights, params.omega, cells, _bulk_gap(params, steps=steps)
-    )
+    return ChainSpectrum(eps, cnorm, states, weights, _bulk_gap(params, steps=steps))
 
 
 def _side_balance(states: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ All energies are measured in units of g (g = 1 by default).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 #: sublattice exchange 1 (x) sx, the conjugation symmetry C H* C = H of every
-#: 4x4 block built by ``field_matrix`` and ``bloch_blocks`` (real fields, real mu, g)
+#: 4x4 block built by ``field_matrix`` and ``static_block`` (real fields, real mu, g)
 CONJUGATION = np.kron(I2, SX)
 
 HERMITICITY_TOL = 1e-12
@@ -56,8 +56,7 @@ class ModelParams:
     g: float = 1.0
 
     def __post_init__(self):
-        values = (self.nu0, self.nu0p, self.nu1, self.nu1p, self.mu, self.omega, self.g)
-        if not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValueError(f"all model parameters must be finite, got {self}")
         if self.omega <= 0:
             raise ValueError(f"drive frequency must be positive, got omega={self.omega}")
@@ -100,22 +99,23 @@ def field_matrix(hx, hy) -> np.ndarray:
     return out
 
 
+def static_block(hx0, hy0, mu: float, g: float) -> np.ndarray:
+    """Static part 1 (x) (hx0 sx + hy0 sy) - mu + g sx (x) 1 of the 4x4 block."""
+    h0 = field_matrix(hx0, hy0)
+    idx = np.arange(4)
+    h0[..., idx, idx] -= mu
+    h0[..., idx, (idx + 2) % 4] += g
+    return h0
+
+
 def bloch_blocks(params: ModelParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decompose H_k(t) = H0(k) + H1(k)*cos(omega*t) over a momentum array.
 
     Returns arrays of shape k.shape + (4, 4).  H0 carries the static field,
     the chemical potential and the pairing; H1 carries only the drive field.
     """
-    hx0, hy0 = static_fields(params, k)
-    hx1, hy1 = drive_amplitudes(params, k)
-    h0 = field_matrix(hx0, hy0)
-    idx = np.arange(4)
-    h0[..., idx, idx] -= params.mu
-    h0[..., 0, 2] += params.g
-    h0[..., 1, 3] += params.g
-    h0[..., 2, 0] += params.g
-    h0[..., 3, 1] += params.g
-    return h0, field_matrix(hx1, hy1)
+    h0 = static_block(*static_fields(params, k), params.mu, params.g)
+    return h0, field_matrix(*drive_amplitudes(params, k))
 
 
 def chain_blocks(params: ModelParams, cells: int) -> tuple[np.ndarray, np.ndarray]:

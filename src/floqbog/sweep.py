@@ -19,7 +19,7 @@ import numpy as np
 
 from .effective import effective_spectrum, resolve_indices
 from .floquet import DEFAULT_STEPS, TOL_IM, classify_arrays, mirror_half, propagate, solve_cells
-from .model import SX, I2, ModelParams, field_matrix
+from .model import ModelParams, field_matrix, static_block
 from .topology import evaluate_points
 
 
@@ -64,12 +64,7 @@ def stability_grid(
     )
     x, y = np.meshgrid(np.asarray(hx1)[cols], np.asarray(hy1)[rows])  # (rows, cols)
     h1 = field_matrix(x, y)
-    static = (
-        field_matrix(static_field[0], static_field[1])
-        - mu * np.eye(4)
-        + g * np.kron(SX, I2)
-    )
-    prop = propagate(static, h1, omega, steps)
+    prop = propagate(static_block(*static_field, mu, g), h1, omega, steps)
     eps, cnorm, _, error = solve_cells(prop, omega, "drive plane", 2)
     codes = np.where(np.equal(error, None), classify_arrays(eps, cnorm, omega, tol_im), 2)
     fill = np.ix_(fill_rows, fill_cols)
@@ -99,6 +94,7 @@ def phase_diagram(
     axis2: tuple[str, np.ndarray],
     nk: int = 128,
     steps: int = DEFAULT_STEPS,
+    tol_im: float = TOL_IM,
 ) -> np.recarray:
     """Topological phase diagram over two (name, values) model-parameter axes.
 
@@ -108,7 +104,7 @@ def phase_diagram(
     axis names, verdict, max_im, ws and error.
     """
     x, y, points = _plane(base, axis1, axis2)
-    stable, max_im, ws, error = evaluate_points(points, nk, steps)
+    stable, max_im, ws, error = evaluate_points(points, nk, steps, tol_im)
     return np.rec.fromarrays(
         [x, y, np.where(stable, "Stable", "Unstable"), max_im, ws, error],
         names=[axis1[0], axis2[0], "verdict", "max_im", "ws", "error"],
@@ -122,6 +118,7 @@ def effective_phase_overlay(
     nk: int = 128,
     alpha: int | None = None,
     beta: int | None = None,
+    tol_im: float = TOL_IM,
 ) -> np.recarray:
     """Fast effective-Hamiltonian stability verdicts over the same grid.
 
@@ -134,7 +131,7 @@ def effective_phase_overlay(
     alpha, beta = resolve_indices(replace(base, **center), alpha, beta)
     verdict, max_im = [], []
     for p in points:
-        _, ep, em, v = effective_spectrum(p, nk, alpha, beta)
+        _, ep, em, v = effective_spectrum(p, nk, alpha, beta, tol_im)
         verdict.append(v)
         max_im.append(max(float(np.abs(ep.imag).max()), float(np.abs(em.imag).max())))
     return np.rec.fromarrays(

@@ -95,7 +95,11 @@ def _best_matching(ov: np.ndarray) -> np.ndarray:
     return PERMS[ov[np.arange(4), PERMS].sum(axis=1).argmax()]
 
 
-def _track(ks, eps, cnorm, states, omega: float) -> TrackedBands:
+def _track(ks, eps, cnorm, states, omega: float, tol_im: float) -> TrackedBands:
+    """Match one point's bands across its k-grid; refuse a point that is not
+    strongly stable, where W^S is undefined."""
+    if (classify_arrays(eps, cnorm, omega, tol_im) != 0).any():
+        raise InvariantUndefinedError("not strongly stable: W^S undefined")
     nk, nb = eps.shape
     sz = nambu_metric(states.shape[-1])
     perm = np.empty((nk, nb), dtype=int)
@@ -125,7 +129,9 @@ def _track(ks, eps, cnorm, states, omega: float) -> TrackedBands:
     return TrackedBands(ks, eps_t, cn_t, st_t, closure, omega)
 
 
-def track_bands(params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS) -> TrackedBands:
+def track_bands(
+    params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS, tol_im: float = TOL_IM
+) -> TrackedBands:
     """Match quasienergy branches continuously across the momentum grid.
 
     Adjacent grid points are paired by maximal |Sigma_z overlap| (globally,
@@ -134,12 +140,7 @@ def track_bands(params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS) 
     """
     ks, (eps,), (cnorm,), (states,), error = kgrid_solve([params], nk, steps)
     check_cells(error)
-    if (classify_arrays(eps, cnorm, params.omega, TOL_IM) != 0).any():
-        raise InvariantUndefinedError(
-            "band tracking and W^S require a globally strongly stable system "
-            f"(worst Im eps = {eps.imag.max():.2e})"
-        )
-    return _track(ks, eps, cnorm, states, params.omega)
+    return _track(ks, eps, cnorm, states, params.omega, tol_im)
 
 
 def select_band_set(tracked: TrackedBands) -> list[int]:
@@ -187,7 +188,7 @@ def _winding_from_tracked(tracked: TrackedBands) -> InvariantResult:
 
 
 def symplectic_winding(
-    params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS
+    params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS, tol_im: float = TOL_IM
 ) -> InvariantResult:
     """Symplectic winding W^S of the driven system.
 
@@ -196,7 +197,7 @@ def symplectic_winding(
     and divided by pi.  Refuses when the system is not globally strongly
     stable.
     """
-    return _winding_from_tracked(track_bands(params, nk, steps))
+    return _winding_from_tracked(track_bands(params, nk, steps, tol_im))
 
 
 def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelParams:
@@ -209,13 +210,14 @@ def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelP
     return replace(start, **values)
 
 
-def evaluate_points(points, nk: int = 128, steps: int = DEFAULT_STEPS):
+def evaluate_points(points, nk: int = 128, steps: int = DEFAULT_STEPS, tol_im: float = TOL_IM):
     """Columns stable, max_im, ws and error (None where undefined) of a sequence of points.
 
     All points solve in one ``kgrid_solve``; tracking and the Wilson loop run
-    per point.  A point that fails there, or whose tracking fails, carries the
-    message in its error (unstable with NaN max_im if it failed to solve), so
-    grid and path drivers complete; any other exception propagates.
+    per point.  A point that fails there, or whose W^S is undefined or fails,
+    carries the message in its error (unstable with NaN max_im if it failed
+    to solve), so grid and path drivers complete; any other exception
+    propagates.
     """
     ks, eps, cnorm, states, error = kgrid_solve(points, nk, steps)
     max_im = eps.imag.max(axis=(1, 2))
@@ -223,16 +225,13 @@ def evaluate_points(points, nk: int = 128, steps: int = DEFAULT_STEPS):
     ws = np.full(len(points), None, dtype=object)
     for i in np.flatnonzero(np.equal(error, None)):
         omega = points[i].omega
-        codes = classify_arrays(eps[i], cnorm[i], omega, TOL_IM)
-        stable[i] = (codes != 2).all()
-        if stable[i] and (codes == 0).all():
+        stable[i] = (classify_arrays(eps[i], cnorm[i], omega, tol_im) != 2).all()
+        if stable[i]:
             try:
-                tracked = _track(ks, eps[i], cnorm[i], states[i], omega)
+                tracked = _track(ks, eps[i], cnorm[i], states[i], omega, tol_im)
                 ws[i] = _winding_from_tracked(tracked).ws
-            except TrackingError as exc:
+            except (TrackingError, InvariantUndefinedError) as exc:
                 error[i] = str(exc)
-        elif stable[i]:
-            error[i] = "not strongly stable: W^S undefined"
     return stable, max_im, ws, error
 
 
@@ -242,6 +241,7 @@ def scan_path(
     n_points: int = 17,
     nk: int = 128,
     steps: int = DEFAULT_STEPS,
+    tol_im: float = TOL_IM,
 ) -> np.recarray:
     """Stability and W^S along a straight parameter path.
 
@@ -258,6 +258,6 @@ def scan_path(
     names = [f.name for f in fields(ModelParams)]
     return np.rec.fromarrays(
         [fractions, *(np.array([getattr(p, n) for p in points]) for n in names),
-         *evaluate_points(points, nk, steps)],
+         *evaluate_points(points, nk, steps, tol_im)],
         names=["fraction", *names, "stable", "max_im", "ws", "error"],
     )

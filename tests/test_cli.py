@@ -138,6 +138,9 @@ BAD_VALUES = [
      "task.hx1.min must be a number, got -inf"),
     (["stability-grid", "--recipe", "fig2b", "--set", "task.static_field=[Infinity, 0]"],
      "task.static_field must be a list of two numbers, got [inf, 0]"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "model.omega=0"], "got omega=0"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "model.omega=-5.2"], "got omega=-5.2"),
+    (["stability-grid", "--recipe", "fig2b", "--set", "model.g=-1"], "got g=-1"),
 ]
 
 
@@ -371,6 +374,27 @@ class TestGrids:
         assert len(rows) == 5
         for row in rows[1:]:
             assert row[2] in ("Stable", "Unstable")
+
+    def test_tol_im_sets_every_verdict(self):
+        """A |Im eps| up to numerics.tol_im counts as stable, in the exact and
+        the effective verdicts alike."""
+        grid = ["--set", 'task.axis1={"name": "nu1p", "min": 9.0, "max": 10.0, "points": 2}',
+                "--set", 'task.axis2={"name": "mu", "min": -5.05, "max": -4.95, "points": 2}',
+                "--set", "task.overlay=true", "--set", "numerics.nk=64"]
+        verdicts = {}
+        for name, tol in (("strict", "1e-8"), ("loose", "0.2")):
+            argv = ["phase-diagram", "--recipe", "fig1b", *grid, "--set", f"numerics.tol_im={tol}"]
+            assert entry([*argv, "--output", name]) == 0
+            verdicts[tol] = [(row[2], row[6]) for row in read_csv(f"{name}.csv")[1:]]
+        # max_im 0.170, 0.00, 0.293 and 0.098; the overlay's 0.351, 0.060, 0.425 and 0.288
+        assert verdicts["1e-8"] == [("Unstable", "Unstable"), ("Stable", "Unstable"),
+                                    ("Unstable", "Unstable"), ("Unstable", "Unstable")]
+        assert verdicts["0.2"] == [("Stable", "Unstable"), ("Stable", "Stable"),
+                                   ("Unstable", "Unstable"), ("Stable", "Unstable")]
+        spectrum = ["spectrum", "--recipe", "fig1c", "--set", "numerics.nk=64"]
+        assert entry([*spectrum, "--set", "numerics.tol_im=1.0", "--output", "spec"]) == 0
+        meta = json.loads(Path("spec.meta.json").read_text())
+        assert meta["result"]["effective_verdict"] == "Stable"
 
     def test_phase_diagram_axis_cannot_be_drive_plane(self, capsys):
         cfg = write_cfg({

@@ -57,7 +57,6 @@ class TestChainSpectrum:
         assert spec_a.eps.shape == spec_a.cnorm.shape == (80,)
         assert spec_a.states.shape == (80, 80)
         assert spec_a.edge_weights.shape == (80,)
-        assert spec_a.cells == 20
 
     def test_bulk_gap(self, spec_a):
         assert 0.4 < spec_a.bulk_gap < 0.6
