@@ -310,10 +310,10 @@ def cmd_ws(params: ModelParams, cfg: dict):
 
 def cmd_chain(params: ModelParams, cfg: dict):
     task = cfg["task"]
-    spec = chain_spectrum(params, task.get("cells", 20), cfg["numerics"]["steps"])
+    spec = chain_spectrum(params, task.get("cells", 20), cfg["numerics"]["steps"],
+                          cfg["numerics"]["nk"])
     if "fraction" in task:
-        weights = np.array([edge_weight(state, task["fraction"]) for state in spec.states])
-        spec = replace(spec, edge_weights=weights)
+        spec = replace(spec, edge_weights=edge_weight(spec.states, task["fraction"]))
     idx, (left, right) = detect_midgap(spec, task.get("window"), task.get("edge_threshold", 0.5))
     index = np.arange(len(spec.eps))
     table = _table({"index": index, "re_eps": spec.eps.real, "im_eps": spec.eps.imag,

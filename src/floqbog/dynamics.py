@@ -18,6 +18,8 @@ import numpy as np
 
 from .floquet import (
     DEFAULT_STEPS,
+    Propagation,
+    branch_order,
     check_cells,
     check_propagation,
     eig_branches,
@@ -62,39 +64,48 @@ class EvolutionTrace:
     truncated: bool
 
 
-def edge_weight(state: np.ndarray, fraction: float = 0.1) -> float:
-    """Fraction of the state's weight on the outer sites of the chain.
+def edge_weight(state: np.ndarray, fraction: float = 0.1):
+    """Fraction of each state's weight on the outer sites of the chain.
 
     Sums |psi|^2 (particle and hole components per site) over the outer
     ceil(fraction * N) sites at each end, relative to the total weight.
+    ``state`` may be a batch with the components along the last axis; the
+    result has its leading shape (a float for one state).
     """
     if not 0.0 < fraction <= 0.5:
         raise ValueError(f"fraction must lie in (0, 0.5], got {fraction}")
-    n = state.shape[0] // 2
-    per_site = np.abs(state[:n]) ** 2 + np.abs(state[n:]) ** 2
+    n = state.shape[-1] // 2
+    per_site = np.abs(state[..., :n]) ** 2 + np.abs(state[..., n:]) ** 2
     m = math.ceil(fraction * n)
-    outer = per_site[:m].sum() + per_site[n - m :].sum()
-    return float(outer / per_site.sum())
+    outer = per_site[..., :m].sum(axis=-1) + per_site[..., n - m :].sum(axis=-1)
+    return outer / per_site.sum(axis=-1)
 
 
-def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()):
-    """Checked U(T) of the open chain and its snapshots U(s h), in the site basis.
+def _mirror_halves(sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nambu indices (particles, then holes) of the first sites // 2 sites and of
+    their mirror images under site inversion j -> sites - 1 - j."""
+    first = np.arange(sites // 2)
+    near = np.concatenate([first, sites + first])
+    far = np.concatenate([sites - 1 - first, 2 * sites - 1 - first])
+    return near, far
+
+
+def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()) -> Propagation:
+    """Checked U(T) and snapshots U(s h) of the open chain, per parity sector.
 
     Site inversion P (site j -> N - 1 - j on both Nambu halves) commutes
     exactly with both ``chain_blocks``.  In the real orthogonal parity basis
     (|j> +- |N-1-j>)/sqrt2 of the first N/2 sites, particles then holes, the
     generator splits into an even and an odd sector, each Sigma_z-structured
-    of dimension N, with blocks A +- B for A = H[near, near], B = H[near, far].
-    The two sectors propagate as one batch of 2, and U maps back to sites as
-    U[near, near] = U[far, far] = (U_e + U_o)/2 and U[near, far] = U[far, near]
-    = (U_e - U_o)/2.  The step-size guard bounds each sector's spectral norm,
-    and with it the chain's.
+    of dimension N, with blocks A +- B for A = H[near, near], B = H[near, far]
+    (``_mirror_halves``).  The two sectors propagate as one batch, so U(T) and
+    every snapshot have shape (2, N, N), even sector first; the site matrix
+    would be U[near, near] = U[far, far] = (U_e + U_o)/2 and U[near, far] =
+    U[far, near] = (U_e - U_o)/2.  The step-size guard bounds each sector's
+    spectral norm, and with it the chain's.
     """
     h0, h1 = chain_blocks(params, cells)
-    n = h0.shape[0] // 2
-    first = np.arange(n // 2)
-    near = np.concatenate([first, n + first])
-    far = np.concatenate([n - 1 - first, 2 * n - 1 - first])
+    near, far = _mirror_halves(h0.shape[0] // 2)
 
     def sectors(h):
         a, b = h[np.ix_(near, near)], h[np.ix_(near, far)]
@@ -102,14 +113,7 @@ def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()
 
     prop = propagate(sectors(h0), sectors(h1), params.omega, steps, snapshots)
     check_propagation(prop, "chain monodromy")
-
-    def sites(u):
-        out = np.empty((2 * n, 2 * n), dtype=complex)
-        out[np.ix_(near, near)] = out[np.ix_(far, far)] = 0.5 * (u[0] + u[1])
-        out[np.ix_(near, far)] = out[np.ix_(far, near)] = 0.5 * (u[0] - u[1])
-        return out
-
-    return sites(prop.u), {s: sites(u) for s, u in prop.snapshots.items()}
+    return prop
 
 
 def _bulk_gap(params: ModelParams, nk: int = 128, steps: int = DEFAULT_STEPS) -> float:
@@ -120,15 +124,30 @@ def _bulk_gap(params: ModelParams, nk: int = 128, steps: int = DEFAULT_STEPS) ->
 
 
 def chain_spectrum(
-    params: ModelParams, cells: int = 20, steps: int = DEFAULT_STEPS
+    params: ModelParams, cells: int = 20, steps: int = DEFAULT_STEPS, nk: int = 128
 ) -> ChainSpectrum:
-    """Quasienergy branches of the open chain of ``cells`` unit cells."""
+    """Quasienergy branches of the open chain of ``cells`` unit cells.
+
+    Each parity sector is eigendecomposed on its own (a pseudo-unitary
+    problem of half the size) and its branch vectors v map to the sites as
+    psi[near] = v/sqrt2, psi[far] = +-v/sqrt2, so every state has exact
+    parity and keeps its norm; the sectors are merged by ``branch_order``.
+    The bulk gap is read off ``nk`` momenta.
+    """
     if cells < 8:
         raise ValueError(f"need at least 8 unit cells for edge separation, got {cells}")
-    u, _ = _chain_propagation(params, cells, steps)
-    eps, cnorm, states, _ = eig_branches(u, params.omega)
-    weights = np.array([edge_weight(state) for state in states])
-    return ChainSpectrum(eps, cnorm, states, weights, _bulk_gap(params, steps=steps))
+    prop = _chain_propagation(params, cells, steps)
+    eps, cnorm, vec, _ = eig_branches(prop.u, params.omega)
+    dim = vec.shape[-1]
+    near, far = _mirror_halves(dim)
+    half = vec / math.sqrt(2.0)
+    states = np.empty((2, dim, 2 * dim), dtype=complex)
+    states[..., near] = half
+    states[..., far] = half * np.array([1.0, -1.0])[:, None, None]
+    order = branch_order(eps.ravel(), cnorm.ravel(), params.omega)
+    states = states.reshape(2 * dim, 2 * dim)[order]
+    return ChainSpectrum(eps.ravel()[order], cnorm.ravel()[order], states,
+                         edge_weight(states), _bulk_gap(params, nk, steps))
 
 
 def _side_balance(states: np.ndarray) -> np.ndarray:
@@ -185,12 +204,20 @@ def detect_midgap(
     return tuple(idx), (left, right)
 
 
-def _block_residual(u: np.ndarray) -> float:
-    n = u.shape[0] // 2
-    a, b = u[:n, :n], u[:n, n:]
-    cons = a @ a.conj().T - b @ b.conj().T - np.eye(n)
-    sym = a @ b.T
-    return max(float(np.abs(cons).max()), float(np.abs(sym - sym.T).max()))
+def _sector_residual(u: np.ndarray) -> float:
+    """Site-basis symplectic residual of the chain from its (2, N, N) sectors.
+
+    With A, B the particle-particle and particle-hole blocks, the residual is
+    the largest entry of X = A A^+ - B B^+ - 1 and of X = A B^T - (A B^T)^T.
+    In the site basis X has the sector form of U, so its entries are
+    (X_e + X_o)/2 and (X_e - X_o)/2.
+    """
+    m = u.shape[-1] // 2
+    a, b = u[:, :m, :m], u[:, :m, m:]
+    cons = a @ a.conj().swapaxes(-1, -2) - b @ b.conj().swapaxes(-1, -2) - np.eye(m)
+    sym = a @ b.swapaxes(-1, -2)
+    sym = sym - sym.swapaxes(-1, -2)
+    return 0.5 * max(float(np.abs(x[0] + s * x[1]).max()) for x in (cons, sym) for s in (1, -1))
 
 
 def evolve_vacuum(
@@ -205,8 +232,10 @@ def evolve_vacuum(
     The symplectic propagator is built stroboscopically, U(nT + tau) =
     U(tau) U(T)^n, with the intra-period factors recorded while U(T) is
     integrated (sample times snap to the step grid; the recorded times are
-    the snapped ones).  Occupations follow from the anomalous block,
-    n_j = (B B^dagger)_jj.  The trace is truncated once any occupation
+    the snapped ones), per parity sector.  Occupations follow from the
+    anomalous block, n_j = (B B^dagger)_jj, which in sector form is
+    n_near = n_far = (|B_e|^2 + |B_o|^2)/2 summed over the columns, so they
+    are exactly mirror-symmetric.  The trace is truncated once any occupation
     exceeds 1e12, where exponential growth has left the linear regime.
     """
     if n_samples < 2:
@@ -219,10 +248,11 @@ def evolve_vacuum(
     marks = np.rint(total / dt).astype(int)
     wraps, offs = np.divmod(marks, steps_per_period)
 
-    mono, snaps = _chain_propagation(params, cells, steps_per_period, offs.tolist())
+    prop = _chain_propagation(params, cells, steps_per_period, offs.tolist())
 
-    n = mono.shape[0] // 2
-    power = np.eye(mono.shape[0], dtype=complex)
+    mono = prop.u
+    m = mono.shape[-1] // 2
+    power = np.broadcast_to(np.eye(2 * m), mono.shape).astype(complex)
     done = 0
     times, occs, resid = [], [], []
     truncated = False
@@ -230,12 +260,12 @@ def evolve_vacuum(
         while done < wraps[s]:
             power = mono @ power
             done += 1
-        u = snaps[int(offs[s])] @ power
-        occ = np.abs(u[:n, n:]) ** 2
-        occ = occ.sum(axis=1)
+        u = prop.snapshots[int(offs[s])] @ power
+        half = 0.5 * (np.abs(u[:, :m, m:]) ** 2).sum(axis=(0, 2))
+        occ = np.concatenate([half, half[::-1]])
         times.append(marks[s] * dt)
         occs.append(occ)
-        resid.append(_block_residual(u))
+        resid.append(_sector_residual(u))
         if occ.max() > OVERFLOW_OCC:
             truncated = True
             break

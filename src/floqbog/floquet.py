@@ -327,6 +327,20 @@ def _pair_conjugates(eps, zero, omega: float):
     return np.where(paired, mean_re + 1j * np.where(up, mean_im, -mean_im), eps)
 
 
+def branch_order(eps, cnorm, omega: float) -> np.ndarray:
+    """Indices that sort branches along the last axis by Re eps, ties aware.
+
+    Branches whose Re eps agree to TIE_WINDOW * omega (chained) share a rank
+    and are ordered by Im if zero-norm and then by cnorm; branches equal in
+    all three keep their input order.
+    """
+    by_re = np.argsort(eps.real, axis=-1, kind="stable")
+    gaps = np.diff(np.take_along_axis(eps.real, by_re, -1), axis=-1) > TIE_WINDOW * omega
+    rank = np.zeros(eps.shape, dtype=int)
+    np.put_along_axis(rank, by_re[..., 1:], np.cumsum(gaps, axis=-1), axis=-1)
+    return np.lexsort((cnorm, np.where(cnorm == 0, eps.imag, 0.0), rank), axis=-1)
+
+
 def eig_branches(u, omega: float):
     """Eigendecompose batched monodromy matrices into quasienergy data.
 
@@ -341,9 +355,9 @@ def eig_branches(u, omega: float):
     eps : (..., d) complex, sorted by Re per batch entry, with Re eps folded
         into (-omega/2, omega/2]; Im eps > 0 marks a growing mode.  Zero-norm
         branches come as exact conjugate pairs (``_pair_conjugates``).
-        Branches whose Re agree to TIE_WINDOW * omega are ordered by Im if
-        zero-norm and then by cnorm, so neither a pair nor two pairs at the
-        same Re (the midgap modes of a chain) are ordered by round-off in Re
+        Ties in Re are broken by ``branch_order``, so neither a pair nor two
+        pairs at the same Re (the midgap modes of a chain) are ordered by
+        round-off in Re
     cnorm : (..., d) int in {-1, 0, +1}, the symplectic norm sign, 0 when the
         branch is not normalizable in the Sigma_z metric
     states : (..., d, d) complex, states[..., i, :] is the branch-i vector,
@@ -370,11 +384,7 @@ def eig_branches(u, omega: float):
     cnorm = np.where(normalizable, np.sign(q).astype(int), 0).astype(int)
     eps = _pair_conjugates(eps, cnorm == 0, omega)
 
-    by_re = np.argsort(eps.real, axis=-1, kind="stable")
-    gaps = np.diff(np.take_along_axis(eps.real, by_re, -1), axis=-1) > TIE_WINDOW * omega
-    rank = np.zeros(eps.shape, dtype=int)
-    np.put_along_axis(rank, by_re[..., 1:], np.cumsum(gaps, axis=-1), axis=-1)
-    order = np.lexsort((cnorm, np.where(cnorm == 0, eps.imag, 0.0), rank), axis=-1)
+    order = branch_order(eps, cnorm, omega)
     eps = np.take_along_axis(eps, order, axis=-1)
     cnorm = np.take_along_axis(cnorm, order, axis=-1)
     defective = np.take_along_axis(defective, order, axis=-1)

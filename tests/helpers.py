@@ -5,7 +5,8 @@ validates: the monodromy oracles use scipy's general-purpose ODE machinery
 and matrix exponentials, the reference Magnus stepper takes the scheme's
 commutators literally over the whole period, the static spectrum is the
 closed form of the 4x4 Bogoliubov problem, the chiral residual checks the
-model's symmetry from its closed form, and Bessel values come from
+model's symmetry from its closed form, the open chain's site matrices are
+rebuilt from its parity sectors entry by entry, and Bessel values come from
 mpmath's arbitrary precision series.
 """
 
@@ -125,6 +126,35 @@ def magnus6_monodromy(h0: np.ndarray, h1: np.ndarray, omega: float, steps: int, 
         if s + 1 in marks:
             seen[s + 1] = u
     return u, seen
+
+
+def chain_sites(u: np.ndarray) -> np.ndarray:
+    """Site-basis 2N x 2N matrix of an open chain from its (2, N, N) parity sectors.
+
+    The sectors act on (|j> +- |N-1-j>)/sqrt2 for the first N/2 sites j,
+    particles then holes, even first; written out entry by entry, the site
+    matrix is U[j, l] = (U_e + U_o)/2 and U[j, N-1-l] = (U_e - U_o)/2 for
+    near indices j, l, and the same with both sides mirrored.
+    """
+    dim = u.shape[-1]
+    n = dim // 2  # near sites, and the number of sites per side
+    sites = 2 * n
+    near = np.r_[np.arange(n), sites + np.arange(n)]
+    far = np.r_[sites - 1 - np.arange(n), 2 * sites - 1 - np.arange(n)]
+    out = np.empty((2 * dim, 2 * dim), dtype=complex)
+    out[np.ix_(near, near)] = out[np.ix_(far, far)] = 0.5 * (u[0] + u[1])
+    out[np.ix_(near, far)] = out[np.ix_(far, near)] = 0.5 * (u[0] - u[1])
+    return out
+
+
+def block_residual(u: np.ndarray) -> float:
+    """Symplectic residual of a site-basis U from its particle blocks A, B:
+    the largest entry of A A^+ - B B^+ - 1 and of A B^T - (A B^T)^T."""
+    n = u.shape[0] // 2
+    a, b = u[:n, :n], u[:n, n:]
+    cons = a @ a.conj().T - b @ b.conj().T - np.eye(n)
+    sym = a @ b.T
+    return max(float(np.abs(cons).max()), float(np.abs(sym - sym.T).max()))
 
 
 def bessel_series(n: int, x: float) -> float:

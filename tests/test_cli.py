@@ -8,7 +8,8 @@ import pytest
 
 import floqbog
 from floqbog.cli import entry, main
-from floqbog.floquet import MIN_STEPS
+from floqbog.floquet import MIN_STEPS, kgrid_solve
+from floqbog.model import ModelParams
 from floqbog.topology import TrackingError
 
 MODEL_A = {"nu0": 1.5, "nu0p": 0.0, "nu1": 3.0, "nu1p": 11.0, "mu": -5.0, "omega": 5.2}
@@ -442,6 +443,16 @@ class TestChainEvolve:
         assert entry(["chain", "--config", cfg, "--output", "wide"]) == 0
         wide = json.loads(Path("wide.meta.json").read_text())
         assert len(wide["result"]["midgap"]) == 4
+
+    @pytest.mark.parametrize("nk", [80, 97])
+    def test_chain_bulk_gap_follows_numerics_nk(self, nk):
+        # both grids miss the bulk gap's minimum on the 128-point grid
+        cfg = write_cfg({"model": MODEL_A, "numerics": {"steps": 256, "nk": nk},
+                         "task": {"cells": 8}})
+        assert entry(["chain", "--config", cfg]) == 0
+        gap = json.loads(Path("chain.meta.json").read_text())["result"]["bulk_gap"]
+        _, eps, _, _, _ = kgrid_solve([ModelParams(**MODEL_A)], nk, 256)
+        assert gap == 2.0 * float(np.abs(eps.real).min())
 
     def test_growth_rate_matches_midgap_im(self):
         """Fig. 3b: the site-1 growth rate is twice the largest midgap Im eps."""

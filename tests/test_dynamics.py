@@ -8,6 +8,7 @@ from floqbog.dynamics import (
     ChainSpectrum,
     EvolutionTrace,
     _chain_propagation,
+    _sector_residual,
     _side_balance,
     chain_spectrum,
     detect_midgap,
@@ -15,10 +16,21 @@ from floqbog.dynamics import (
     evolve_vacuum,
     growth_rate_fit,
 )
-from floqbog.floquet import IntegrationError, propagate
+from floqbog.floquet import IntegrationError, eig_branches, kgrid_solve, propagate
 from floqbog.model import ModelParams, chain_blocks
 
+from helpers import block_residual, chain_sites
+
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
+#: a stable chain whose two parity sectors differ: at 8 cells its occupations
+#: reach 0.23 within 3 periods, with |B_e|^2 and |B_o|^2 apart by order one
+STABLE = ModelParams(nu0=3.0, nu0p=0.3, nu1=1.5, nu1p=1.0, mu=-1.0, omega=9.0, g=1.0)
+
+
+def mirror(sites: int) -> np.ndarray:
+    """Nambu component index of each component's image under j -> sites - 1 - j."""
+    j = np.arange(sites)
+    return np.concatenate([sites - 1 - j, 2 * sites - 1 - j])
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +57,14 @@ class TestEdgeWeight:
         rng = np.random.default_rng(0)
         state = rng.normal(size=80) + 1j * rng.normal(size=80)
         assert edge_weight(state, 0.5) == pytest.approx(1.0)
+
+    def test_batch_matches_single_states(self):
+        rng = np.random.default_rng(1)
+        states = rng.normal(size=(3, 5, 80)) + 1j * rng.normal(size=(3, 5, 80))
+        batch = edge_weight(states, 0.2)
+        assert batch.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            assert batch[idx] == pytest.approx(edge_weight(states[idx], 0.2), abs=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 0.6])
     def test_fraction_validation(self, bad):
@@ -97,15 +117,44 @@ class TestChainSpectrum:
 
     @pytest.mark.parametrize("cells", [9, 20])
     def test_sector_propagation_equals_full(self, cells):
-        """The two parity sectors, mapped back to sites, give the 80x80 U(T)
+        """The two parity sectors, mapped back to sites, give the 4M x 4M U(T)
         and snapshots of a direct propagation."""
         marks = (0, 37, 128, 129, 200, 256)
         full = propagate(*chain_blocks(PA, cells), PA.omega, 256, marks)
-        u, snaps = _chain_propagation(PA, cells, 256, marks)
-        assert np.abs(u - full.u).max() < 1e-13
-        assert sorted(snaps) == list(marks)
+        prop = _chain_propagation(PA, cells, 256, marks)
+        assert prop.u.shape == (2, 2 * cells, 2 * cells)
+        assert np.abs(chain_sites(prop.u) - full.u).max() < 1e-13
+        assert sorted(prop.snapshots) == list(marks)
         for s in marks:
-            assert np.abs(snaps[s] - full.snapshots[s]).max() < 1e-13
+            assert np.abs(chain_sites(prop.snapshots[s]) - full.snapshots[s]).max() < 1e-13
+
+    @pytest.mark.parametrize("cells", [9, 20])
+    def test_sector_spectrum_equals_site_eigensolve(self, cells):
+        """The merged sector branches are those of eig_branches on the site
+        monodromy of a direct 4M x 4M propagation, in the same order."""
+        full = propagate(*chain_blocks(PA, cells), PA.omega, 256)
+        eps, cnorm, _, _ = eig_branches(full.u, PA.omega)
+        spec = chain_spectrum(PA, cells=cells, steps=256)
+        assert np.array_equal(spec.cnorm, cnorm)
+        assert np.abs(spec.eps - eps).max() < 1e-12
+
+    @pytest.mark.parametrize("cells", [9, 20])
+    def test_states_have_exact_parity(self, cells):
+        spec = chain_spectrum(PA, cells=cells, steps=256)
+        flip = spec.states[:, mirror(2 * cells)]
+        even = (flip == spec.states).all(axis=1)
+        odd = (flip == -spec.states).all(axis=1)
+        assert even.sum() == odd.sum() == 2 * cells
+        norm = np.einsum("im,m,im->i", spec.states.conj(), np.repeat([1.0, -1.0], 2 * cells),
+                         spec.states).real
+        unit = np.linalg.norm(spec.states, axis=1)
+        assert np.abs(np.where(spec.cnorm != 0, norm - spec.cnorm, unit - 1.0)).max() < 1e-12
+
+    @pytest.mark.parametrize("nk", [64, 97])
+    def test_bulk_gap_follows_nk(self, nk):
+        _, eps, _, _, _ = kgrid_solve([PA], nk, 256)
+        spec = chain_spectrum(PA, cells=8, steps=256, nk=nk)
+        assert spec.bulk_gap == 2.0 * float(np.abs(eps.real).min())
 
     def test_rejects_tiny_chain(self):
         with pytest.raises(ValueError):
@@ -163,6 +212,46 @@ class TestEvolution:
 
     def test_symplectic_structure_preserved(self, trace_a):
         assert trace_a.sympl_residual.max() < 1e-6
+
+    def test_occupations_mirror_symmetric(self, trace_a):
+        assert (trace_a.occupations == trace_a.occupations[:, ::-1]).all()
+
+    def test_sector_forms_equal_site_basis(self):
+        """Occupations and sympl_residual equal their site-basis definitions on
+        the site matrices U(tau) U(T)^n rebuilt from the sectors."""
+        cells, steps = 8, 256
+        trace = evolve_vacuum(STABLE, cells=cells, t_max=3.0, n_samples=12,
+                              steps_per_period=steps)
+        assert not trace.truncated and trace.times.size == 12
+        wraps, offs = np.divmod(np.rint(trace.times / (STABLE.period / steps)).astype(int),
+                                steps)
+        prop = _chain_propagation(STABLE, cells, steps, offs.tolist())
+        mono = chain_sites(prop.u)
+        n = 2 * cells
+        for s in range(trace.times.size):
+            u = chain_sites(prop.snapshots[int(offs[s])]) @ np.linalg.matrix_power(mono, wraps[s])
+            occ = (np.abs(u[:n, n:]) ** 2).sum(axis=1)
+            assert np.abs(trace.occupations[s] - occ).max() <= 1e-12 * occ.max()
+            assert abs(trace.sympl_residual[s] - block_residual(u)) < 1e-13
+        assert trace.occupations.max() > 0.1
+
+    @pytest.mark.parametrize("sites", [16, 40])
+    def test_sector_residual_formula(self, sites):
+        """The sector form of the residual is the site-basis one for any pair
+        of sector matrices, symplectic or not: random ones, and ones whose only
+        defect is an antisymmetric A B^T of opposite sign in the two sectors
+        (A = cosh r, B = +-sinh r W with W unitary and not symmetric)."""
+        rng = np.random.default_rng(sites)
+        u = rng.normal(size=(2, sites, sites)) + 1j * rng.normal(size=(2, sites, sites))
+        m = sites // 2
+        w = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+        skew = u.copy()
+        skew[:, :m, :m] = math.cosh(0.7) * np.eye(m)
+        skew[0, :m, m:], skew[1, :m, m:] = math.sinh(0.7) * w, -math.sinh(0.7) * w
+        for x in (u, skew):
+            want = block_residual(chain_sites(x))
+            assert want > 0.1
+            assert abs(_sector_residual(x) - want) <= 1e-13 * want
 
     def test_edge_growth_matches_spectrum(self, spec_a, trace_a):
         rate = growth_rate_fit(trace_a)
