@@ -1,7 +1,7 @@
 """Open-chain Floquet spectra, midgap edge states, and vacuum evolution.
 
 The open chain of M unit cells (N = 2M sites) is diagonalized through its
-monodromy exactly like a single Bloch block.  In the topological phase the
+monodromy like a single Bloch block, one site-inversion sector at a time.  In the topological phase the
 spectrum develops midgap states pinned near Re eps = 0 whose quasienergies
 acquire imaginary parts: parametric instabilities localized at the
 boundaries.  Evolving the vacuum through the symplectic propagator shows
@@ -38,8 +38,9 @@ DEGENERACY_TOL = 1e-2
 class ChainSpectrum:
     """Floquet spectrum of the open chain with localization diagnostics.
 
-    ``eps``, ``cnorm`` and ``states`` are the branches of ``eig_branches``
-    (``states[i]`` is the branch-i vector); ``edge_weights`` aligns with the
+    ``eps``, ``cnorm`` and ``states`` are the ``eig_branches`` branches of
+    both parity sectors, merged in ``branch_order`` (``states[i]`` is the
+    branch-i vector in the site basis); ``edge_weights`` aligns with the
     branches.  ``detect_midgap`` flags the midgap modes.
     """
 

@@ -136,12 +136,11 @@ def chain_sites(u: np.ndarray) -> np.ndarray:
     matrix is U[j, l] = (U_e + U_o)/2 and U[j, N-1-l] = (U_e - U_o)/2 for
     near indices j, l, and the same with both sides mirrored.
     """
-    dim = u.shape[-1]
-    n = dim // 2  # near sites, and the number of sites per side
-    sites = 2 * n
-    near = np.r_[np.arange(n), sites + np.arange(n)]
-    far = np.r_[sites - 1 - np.arange(n), 2 * sites - 1 - np.arange(n)]
-    out = np.empty((2 * dim, 2 * dim), dtype=complex)
+    sites = u.shape[-1]
+    first = np.arange(sites // 2)
+    near = np.r_[first, sites + first]
+    far = np.r_[sites - 1 - first, 2 * sites - 1 - first]
+    out = np.empty((2 * sites, 2 * sites), dtype=complex)
     out[np.ix_(near, near)] = out[np.ix_(far, far)] = 0.5 * (u[0] + u[1])
     out[np.ix_(near, far)] = out[np.ix_(far, near)] = 0.5 * (u[0] - u[1])
     return out
