@@ -37,6 +37,8 @@ DEFECT_OVERLAP = 1.0 - 1e-8
 MAX_STEP_NORM = 1.0
 #: pseudo-unitarity residual above which a propagator is rejected
 TOL_RESIDUAL = 1e-4
+#: propagators ``propagate`` integrates together, which bounds its temporaries
+CHUNK = 2048
 
 #: index permutation p of CONJUGATION, (C X C)[i, j] = X[p[i], p[j]]
 _BLOCH_C = CONJUGATION.real.argmax(axis=-1)
@@ -201,6 +203,10 @@ def propagate(
     the second-half snapshots.  This equals the full-period product of the
     same steps up to round-off.
 
+    The flattened batch is integrated CHUNK propagators at a time, so the
+    commutator basis and the step temporaries take bounded memory at any
+    batch size; each propagator's arithmetic does not depend on the chunk.
+
     ``steps`` must be at least MIN_STEPS.  ``snapshots`` lists step indices
     s in 0..steps at which U(s h) is recorded.  ``step_norm`` is
     h (|H0| + |H1|) per propagator, in the max-row-sum norm, which bounds
@@ -224,27 +230,36 @@ def propagate(
     step_norm = np.broadcast_to(h * norms, shape[:-2])
     half = steps // 2
     forward = steps - half
-    basis = _magnus_basis(-1j * sz * h0, -1j * sz * h1, shape).reshape(8, -1)
     weights = _magnus_coefficients(omega, h, forward)
     eye = np.eye(d)
-    u = np.broadcast_to(eye, shape).astype(complex)
     direct = {s if s <= forward else steps - s for s in record}
-    seen = {0: u} if 0 in direct else {}
-    for s in range(forward):
-        om = (weights[s] @ basis).reshape(shape)
-        om2 = om @ om
-        om3 = om2 @ om
-        u = u + np.linalg.solve(eye - 0.5 * om + 0.1 * om2 - om3 / 120.0, (om + om3 / 60.0) @ u)
-        if s + 1 == half:
-            u_half = u
-        if s + 1 in direct:
-            seen[s + 1] = u
     rows, cols = perm[:, None], perm
-    u_t = (sz * np.swapaxes(u_half, -1, -2) * sz.T)[..., rows, cols] @ u
-    snaps = {
-        s: seen[s] if s <= forward else seen[steps - s][..., rows, cols].conj() @ u_t
-        for s in record
-    }
+    batch = shape[:-2] or (1,)
+    h0, h1 = (np.broadcast_to(x, (*batch, d, d)) for x in (h0, h1))
+    u_t = np.empty(shape, dtype=complex)
+    snaps = {s: np.empty(shape, dtype=complex) for s in record}
+    for start in range(0, math.prod(batch), CHUNK):
+        part = np.unravel_index(np.arange(start, min(start + CHUNK, math.prod(batch))), batch)
+        size = (len(part[0]), d, d)
+        basis = _magnus_basis(-1j * sz * h0[part], -1j * sz * h1[part], size).reshape(8, -1)
+        u = np.broadcast_to(eye, size).astype(complex)
+        seen = {0: u} if 0 in direct else {}
+        for s in range(forward):
+            om = (weights[s] @ basis).reshape(size)
+            om2 = om @ om
+            om3 = om2 @ om
+            u = u + np.linalg.solve(eye - 0.5 * om + 0.1 * om2 - om3 / 120.0,
+                                    (om + om3 / 60.0) @ u)
+            if s + 1 == half:
+                u_half = u
+            if s + 1 in direct:
+                seen[s + 1] = u
+        u = (sz * np.swapaxes(u_half, -1, -2) * sz.T)[..., rows, cols] @ u
+        u_t.reshape(-1, d, d)[start:start + len(u)] = u
+        for s, snap in snaps.items():
+            snap.reshape(-1, d, d)[start:start + len(u)] = (
+                seen[s] if s <= forward else seen[steps - s][..., rows, cols].conj() @ u
+            )
     return Propagation(u_t, snaps, step_norm)
 
 

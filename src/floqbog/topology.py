@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from itertools import permutations
+from operator import itemgetter
 
 import numpy as np
 
@@ -91,37 +92,46 @@ def winding_undriven(params: ModelParams, nk: int = 256) -> int:
 
 
 def _best_matching(ov: np.ndarray) -> np.ndarray:
-    """Column matched to each row by the largest-total matching of a 4x4 overlap."""
-    return PERMS[ov[np.arange(4), PERMS].sum(axis=1).argmax()]
+    """Column matched to each row by the largest-total matching of (..., 4, 4) overlaps."""
+    return PERMS[ov[..., np.arange(4), PERMS].sum(axis=-1).argmax(axis=-1)]
 
 
 def _track(ks, eps, cnorm, states, omega: float, tol_im: float) -> TrackedBands:
     """Match one point's bands across its k-grid; refuse a point that is not
-    strongly stable, where W^S is undefined."""
+    strongly stable, where W^S is undefined.
+
+    The |Sigma_z overlaps| of every pair of neighbouring raw states are
+    matched at once.  Where every pair passes the overlap and ambiguity
+    checks, each row's match beats its runner-up by AMBIGUITY_GAP, so the
+    matching is unique and composing the pairs' permutations gives the bands'
+    order at every k.  The first failing pair raises, a lost overlap before
+    an ambiguity.
+    """
     if (classify_arrays(eps, cnorm, omega, tol_im) != 0).any():
         raise InvariantUndefinedError("not strongly stable: W^S undefined")
-    nk, nb = eps.shape
+    nb = eps.shape[1]
     sz = nambu_metric(states.shape[-1])
-    perm = np.empty((nk, nb), dtype=int)
-    perm[0] = np.arange(nb)
-    prev = states[0]
-    for j in range(1, nk):
-        ov = np.abs(np.einsum("im,m,nm->in", prev.conj(), sz, states[j]))
-        col = _best_matching(ov)
-        matched = ov[np.arange(nb), col]
-        if matched.min() <= MIN_TRACK_OVERLAP:
+    ov = np.abs(np.einsum("jim,m,jnm->jin", states[:-1].conj(), sz, states[1:]))
+    cols = _best_matching(ov)
+    best = np.take_along_axis(ov, cols[..., None], axis=-1)[..., 0]
+    matched = best.min(axis=-1)
+    lost = matched <= MIN_TRACK_OVERLAP
+    failed = lost | ((best - np.sort(ov, axis=-1)[..., -2]).min(axis=-1) < AMBIGUITY_GAP)
+    if failed.any():
+        j = int(failed.argmax())
+        if lost[j]:
             raise TrackingError(
-                f"band continuation lost at k={ks[j]:+.4f} "
-                f"(overlap {matched.min():.3f} <= {MIN_TRACK_OVERLAP}); increase Nk"
+                f"band continuation lost at k={ks[j + 1]:+.4f} "
+                f"(overlap {matched[j]:.3f} <= {MIN_TRACK_OVERLAP}); increase Nk"
             )
-        runner_up = np.sort(ov, axis=1)[:, -2]
-        if (matched - runner_up).min() < AMBIGUITY_GAP:
-            raise TrackingError(
-                f"ambiguous band matching at k={ks[j]:+.4f} "
-                f"(two overlaps within {AMBIGUITY_GAP}); increase Nk"
-            )
-        perm[j] = col
-        prev = states[j][col]
+        raise TrackingError(
+            f"ambiguous band matching at k={ks[j + 1]:+.4f} "
+            f"(two overlaps within {AMBIGUITY_GAP}); increase Nk"
+        )
+    perm = [tuple(range(nb))]
+    for col in cols.tolist():
+        perm.append(itemgetter(*perm[-1])(col))
+    perm = np.array(perm)
     eps_t = np.take_along_axis(eps, perm, axis=1)
     cn_t = np.take_along_axis(cnorm, perm, axis=1)
     st_t = np.take_along_axis(states, perm[:, :, None], axis=1)
@@ -134,9 +144,11 @@ def track_bands(
 ) -> TrackedBands:
     """Match quasienergy branches continuously across the momentum grid.
 
-    Adjacent grid points are paired by maximal |Sigma_z overlap| (globally,
-    as an assignment problem solved by exhaustive search over the 4!
-    matchings); requires a globally strongly stable system.
+    Every pair of adjacent grid points is matched at once by maximal
+    |Sigma_z overlap| (each pair globally, as an assignment problem solved by
+    exhaustive search over the 4! matchings), and the pairs' permutations are
+    composed along the grid (``_track``); requires a globally strongly
+    stable system.
     """
     ks, (eps,), (cnorm,), (states,), error = kgrid_solve([params], nk, steps)
     check_cells(error)

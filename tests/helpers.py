@@ -6,19 +6,22 @@ and matrix exponentials, the reference Magnus stepper takes the scheme's
 commutators literally over the whole period, the static spectrum is the
 closed form of the 4x4 Bogoliubov problem, the chiral residual checks the
 model's symmetry from its closed form, the open chain's site matrices are
-rebuilt from its parity sectors entry by entry, and Bessel values come from
-mpmath's arbitrary precision series.
+rebuilt from its parity sectors entry by entry, band tracking matches one
+momentum at a time against the already-tracked states, and Bessel values
+come from mpmath's arbitrary precision series.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from floqbog.model import I2, SX, nambu_metric
+from floqbog.topology import AMBIGUITY_GAP, MIN_TRACK_OVERLAP, TrackingError
 
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: generalized chiral operator sz (x) sz, anticommutes with the hopping part
@@ -154,6 +157,44 @@ def block_residual(u: np.ndarray) -> float:
     cons = a @ a.conj().T - b @ b.conj().T - np.eye(n)
     sym = a @ b.T
     return max(float(np.abs(cons).max()), float(np.abs(sym - sym.T).max()))
+
+
+def track_loop(ks, eps, cnorm, states):
+    """Bands matched one momentum at a time: (eps, cnorm, states, closure).
+
+    Each k's states are matched to the previous k's already-tracked states by
+    the largest-total of the 4! assignments of their |Sigma_z overlaps|, the
+    first of equal totals winning; raises the library's TrackingError
+    messages.  No stability check.
+    """
+    nk, nb = eps.shape
+    sz = nambu_metric(states.shape[-1])
+    rows = np.arange(nb)
+    perm = np.empty((nk, nb), dtype=int)
+    perm[0] = rows
+    prev = states[0]
+    for j in range(1, nk):
+        ov = np.abs(np.einsum("im,m,nm->in", prev.conj(), sz, states[j]))
+        col = np.array(max(permutations(range(nb)), key=lambda p: ov[rows, list(p)].sum()))
+        matched = ov[rows, col]
+        if matched.min() <= MIN_TRACK_OVERLAP:
+            raise TrackingError(
+                f"band continuation lost at k={ks[j]:+.4f} "
+                f"(overlap {matched.min():.3f} <= {MIN_TRACK_OVERLAP}); increase Nk"
+            )
+        runner_up = np.sort(ov, axis=1)[:, -2]
+        if (matched - runner_up).min() < AMBIGUITY_GAP:
+            raise TrackingError(
+                f"ambiguous band matching at k={ks[j]:+.4f} "
+                f"(two overlaps within {AMBIGUITY_GAP}); increase Nk"
+            )
+        perm[j] = col
+        prev = states[j][col]
+    eps_t = np.take_along_axis(eps, perm, axis=1)
+    cn_t = np.take_along_axis(cnorm, perm, axis=1)
+    st_t = np.take_along_axis(states, perm[:, :, None], axis=1)
+    closure = np.abs(np.einsum("im,m,im->i", st_t[-1].conj(), sz, st_t[0]))
+    return eps_t, cn_t, st_t, closure
 
 
 def bessel_series(n: int, x: float) -> float:

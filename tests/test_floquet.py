@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floqbog import floquet
+from floqbog.dynamics import _chain_propagation
 from floqbog.floquet import (
     DEFAULT_STEPS,
     MAX_STEP_NORM,
@@ -31,6 +33,7 @@ from floqbog.model import (
     chain_blocks,
     field_matrix,
     nambu_metric,
+    static_block,
 )
 from floqbog.topology import evaluate_points
 
@@ -242,6 +245,34 @@ class TestIntegrators:
                 assert np.abs(prop.snapshots[s] - ref).max() < tol
         with pytest.raises(ValueError, match="snapshot"):
             propagate(h0, h1, PA.omega, 64, snapshots=(65,))
+
+    @pytest.mark.parametrize("case, chunk", [
+        ("k-grid", 7), ("k-grid", 1), ("drive-plane", 7), ("chain", 1),
+    ])
+    def test_chunks_equal_whole_batch(self, monkeypatch, case, chunk):
+        """U(T), every snapshot and the step norms are bitwise those of the
+        batch integrated whole, however it is split into chunks: a two-point
+        k-grid, a drive plane with a broadcast H0, and the chain's sectors."""
+        marks = (0, 20, 32, 33, 51, 64)
+        if case == "k-grid":
+            h0, h1 = (np.stack(b) for b in zip(*(bloch_blocks(p, kgrid(16)) for p in (PA, PN))))
+        elif case == "drive-plane":
+            x, y = np.meshgrid(np.linspace(-9.0, 9.0, 5), np.linspace(-6.0, 6.0, 4))
+            h0, h1 = static_block(1.5, 0.7, -5.0, 1.0), field_matrix(x, y)
+
+        def run():
+            if case == "chain":
+                return _chain_propagation(PA, 9, 64, marks)
+            return propagate(h0, h1, PA.omega, 64, snapshots=marks)
+
+        whole = run()
+        assert chunk < whole.step_norm.size < floquet.CHUNK  # one chunk, then several
+        monkeypatch.setattr(floquet, "CHUNK", chunk)
+        chunked = run()
+        for got, want in [(chunked.u, whole.u), (chunked.step_norm, whole.step_norm),
+                          *((chunked.snapshots[s], whole.snapshots[s]) for s in marks)]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert sorted(chunked.snapshots) == list(marks)
 
     def test_requires_conjugation_symmetry(self):
         """A Hermitian batch with neither C = 1 nor C = 1 (x) sx cannot be folded."""

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import linear_sum_assignment
 
 from floqbog import topology
-from floqbog.floquet import IntegrationError
+from floqbog.floquet import TOL_IM, IntegrationError, classify_arrays, kgrid, kgrid_solve
 from floqbog.model import ModelParams
 from floqbog.topology import (
     InvariantUndefinedError,
     TrackingError,
     _band_phase,
     _best_matching,
+    _track,
     evaluate_points,
     interpolate,
     scan_path,
@@ -25,6 +26,8 @@ from floqbog.topology import (
     track_bands,
     winding_undriven,
 )
+
+from helpers import track_loop
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PB = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=6.0, mu=-5.0, omega=5.2)
@@ -62,16 +65,23 @@ class TestUndrivenWinding:
 
 class TestBandTracking:
     @settings(max_examples=300, deadline=None)
-    @given(arrays(np.float64, (4, 4), elements=st.floats(0.0, 1.0)))
-    def test_best_matching_equals_assignment_solver(self, ov):
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=3).map(
+        lambda lead: (*lead, 4, 4)), elements=st.floats(0.0, 1.0)))
+    def test_best_matching_equals_assignment_solver(self, stack):
+        """Every slice of a stack of overlaps: the single-matrix call, and the
+        assignment solver's optimum."""
         rows = np.arange(4)
-        col = _best_matching(ov)
-        _, want = linear_sum_assignment(ov, maximize=True)
-        assert sorted(col) == [0, 1, 2, 3]
-        assert ov[rows, col].sum() == pytest.approx(ov[rows, want].sum(), abs=1e-12)
-        totals = sorted(ov[rows, list(p)].sum() for p in permutations(range(4)))
-        if totals[-1] - totals[-2] > 1e-9:  # unique optimum: the same matching
-            assert list(col) == list(want)
+        cols = _best_matching(stack)
+        assert cols.shape == stack.shape[:-1]
+        for index in np.ndindex(stack.shape[:-2]):
+            ov, col = stack[index], cols[index]
+            assert col.tolist() == _best_matching(ov).tolist()
+            _, want = linear_sum_assignment(ov, maximize=True)
+            assert sorted(col) == [0, 1, 2, 3]
+            assert ov[rows, col].sum() == pytest.approx(ov[rows, want].sum(), abs=1e-12)
+            totals = sorted(ov[rows, list(p)].sum() for p in permutations(range(4)))
+            if totals[-1] - totals[-2] > 1e-9:  # unique optimum: the same matching
+                assert list(col) == list(want)
 
     def test_tracked_shapes_and_closure(self):
         tr = track_bands(PA, nk=128, steps=1024)
@@ -103,6 +113,103 @@ class TestBandTracking:
         for _ in range(5):
             phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=states.shape[0]))
             assert _band_phase(states * phases[:, None]) == pytest.approx(base, abs=1e-9)
+
+
+def assert_tracks_like_oracle(ks, eps, cnorm, states, omega):
+    """``_track`` gives the oracle's eps, cnorm, states and closure bitwise."""
+    tracked = _track(ks, eps, cnorm, states, omega, TOL_IM)
+    got = (tracked.eps, tracked.cnorm, tracked.states, tracked.closure)
+    for a, b in zip(got, track_loop(ks, eps, cnorm, states)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTrackingOracle:
+    """The batched matching against the one-momentum-at-a-time oracle."""
+
+    #: four strongly stable branches, identical at every k of the synthetic grids
+    EPS = np.array([0.5, 1.0, -0.5, -1.0], dtype=complex)
+    CNORM = np.array([1, 1, -1, -1])
+
+    def test_fig1b_point(self):
+        ks, (eps,), (cnorm,), (states,), _ = kgrid_solve([PA], 256)
+        assert_tracks_like_oracle(ks, eps, cnorm, states, PA.omega)
+
+    @pytest.mark.parametrize("grid", ["scan", "phase"])
+    def test_every_stable_point(self, grid):
+        """The 16-point scan from the fig1b point to nu1p = 0 and the 3x3
+        nu1p x mu grid around it, at nk 64."""
+        if grid == "scan":
+            end = replace(PA, nu1p=0.0)
+            points = [interpolate(PA, end, float(f)) for f in np.linspace(0.0, 1.0, 16)]
+        else:
+            points = [replace(PA, nu1p=a, mu=b) for a in np.linspace(9.0, 11.0, 3)
+                      for b in np.linspace(-5.05, -4.95, 3)]
+        ks, eps, cnorm, states, error = kgrid_solve(points, 64)
+        strong = [i for i, p in enumerate(points) if error[i] is None
+                  and (classify_arrays(eps[i], cnorm[i], p.omega, TOL_IM) == 0).all()]
+        assert len(strong) >= 3
+        for i in strong:
+            assert_tracks_like_oracle(ks, eps[i], cnorm[i], states[i], points[i].omega)
+
+    def failure(self, breaks):
+        """(oracle, batched) TrackingError messages of a 12-point grid of unit
+        states with states[j] replaced by m for each (j, m) in ``breaks``.
+
+        With unit vectors on both sides, pair (j - 1, j) has the overlaps
+        |m|^T and pair (j, j + 1) has |m|.
+        """
+        nk = 12
+        ks = kgrid(nk)
+        states = np.tile(np.eye(4, dtype=complex), (nk, 1, 1))
+        for j, m in breaks:
+            states[j] = m
+        eps, cnorm = np.tile(self.EPS, (nk, 1)), np.tile(self.CNORM, (nk, 1))
+        with pytest.raises(TrackingError) as oracle:
+            track_loop(ks, eps, cnorm, states)
+        with pytest.raises(TrackingError) as batched:
+            _track(ks, eps, cnorm, states, PA.omega, TOL_IM)
+        return str(oracle.value), str(batched.value), ks
+
+    #: band 0 keeps only overlap 0.4, with no runner-up near it: lost
+    LOST = np.diag([0.4, 0.9, 0.9, 0.9]) + 0.1 * (1.0 - np.eye(4))
+    #: band 0 overlaps bands 0 and 1 within 5e-4, band 1 overlaps band 1 by
+    #: far the most: ambiguous in row 0 of |m| only, so at the pair (j, j + 1)
+    AMBIGUOUS = np.array([[0.9, 0.8995, 0, 0], [0, 0.99, 0, 0], [0, 0, 0.9, 0], [0, 0, 0, 0.9]])
+    #: every overlap 0.5: lost and ambiguous at once
+    BOTH = 0.5 * np.ones((4, 4))
+    #: where a break at j is reported: a lost band at the pair (j - 1, j)
+    START = {"lost": ("band continuation lost", 0), "both": ("band continuation lost", 0),
+             "ambiguous": ("ambiguous band matching", 1)}
+
+    @pytest.mark.parametrize("kind", ["lost", "ambiguous", "both"])
+    def test_failure_at_one_k(self, kind):
+        m = {"lost": self.LOST, "ambiguous": self.AMBIGUOUS, "both": self.BOTH}[kind]
+        oracle, batched, ks = self.failure([(5, m)])
+        assert batched == oracle
+        start, shift = self.START[kind]
+        assert batched.startswith(f"{start} at k={ks[5 + shift]:+.4f} ")
+
+    @pytest.mark.parametrize("first, second", [("lost", "ambiguous"), ("ambiguous", "lost")])
+    def test_first_failing_k_wins(self, first, second):
+        m = {"lost": self.LOST, "ambiguous": self.AMBIGUOUS}
+        oracle, batched, ks = self.failure([(3, m[first]), (8, m[second])])
+        assert batched == oracle
+        start, shift = self.START[first]
+        assert batched.startswith(f"{start} at k={ks[3 + shift]:+.4f} ")
+
+    def test_shuffled_branches(self):
+        """Branches put in a random order at every k are tracked like the
+        oracle, into the bands tracked from the sorted order."""
+        ks, (eps,), (cnorm,), (states,), _ = kgrid_solve([PA], 64)
+        order = np.random.default_rng(3).permuted(np.tile(np.arange(4), (64, 1)), axis=1)
+        shuffled = (np.take_along_axis(eps, order, 1), np.take_along_axis(cnorm, order, 1),
+                    np.take_along_axis(states, order[..., None], 1))
+        assert_tracks_like_oracle(ks, *shuffled, PA.omega)
+        tracked = _track(ks, *shuffled, PA.omega, TOL_IM)
+        sorted_ = _track(ks, eps, cnorm, states, PA.omega, TOL_IM)
+        first = order[0]
+        assert np.array_equal(tracked.eps, sorted_.eps[:, first])
+        assert np.array_equal(tracked.states, sorted_.states[:, first])
 
 
 class TestSymplecticWinding:
