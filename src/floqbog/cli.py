@@ -233,11 +233,18 @@ def write_outputs(cfg: dict, table: np.recarray, meta: dict):
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = prefix.with_suffix(".csv")
+    names = table.dtype.names
+    floats = [n for n in names if table.dtype[n] == np.float64]
+    columns = {n: list(map(_fmt, table[n].tolist())) for n in names if n not in floats}
+    # each distinct float bit pattern (-0.0 is not 0.0) is formatted once
+    bits = np.array([table[n] for n in floats]).reshape(len(floats), len(table)).view(np.int64)
+    unique, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in unique.view(np.float64).tolist()], dtype=object)
+    columns.update(zip(floats, text[inverse.reshape(bits.shape)].tolist()))
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.dtype.names)
-        for row in table.tolist():
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(names)
+        writer.writerows(zip(*(columns[n] for n in names)))
     sidecar = {"config": cfg, "version": __version__, "result": meta}
     meta_path = prefix.with_suffix(".meta.json")
     meta_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")

@@ -356,6 +356,17 @@ def branch_order(eps, cnorm, omega: float) -> np.ndarray:
     return np.lexsort((cnorm, np.where(cnorm == 0, eps.imag, 0.0), rank), axis=-1)
 
 
+def _log_eps(lam, omega: float) -> np.ndarray:
+    """eps = (i omega/2pi) Log lambda, with Re eps folded into (-omega/2, omega/2]."""
+    pref = omega / (2.0 * math.pi)
+    return fold(-pref * np.angle(lam), omega) + 1j * pref * np.log(np.abs(lam))
+
+
+def quasienergies(u, omega: float) -> np.ndarray:
+    """The eps of ``eig_branches`` from eigenvalues alone, unpaired and unsorted."""
+    return _log_eps(np.linalg.eigvals(u), omega)
+
+
 def eig_branches(u, omega: float):
     """Eigendecompose batched monodromy matrices into quasienergy data.
 
@@ -382,8 +393,7 @@ def eig_branches(u, omega: float):
     """
     u = np.asarray(u, dtype=complex)
     lam, vec = np.linalg.eig(u)
-    pref = omega / (2.0 * math.pi)
-    eps = fold(-pref * np.angle(lam), omega) + 1j * pref * np.log(np.abs(lam))
+    eps = _log_eps(lam, omega)
 
     # near-parallel eigenvectors signal a defective (non-diagonalizable) U
     gram = np.abs(np.swapaxes(vec.conj(), -1, -2) @ vec)
@@ -427,21 +437,12 @@ def classify_arrays(eps, cnorm, omega: float, tol_im: float):
     return np.where(unstable, 2, np.where(marginal, 1, 0))
 
 
-def solve_cells(prop: Propagation, omega: float, what: str, cell_axes: int):
-    """(eps, cnorm, states, error): ``eig_branches`` of ``prop.u`` and ``_cell_errors``.
-
-    Failed cells skip the eigensolver and get NaN eps and states.  When the
-    batched eigensolve fails, each cell is retried alone, and those that fail
-    again get ``eigensolver failed: ...``, so one bad cell never fails the rest.
-    """
+def solve_cells(prop: Propagation, what: str, cell_axes: int, solve) -> np.ndarray:
+    """The per-cell failure rule: runs ``solve(cells)``, the eigensolve of
+    ``prop.u[cells]``, once on the mask of the cells that pass ``_cell_errors``
+    and returns the error array.  If that raises LinAlgError, each cell is retried
+    alone, and those failing again get ``eigensolver failed: ...``."""
     error = _cell_errors(prop, what, cell_axes)
-    eps = np.full(prop.u.shape[:-1], complex(math.nan, math.nan))
-    cnorm = np.zeros(prop.u.shape[:-1], dtype=int)
-    states = np.full(prop.u.shape, complex(math.nan, math.nan))
-
-    def solve(cells):
-        eps[cells], cnorm[cells], states[cells], _ = eig_branches(prop.u[cells], omega)
-
     ok = np.equal(error, None)
     try:
         solve(ok)
@@ -451,7 +452,7 @@ def solve_cells(prop: Propagation, omega: float, what: str, cell_axes: int):
                 solve(cell)
             except np.linalg.LinAlgError as exc:
                 error[cell] = f"eigensolver failed: {exc}"
-    return eps, cnorm, states, error
+    return error
 
 
 def kgrid_solve(points, nk: int, steps: int = DEFAULT_STEPS):
@@ -459,22 +460,27 @@ def kgrid_solve(points, nk: int, steps: int = DEFAULT_STEPS):
 
     Returns (ks, eps, cnorm, states, error) shaped (nk,), (P, nk, 4), (P, nk, 4),
     (P, nk, 4, 4) and (P,), branch vectors along the last axis.  Each point is
-    one cell of ``solve_cells``, and points sharing omega share one ``propagate``
-    call.  Only k >= 0 is integrated: H_{-k} = C H_k C with C = CONJUGATION for
-    every parameter set, so U_{-k} = C U_k C, and -k takes the eps and cnorm of
-    k and its states with C applied to their components.
+    one cell of ``solve_cells`` (NaN eps and states if it fails); points sharing
+    omega share one ``propagate`` call.  Only k >= 0 is integrated: H_{-k} =
+    C H_k C with C = CONJUGATION for every parameter set, so U_{-k} = C U_k C,
+    and -k takes the eps and cnorm of k and C times its states.
     """
     ks = kgrid(nk)
     half, take = mirror_half(ks)
-    eps = np.empty((len(points), len(half), 4), dtype=complex)
-    cnorm = np.empty(eps.shape, dtype=int)
-    states = np.empty((*eps.shape, 4), dtype=complex)
+    eps = np.full((len(points), len(half), 4), complex(math.nan, math.nan))
+    cnorm = np.zeros(eps.shape, dtype=int)
+    states = np.full((*eps.shape, 4), complex(math.nan, math.nan))
     error = np.empty(len(points), dtype=object)
     for omega in dict.fromkeys(p.omega for p in points):
-        group = [i for i, p in enumerate(points) if p.omega == omega]
+        group = np.array([i for i, p in enumerate(points) if p.omega == omega])
         h0, h1 = (np.stack(b) for b in zip(*(bloch_blocks(points[i], ks[half]) for i in group)))
-        solved = solve_cells(propagate(h0, h1, omega, steps), omega, "k-grid", 1)
-        eps[group], cnorm[group], states[group], error[group] = solved
+        prop = propagate(h0, h1, omega, steps)
+
+        def solve(cells):
+            at = group[cells]
+            eps[at], cnorm[at], states[at], _ = eig_branches(prop.u[cells], omega)
+
+        error[group] = solve_cells(prop, "k-grid", 1, solve)
     states = states[:, take]
     mirrored = half[take] != np.arange(nk)
     states[:, mirrored] = states[:, mirrored][..., _BLOCH_C]

@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .effective import effective_spectrum, resolve_indices
-from .floquet import DEFAULT_STEPS, TOL_IM, classify_arrays, mirror_half, propagate, solve_cells
+from .floquet import DEFAULT_STEPS, TOL_IM, mirror_half, propagate, quasienergies, solve_cells
 from .model import ModelParams, field_matrix, static_block
 from .topology import evaluate_points
 
@@ -39,9 +39,10 @@ def stability_grid(
     verdict, max_im and error.  Valid as a chain diagnostic when the static
     field is k-independent (nu0p = 0), in which case every momentum of the
     full model lands on some point of this plane.  All cells integrate in
-    one batched pass, and each cell is one cell of ``solve_cells``: a cell
-    that fails the integration checks or the eigensolver is Unstable with
-    NaN max_im and carries the message in its ``error``.
+    one batched pass and only their eigenvalues are computed: a cell is
+    Unstable when any |Im eps| exceeds ``tol_im``, and max_im is its largest
+    Im eps (``quasienergies``, unpaired).  A cell that fails ``solve_cells``
+    is Unstable with NaN max_im and carries the message in its ``error``.
 
     With hy0 = 0 in ``static_field``, the plane has two mirror symmetries,
     and only one quadrant of it is integrated:
@@ -65,10 +66,15 @@ def stability_grid(
     x, y = np.meshgrid(np.asarray(hx1)[cols], np.asarray(hy1)[rows])  # (rows, cols)
     h1 = field_matrix(x, y)
     prop = propagate(static_block(*static_field, mu, g), h1, omega, steps)
-    eps, cnorm, _, error = solve_cells(prop, omega, "drive plane", 2)
-    codes = np.where(np.equal(error, None), classify_arrays(eps, cnorm, omega, tol_im), 2)
+    eps = np.full(prop.u.shape[:-1], complex(np.nan, np.nan))
+
+    def solve(cells):
+        eps[cells] = quasienergies(prop.u[cells], omega)
+
+    error = solve_cells(prop, "drive plane", 2, solve)
+    unstable = ~np.equal(error, None) | (np.abs(eps.imag) > tol_im).any(axis=-1)
     fill = np.ix_(fill_rows, fill_cols)
-    verdict = np.where(codes == 2, "Unstable", "Stable")[fill]
+    verdict = np.where(unstable, "Unstable", "Stable")[fill]
     x, y = np.meshgrid(hx1, hy1)  # (n2, n1)
     return np.rec.fromarrays(
         [a.ravel() for a in (x, y, verdict, eps.imag.max(axis=-1)[fill], error[fill])],

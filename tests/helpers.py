@@ -7,12 +7,14 @@ commutators literally over the whole period, the static spectrum is the
 closed form of the 4x4 Bogoliubov problem, the chiral residual checks the
 model's symmetry from its closed form, the open chain's site matrices are
 rebuilt from its parity sectors entry by entry, band tracking matches one
-momentum at a time against the already-tracked states, and Bessel values
-come from mpmath's arbitrary precision series.
+momentum at a time against the already-tracked states, the CSV writer
+formats every cell of every row on its own, and Bessel values come from
+mpmath's arbitrary precision series.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from itertools import permutations
 
@@ -195,6 +197,22 @@ def track_loop(ks, eps, cnorm, states):
     st_t = np.take_along_axis(states, perm[:, :, None], axis=1)
     closure = np.abs(np.einsum("im,m,im->i", st_t[-1].conj(), sz, st_t[0]))
     return eps_t, cn_t, st_t, closure
+
+
+def write_rows(path, table) -> None:
+    """The table's CSV written row by row: a header line, then each cell as
+    '' for None, repr for a float and str otherwise."""
+
+    def fmt(value):
+        if value is None:
+            return ""
+        return repr(float(value)) if isinstance(value, float) else str(value)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.dtype.names)
+        for row in table.tolist():
+            writer.writerow([fmt(v) for v in row])
 
 
 def bessel_series(n: int, x: float) -> float:

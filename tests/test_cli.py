@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import floqbog
-from floqbog.cli import entry, main
+from floqbog.cli import entry, main, write_outputs
 from floqbog.floquet import MIN_STEPS, kgrid_solve
 from floqbog.model import ModelParams
 from floqbog.topology import TrackingError
+
+from helpers import write_rows
 
 MODEL_A = {"nu0": 1.5, "nu0p": 0.0, "nu1": 3.0, "nu1p": 11.0, "mu": -5.0, "omega": 5.2}
 MODEL_B = {**MODEL_A, "nu1p": 6.0}
@@ -292,6 +294,40 @@ class TestSpectrum:
         assert meta["result"]["beta"] == -2  # resolved, not given
         assert meta["result"]["effective_verdict"] == "Stable"
         assert meta["result"]["max_im"] < 1e-6
+
+
+class TestWriteOutputs:
+    """The CSV is byte for byte that of the row-by-row writer oracle."""
+
+    @staticmethod
+    def table():
+        tiny = 5e-324  # the smallest subnormal
+        return np.rec.fromarrays(
+            [
+                np.array([-0.0, 0.0, np.nan, np.inf, tiny, 0.1, 0.1, -np.nan]),
+                np.array([0.0, -0.0, 0.1, -np.inf, 1e300, -tiny, np.nan, 1 / 3]),
+                np.array([True, False, True, True, False, False, True, False]),
+                np.arange(-3, 5),
+                np.array(["Stable", "Unstable", "", "a,b", 'q"t', "x ", "x ", " y"]),
+                np.array([None, 2, 0.1, -0.0, None, "w", None, 7], dtype=object),
+            ],
+            names=["a", "b", "flag", "n", "verdict", "ws"],
+        )
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 0), slice(2, 3)],
+                             ids=["all", "empty", "one"])
+    def test_bytes_equal_row_writer(self, tmp_path, rows):
+        table = self.table()[rows]
+        csv_path, _ = write_outputs({"output": {"path": str(tmp_path / "t")}}, table, {})
+        write_rows(tmp_path / "want.csv", table)
+        assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_signed_zeros_and_nan_kept(self, tmp_path):
+        csv_path, _ = write_outputs({"output": {"path": str(tmp_path / "t")}}, self.table(), {})
+        rows = read_csv(csv_path)
+        assert [r[0] for r in rows[1:3]] == ["-0.0", "0.0"]
+        assert [r[1] for r in rows[1:3]] == ["0.0", "-0.0"]
+        assert rows[3][0] == rows[8][0] == rows[7][1] == "nan"
 
 
 class TestRecipes:

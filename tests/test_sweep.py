@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from floqbog import floquet
+from floqbog import floquet, sweep
 from floqbog.cli import _axis
-from floqbog.floquet import TOL_IM, classify_arrays, eig_branches, kgrid, propagate
+from floqbog.floquet import TOL_IM, classify_arrays, eig_branches, kgrid, mirror_half, propagate
 from floqbog.model import I2, SX, ModelParams, drive_amplitudes, field_matrix
 from floqbog.sweep import effective_phase_overlay, phase_diagram, stability_grid
 from floqbog.topology import evaluate_points, scan_path
@@ -40,10 +40,11 @@ def direct(static_field, hx1, hy1, steps):
     return np.array(verdict), np.array(max_im)
 
 
-def fifth_cell_fails(monkeypatch, batch_ndim):
-    """Make every eig of a whole batch (``batch_ndim`` dimensions) fail, and the
-    fifth retry of a single cell too; returns the list of cell retries."""
-    real = floquet.eig_branches
+def fifth_cell_fails(monkeypatch, module, name, batch_ndim):
+    """Make every call of the eigen function ``module.name`` on a whole batch
+    (``batch_ndim`` dimensions) fail, and its fifth retry of a single cell too;
+    returns the list of cell retries."""
+    real = getattr(module, name)
     single_calls = []
 
     def flaky(u, omega):
@@ -54,8 +55,30 @@ def fifth_cell_fails(monkeypatch, batch_ndim):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real(u, omega)
 
-    monkeypatch.setattr(floquet, "eig_branches", flaky)
+    monkeypatch.setattr(module, name, flaky)
     return single_calls
+
+
+def eig_oracle(monkeypatch, static_field, hx1, hy1, steps):
+    """The plane, and the verdict and max_im of each of its cells from
+    ``eig_branches`` and ``classify_arrays`` of the propagator the plane
+    integrated for it (its own, or its mirror's when hy0 = 0)."""
+    props = []
+
+    def spy(*args):
+        props.append(propagate(*args))
+        return props[-1]
+
+    monkeypatch.setattr(sweep, "propagate", spy)
+    table = stability_grid(static_field, 5.2, -5.0, 1.0, hx1, hy1, steps=steps)
+    (prop,) = props
+    eps, cnorm, _, _ = eig_branches(prop.u, 5.2)
+    codes = classify_arrays(eps, cnorm, 5.2, TOL_IM)
+    if static_field[1] == 0.0:
+        fill = np.ix_(mirror_half(hy1)[1], mirror_half(hx1)[1])
+        codes, eps = codes[fill], eps[fill]
+    verdict = np.where(codes == 2, "Unstable", "Stable")
+    return table, verdict.ravel(), eps.imag.max(axis=-1).ravel()
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +207,6 @@ class TestStabilityGrid:
         negative entries with no mirror on their axis (hx1 = -15, -12 and
         hy1 = -12 on the asymmetric axis); with hy0 != 0 the whole plane is.
         Every cell equals a direct integration."""
-        import floqbog.sweep as sweep
-
         hx1 = np.linspace(-15.0, 9.0, 9)
         batches = []
 
@@ -206,6 +227,30 @@ class TestStabilityGrid:
             quadrants = grid[symmetric_rows, 2:]  # hx1 in [-9, 9], hy1 mirrored
             assert np.array_equal(quadrants, quadrants[::-1])
             assert np.array_equal(quadrants, quadrants[:, ::-1])
+
+    @pytest.mark.parametrize("static_field", [(-1.5, 0.0), (-1.5, 0.8)],
+                             ids=["mirrored", "static-hy0"])
+    def test_eigenvalues_match_branch_oracle(self, monkeypatch, static_field):
+        """Every cell's verdict equals the full eigendecomposition's, and its
+        unpaired max_im is within 1e-13 of the paired one."""
+        hx1, hy1 = np.linspace(-15.0, 9.0, 13), np.linspace(-12.0, 12.0, 13)
+        table, verdict, max_im = eig_oracle(monkeypatch, static_field, hx1, hy1, 1024)
+        assert all(e is None for e in table.error)
+        assert table.verdict.tolist() == verdict.tolist()
+        assert 0 < (verdict == "Unstable").sum() < len(verdict)
+        assert np.abs(table.max_im - max_im).max() <= 1e-13
+
+    def test_no_eigenvectors(self, monkeypatch):
+        """The plane asks the eigensolver for eigenvalues only."""
+        calls = {"eig": 0, "eigvals": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        plane(np.linspace(-8.0, 0.0, 3), np.linspace(-4.0, 4.0, 3), 256)
+        assert calls == {"eig": 0, "eigvals": 1}
 
     def test_refinement_consistency(self):
         coarse = plane(np.linspace(-8.0, 0.0, 3), np.linspace(-4.0, 4.0, 3), 1024)
@@ -229,7 +274,7 @@ class TestStabilityGrid:
         """The plane with its batched eig failing and the fifth per-cell retry
         failing too; returns (plane without failures, plane, retry count)."""
         want = plane(*axes, 256)
-        single_calls = fifth_cell_fails(monkeypatch, 3)
+        single_calls = fifth_cell_fails(monkeypatch, sweep, "quasienergies", 3)
         return want, plane(*axes, 256), len(single_calls)
 
     @staticmethod
@@ -353,7 +398,7 @@ class TestBatchedPoints:
         """The batched eig fails, each point is retried alone, and only the
         fifth point, whose retry fails too, carries the error."""
         want = self.DRIVERS[driver]()
-        retries = fifth_cell_fails(monkeypatch, 4)
+        retries = fifth_cell_fails(monkeypatch, floquet, "eig_branches", 4)
         got = self.DRIVERS[driver]()
         assert len(retries) == len(got)
         bad = got[4]
