@@ -57,12 +57,14 @@ class EvolutionTrace:
 
     ``occupations[s, j]`` is n_{j+1}(times[s]) (sites are 1-based in the
     labels, arrays are 0-based); ``truncated`` marks an overflow stop.
+    ``marks[s]`` is the integrator step of sample s, times[s] = marks[s] h.
     """
 
     times: np.ndarray
     occupations: np.ndarray
     sympl_residual: np.ndarray
     truncated: bool
+    marks: np.ndarray
 
 
 def edge_weight(state: np.ndarray, fraction: float = 0.1):
@@ -270,7 +272,8 @@ def evolve_vacuum(
         if occ.max() > OVERFLOW_OCC:
             truncated = True
             break
-    return EvolutionTrace(np.array(times), np.array(occs), np.array(resid), truncated)
+    return EvolutionTrace(np.array(times), np.array(occs), np.array(resid), truncated,
+                          marks[:len(times)])
 
 
 def growth_rate_fit(
@@ -279,17 +282,18 @@ def growth_rate_fit(
     """Least-squares growth rate of ln n_site(t) over the fit window.
 
     ``site`` is 1-based (j = 2m + s).  The default window skips the first
-    40 percent of the trace as transient.  Requires at least 8 samples
-    with occupation above 1e-6 inside the window.
+    40 percent of the trace as transient, decided on the integer step marks
+    so that a sample on its bound stays in under any choice of units.
+    Requires at least 8 samples with occupation above 1e-6 inside the window.
     """
     if not 1 <= site <= trace.occupations.shape[1]:
         raise ValueError(f"site {site} outside 1..{trace.occupations.shape[1]}")
-    t_end = trace.times[-1]
     if fit_window is None:
-        fit_window = (0.4 * t_end, t_end)
-    lo, hi = fit_window
+        inside = 5 * trace.marks >= 2 * trace.marks[-1]
+    else:
+        inside = (trace.times >= fit_window[0]) & (trace.times <= fit_window[1])
     n = trace.occupations[:, site - 1]
-    mask = (trace.times >= lo) & (trace.times <= hi) & (n > 1e-6)
+    mask = inside & (n > 1e-6)
     if mask.sum() < 8:
         raise ValueError("no exponential regime detected")
     slope, _ = np.polyfit(trace.times[mask], np.log(n[mask]), 1)

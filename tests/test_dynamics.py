@@ -288,13 +288,13 @@ class TestGrowthRateFit:
         times = np.linspace(0.0, 10.0, 101)
         lam = 0.37
         occ = np.exp(2.0 * lam * times)[:, None] * np.ones((1, 3))
-        trace = EvolutionTrace(times, occ, np.zeros(101), False)
+        trace = EvolutionTrace(times, occ, np.zeros(101), False, np.arange(101))
         assert growth_rate_fit(trace) == pytest.approx(2 * lam, abs=1e-6)
         assert growth_rate_fit(trace, fit_window=(2.0, 8.0)) == pytest.approx(2 * lam, abs=1e-6)
 
     def test_site_validation(self):
         times = np.linspace(0.0, 1.0, 10)
-        trace = EvolutionTrace(times, np.ones((10, 3)), np.zeros(10), False)
+        trace = EvolutionTrace(times, np.ones((10, 3)), np.zeros(10), False, np.arange(10))
         for bad in (0, 4):
             with pytest.raises(ValueError, match="site"):
                 growth_rate_fit(trace, site=bad)
