@@ -3,7 +3,8 @@
 Nothing here may import from the integrator or eigensolver code paths it
 validates: the monodromy oracles use scipy's general-purpose ODE machinery
 and matrix exponentials, the reference Magnus stepper takes the scheme's
-commutators literally over the whole period, the static spectrum is the
+commutators literally over the whole period, the folded reference forms
+every product of the kernel's step loop as a complex product, the static spectrum is the
 closed form of the 4x4 Bogoliubov problem, the chiral residual checks the
 model's symmetry from its closed form, the open chain's site matrices are
 rebuilt from its parity sectors entry by entry, band tracking matches one
@@ -131,6 +132,55 @@ def magnus6_monodromy(h0: np.ndarray, h1: np.ndarray, omega: float, steps: int, 
         if s + 1 in marks:
             seen[s + 1] = u
     return u, seen
+
+
+def folded_monodromy(h0: np.ndarray, h1: np.ndarray, omega: float, steps: int, marks=()):
+    """The kernel's half-period fold with every product of the step loop complex.
+
+    Omega is weighed at each step from M0 = -i Sigma_z H0, M1 and their five
+    nested commutators, U takes the (3,3) Pade increment, and U(T) and the
+    second-half snapshots follow from the time reflection with C = 1 (x) sx
+    (4x4 blocks) or C = 1 (real blocks), in complex arithmetic throughout.
+    Returns (U(T), {s: U(s h) for s in marks}).
+    """
+    d = h0.shape[-1]
+    sz = nambu_metric(d)[:, None]
+    perm = np.kron(I2, SX).real.argmax(axis=-1) if d == 4 else np.arange(d)
+    c = (..., perm[:, None], perm)
+    h = 2.0 * math.pi / omega / steps
+    half, forward = steps // 2, steps - steps // 2
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    m0, m1 = np.broadcast_arrays(-1j * sz * h0, -1j * sz * h1)
+    k = comm(m0, m1)
+    basis = [m0, m1, k, comm(m0, k), comm(m1, k), comm(m0, comm(m0, k)),
+             comm(m0, comm(m1, k)), comm(m1, comm(m1, k))]
+    nodes = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+    eye = np.eye(d)
+    u = np.broadcast_to(eye, m0.shape).astype(complex)
+    direct = {s if s <= forward else steps - s for s in marks}
+    seen = {0: u} if 0 in direct else {}
+    for s in range(forward):
+        a1, a2, a3 = (math.cos(omega * h * (s + node)) for node in nodes)
+        q1 = h * a2
+        q2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
+        q3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+        r = 20.0 * q1 + q3
+        weights = (h, q1 + q3 / 12.0, -h * q2 / 12.0, h * h * q3 / 360.0,
+                   h * (r * q3 / 30.0 - q2 * q2) / 240.0, h**3 * q2 / 720.0,
+                   h * h * q2 * (2.0 * q1 / 3.0 + q3 / 60.0) / 240.0, h * q1 * q2 * r / 14400.0)
+        om = sum(w * b for w, b in zip(weights, basis))
+        om2 = om @ om
+        om3 = om2 @ om
+        u = u + np.linalg.solve(eye - 0.5 * om + 0.1 * om2 - om3 / 120.0, (om + om3 / 60.0) @ u)
+        if s + 1 == half:
+            u_half = u
+        if s + 1 in direct:
+            seen[s + 1] = u
+    u = (sz * np.swapaxes(u_half, -1, -2) * sz.T)[c] @ u
+    return u, {s: seen[s] if s <= forward else seen[steps - s][c].conj() @ u for s in marks}
 
 
 def chain_sites(u: np.ndarray) -> np.ndarray:

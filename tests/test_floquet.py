@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqbog import floquet
-from floqbog.dynamics import _chain_propagation
+from floqbog.dynamics import _chain_propagation, _mirror_halves
 from floqbog.floquet import (
     DEFAULT_STEPS,
     MAX_STEP_NORM,
@@ -37,7 +37,13 @@ from floqbog.model import (
 )
 from floqbog.topology import evaluate_points
 
-from helpers import dop853_monodromy, expm_monodromy, magnus6_monodromy, static_energies
+from helpers import (
+    dop853_monodromy,
+    expm_monodromy,
+    folded_monodromy,
+    magnus6_monodromy,
+    static_energies,
+)
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PB = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=6.0, mu=-5.0, omega=5.2)
@@ -273,6 +279,47 @@ class TestIntegrators:
                           *((chunked.snapshots[s], whole.snapshots[s]) for s in marks)]:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert sorted(chunked.snapshots) == list(marks)
+
+    @pytest.mark.parametrize("case", ["k-grid", "drive-plane", "chain"])
+    def test_matches_complex_products(self, case):
+        """U(T) and every snapshot equal those of the same fold with complex
+        products (``folded_monodromy``) to round-off: a two-point k-grid, a
+        drive plane with a broadcast H0 at an odd step count, and the chain's
+        parity sectors."""
+        steps = 65 if case == "drive-plane" else 64
+        marks = (0, 20, 32, 33, 51, steps)
+        if case == "k-grid":
+            h0, h1 = (np.stack(b) for b in zip(*(bloch_blocks(p, kgrid(16)) for p in (PA, PN))))
+        elif case == "drive-plane":
+            x, y = np.meshgrid(np.linspace(-9.0, 9.0, 5), np.linspace(-6.0, 6.0, 4))
+            h0, h1 = static_block(1.5, 0.7, -5.0, 1.0), field_matrix(x, y)
+        else:
+            near, far = _mirror_halves(40)
+            h0, h1 = (np.stack([h[np.ix_(near, near)] + sign * h[np.ix_(near, far)]
+                                for sign in (1.0, -1.0)]) for h in chain_blocks(PA, 20))
+        prop = propagate(h0, h1, PA.omega, steps, snapshots=marks)
+        ref, ref_snaps = folded_monodromy(h0, h1, PA.omega, steps, marks)
+        assert np.abs(prop.u - ref).max() < 1e-13
+        for s in marks:
+            assert np.abs(prop.snapshots[s] - ref_snaps[s]).max() < 1e-13
+
+    @pytest.mark.parametrize("steps", [64, 65])
+    @pytest.mark.parametrize("case", ["k-grid", "drive-plane"])
+    def test_no_pairing_keeps_blocks_zero(self, case, steps):
+        """At g = 0 particles and holes never mix: the particle-hole blocks of
+        U(T) and of every snapshot are exactly 0, and U(0) is exactly 1."""
+        marks = (0, 17, steps // 2, steps // 2 + 1, 50, steps)
+        if case == "k-grid":
+            p = ModelParams(nu0=1.5, nu0p=0.7, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2, g=0.0)
+            h0, h1 = bloch_blocks(p, kgrid(16))
+        else:
+            x, y = np.meshgrid(np.linspace(-9.0, 9.0, 5), np.linspace(-6.0, 6.0, 4))
+            h0, h1 = static_block(1.5, 0.7, -5.0, 0.0), field_matrix(x, y)
+        prop = propagate(h0, h1, PA.omega, steps, snapshots=marks)
+        assert (prop.snapshots[0] == np.eye(4)).all()
+        for u in (prop.u, *prop.snapshots.values()):
+            assert u[..., :2, :2].any() and u[..., 2:, 2:].any()
+            assert not u[..., :2, 2:].any() and not u[..., 2:, :2].any()
 
     def test_requires_conjugation_symmetry(self):
         """A Hermitian batch with neither C = 1 nor C = 1 (x) sx cannot be folded."""
