@@ -51,6 +51,8 @@ class ConfigError(ValueError):
     """Malformed, unknown, or inconsistent configuration input."""
 
 
+#: table rows ``write_outputs`` formats at a time, which bounds the strings it holds
+WRITE_ROWS = 8192
 NUMERICS_DEFAULTS = {"steps": DEFAULT_STEPS, "nk": 256, "tol_im": TOL_IM}
 
 # A schema maps each key to its kind: int, float (a finite number; an int is
@@ -235,16 +237,18 @@ def write_outputs(cfg: dict, table: np.recarray, meta: dict):
     csv_path = prefix.with_suffix(".csv")
     names = table.dtype.names
     floats = [n for n in names if table.dtype[n] == np.float64]
-    columns = {n: list(map(_fmt, table[n].tolist())) for n in names if n not in floats}
-    # each distinct float bit pattern (-0.0 is not 0.0) is formatted once
-    bits = np.array([table[n] for n in floats]).reshape(len(floats), len(table)).view(np.int64)
-    unique, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) for v in unique.view(np.float64).tolist()], dtype=object)
-    columns.update(zip(floats, text[inverse.reshape(bits.shape)].tolist()))
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
-        writer.writerows(zip(*(columns[n] for n in names)))
+        for start in range(0, len(table), WRITE_ROWS):
+            block = table[start:start + WRITE_ROWS]
+            columns = {n: list(map(_fmt, block[n].tolist())) for n in names if n not in floats}
+            # each distinct float bit pattern (-0.0 is not 0.0) is formatted once
+            bits = np.array([block[n] for n in floats]).reshape(len(floats), len(block))
+            unique, inverse = np.unique(bits.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in unique.view(np.float64).tolist()], dtype=object)
+            columns.update(zip(floats, text[inverse.reshape(bits.shape)].tolist()))
+            writer.writerows(zip(*(columns[n] for n in names)))
     sidecar = {"config": cfg, "version": __version__, "result": meta}
     meta_path = prefix.with_suffix(".meta.json")
     meta_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")

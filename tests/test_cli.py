@@ -322,6 +322,15 @@ class TestWriteOutputs:
         write_rows(tmp_path / "want.csv", table)
         assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_blocks_equal_row_writer(self, tmp_path, monkeypatch, block):
+        """Rows formatted in blocks, a float repeated across blocks included,
+        give the bytes of the row-by-row writer."""
+        monkeypatch.setattr(floqbog.cli, "WRITE_ROWS", block)
+        csv_path, _ = write_outputs({"output": {"path": str(tmp_path / "t")}}, self.table(), {})
+        write_rows(tmp_path / "want.csv", self.table())
+        assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_signed_zeros_and_nan_kept(self, tmp_path):
         csv_path, _ = write_outputs({"output": {"path": str(tmp_path / "t")}}, self.table(), {})
         rows = read_csv(csv_path)
