@@ -19,9 +19,9 @@ import numpy as np
 from .floquet import (
     DEFAULT_STEPS,
     Propagation,
+    _cell_errors,
     branch_order,
     check_cells,
-    check_propagation,
     eig_branches,
     kgrid_solve,
     propagate,
@@ -115,7 +115,7 @@ def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()
         return np.stack([a + b, a - b])
 
     prop = propagate(sectors(h0), sectors(h1), params.omega, steps, snapshots)
-    check_propagation(prop, "chain monodromy")
+    check_cells(_cell_errors(prop, "chain monodromy", 0))
     return prop
 
 

@@ -331,16 +331,11 @@ def _cell_errors(prop: Propagation, what: str, cell_axes: int) -> np.ndarray:
 
 def check_cells(error) -> None:
     """Raise IntegrationError with the first message of a per-cell ``error``
-    array, if any: the raising form of ``solve_cells`` for callers of one cell."""
+    array, if any: the raising form of ``solve_cells`` for callers of one cell,
+    and of ``_cell_errors(prop, what, 0)`` for a batch checked as one cell."""
     failed = [e for e in np.ravel(error) if e is not None]
     if failed:
         raise IntegrationError(failed[0])
-
-
-def check_propagation(prop: Propagation, what: str) -> None:
-    """Raise IntegrationError, naming ``what``, if the whole batch taken as
-    one cell fails the checks of ``_cell_errors``."""
-    check_cells(_cell_errors(prop, what, 0))
 
 
 def _pair_conjugates(eps, zero, omega: float):

@@ -50,7 +50,6 @@ class TrackedBands:
     band.
     """
 
-    kgrid: np.ndarray
     eps: np.ndarray
     cnorm: np.ndarray
     states: np.ndarray
@@ -136,7 +135,7 @@ def _track(ks, eps, cnorm, states, omega: float, tol_im: float) -> TrackedBands:
     cn_t = np.take_along_axis(cnorm, perm, axis=1)
     st_t = np.take_along_axis(states, perm[:, :, None], axis=1)
     closure = np.abs(np.einsum("im,m,im->i", st_t[-1].conj(), sz, st_t[0]))
-    return TrackedBands(ks, eps_t, cn_t, st_t, closure, omega)
+    return TrackedBands(eps_t, cn_t, st_t, closure, omega)
 
 
 def track_bands(

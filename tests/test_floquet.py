@@ -14,7 +14,7 @@ from floqbog.floquet import (
     TOL_IM,
     IntegrationError,
     Propagation,
-    check_propagation,
+    check_cells,
     classify_arrays,
     eig_branches,
     fold,
@@ -54,7 +54,7 @@ PN = ModelParams(nu0=1.5, nu0p=0.7, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 def bloch_branches(p: ModelParams, k: float, steps: int):
     """(eps, cnorm, states, defective) of the checked Bloch monodromy at one momentum."""
     prop = propagate(*bloch_blocks(p, np.asarray(k)), p.omega, steps)
-    check_propagation(prop, f"k={k}")
+    check_cells(floquet._cell_errors(prop, f"k={k}", 0))
     return eig_branches(prop.u, p.omega)
 
 
@@ -338,8 +338,9 @@ class TestIntegrators:
         assert np.isfinite(prop.u).all()
         assert prop.step_norm[0] < MAX_STEP_NORM < prop.step_norm[1]
         with pytest.raises(IntegrationError, match="too coarse"):
-            check_propagation(prop, "test")
-        check_propagation(prop._replace(u=prop.u[:1], step_norm=prop.step_norm[:1]), "test")
+            check_cells(floquet._cell_errors(prop, "test", 0))
+        check_cells(floquet._cell_errors(
+            prop._replace(u=prop.u[:1], step_norm=prop.step_norm[:1]), "test", 0))
 
 
 class TestQuasienergies:
@@ -438,8 +439,9 @@ class TestQuasienergies:
                 assert np.allclose(np.sort(eps[i].real), np.sort(eps[j[0]].real), atol=1e-8)
 
     def test_rejects_bad_monodromy(self):
+        bad = Propagation(2.0 * np.eye(4), {}, np.zeros(()))
         with pytest.raises(IntegrationError, match="pseudo-unitarity"):
-            check_propagation(Propagation(2.0 * np.eye(4), {}, np.zeros(())), "test")
+            check_cells(floquet._cell_errors(bad, "test", 0))
 
     def test_states_normalized_to_cnorm(self):
         """Every normalizable branch state has <psi|Sigma_z|psi> = cnorm."""
