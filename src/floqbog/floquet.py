@@ -22,8 +22,8 @@ from .model import CONJUGATION, HERMITICITY_TOL, bloch_blocks, nambu_metric
 MIN_STEPS = 64
 #: smallest power of two whose quasienergy error against an adaptive DOP853
 #: oracle stays at or below that of 256 fourth-order steps, the count the
-#: recipes were validated with, on every shipped recipe shape
-#: (scripts/convergence.py; 3.8e-7 at worst, on the 201x201 fig2b plane)
+#: recipes were validated with, on every shipped recipe shape (scripts/convergence.py);
+#: |eps(64) - eps(512)| over the whole 201x201 fig2b plane is 5.7e-7 at worst
 DEFAULT_STEPS = 64
 TOL_IM = 1e-8
 #: Re eps distance, in units of omega, below which opposite-norm branches resonate
@@ -124,18 +124,6 @@ def _conjugation(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     )
 
 
-def _realify(w: np.ndarray, out: np.ndarray) -> None:
-    """Write R(W) of a complex (..., d, d) batch into the (..., d, 2, d) buffer ``out``.
-
-    Viewed as real (..., 2d, 2d), R(W) multiplies from the right in the real
-    view of complex matrices, (..., d, 2d) with Re and Im interleaved:
-    real(Z W) = real(Z) @ R(W).  Z W = Re(Z) W + Im(Z) (iW), so row 2k of R(W)
-    is row k of real(W) and row 2k + 1 is row k of real(iW).
-    """
-    out[..., 0, :] = w
-    np.multiply(w, 1j, out=out[..., 1, :])
-
-
 def _magnus_basis(m0: np.ndarray, m1: np.ndarray, shape) -> np.ndarray:
     """M0, M1 and the nested commutators a sixth-order Omega is built from.
 
@@ -221,14 +209,12 @@ def propagate(
     commutator basis and the step temporaries take bounded memory at any
     batch size; each propagator's arithmetic does not depend on the chunk.
 
-    Every matrix product of a step is real.  The real view of a complex
-    (d, d) matrix Z is (d, 2d), Re and Im interleaved, and the view of Z W is
-    that of Z times the real (2d, 2d) R(W) of ``_realify``, which numpy
-    computes faster than the complex product at every batch shape.  Omega
-    comes from one real product with the basis, the Pade numerator and
-    denominator from one with Omega, Omega^2, Omega^3 and 1, and only the
-    Pade solve is complex.  R(W) holds W and iW, with no basis change, so
-    entries that vanish stay exactly zero and U(0) is exactly 1.
+    Every product of a step is real, which numpy computes faster at every
+    batch shape: the real view of a complex (d, d) Z is (d, 2d), Re and Im
+    interleaved, and that of Z W = Re(Z) W + Im(Z) (iW) is real(Z) R(W),
+    where rows 2k and 2k + 1 of the real (2d, 2d) R(W) are row k of real(W)
+    and of real(iW).  Only the Pade solve is complex.  R(W) changes no basis,
+    so entries that vanish stay exactly zero and U(0) is exactly 1.
 
     ``steps`` must be at least MIN_STEPS.  ``snapshots`` lists step indices
     s in 0..steps at which U(s h) is recorded.  ``step_norm`` is
@@ -270,18 +256,19 @@ def propagate(
         powers[3] = eye
         pade = np.empty((2, n, d, d), dtype=complex)
         rhs = np.empty((n, d, d), dtype=complex)
-        right = np.empty((2, n, d, 2, d), dtype=complex)
+        right = np.empty((2, n, d, 2, d), dtype=complex)  # R(Omega), R(U)
         r_om, r_u = right.view(float).reshape(2, n, 2 * d, 2 * d)
         om, om2, om3 = (x.view(float) for x in powers[:3])
         u = powers[3].copy()
         seen = {0: u.copy()} if 0 in direct else {}
         for s in range(forward):
             np.matmul(weights[s], basis, out=om.reshape(-1))
-            _realify(powers[0], right[0])
+            right[0, :, :, 0] = powers[0]
+            right[1, :, :, 0] = u
+            np.multiply(right[:, :, :, 0], 1j, out=right[:, :, :, 1])
             np.matmul(om, r_om, out=om2)
             np.matmul(om2, r_om, out=om3)
             np.matmul(_PADE, powers.view(float).reshape(4, -1), out=pade.view(float).reshape(2, -1))
-            _realify(u, right[1])
             np.matmul(pade[0].view(float), r_u, out=rhs.view(float))
             u += np.linalg.solve(pade[1], rhs)
             if s + 1 == half:
@@ -331,8 +318,7 @@ def _cell_errors(prop: Propagation, what: str, cell_axes: int) -> np.ndarray:
 
 def check_cells(error) -> None:
     """Raise IntegrationError with the first message of a per-cell ``error``
-    array, if any: the raising form of ``solve_cells`` for callers of one cell,
-    and of ``_cell_errors(prop, what, 0)`` for a batch checked as one cell."""
+    array (``solve_cells``, ``_cell_errors``), if any."""
     failed = [e for e in np.ravel(error) if e is not None]
     if failed:
         raise IntegrationError(failed[0])
