@@ -30,8 +30,8 @@ from .model import ModelParams, chain_blocks
 
 #: occupation beyond which the linear Bogoliubov description is hopeless
 OVERFLOW_OCC = 1e12
-#: quasienergy distance below which midgap states are rotated as a group
-DEGENERACY_TOL = 1e-2
+#: quasienergy distance, in bulk gaps, below which midgap states are rotated as a group
+DEGENERACY_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,14 @@ def detect_midgap(
 
     Returns (indices, (left_count, right_count)).  A state qualifies with
     |Re eps| < window (default a tenth of the bulk gap) and edge weight
-    above the threshold.  Near-degenerate groups are rotated to maximally
-    one-sided combinations before counting sides, since the diagonalizer
-    returns arbitrary (often cat-like) superpositions of left and right.
+    above the threshold.  Groups within DEGENERACY_TOL bulk gaps are rotated
+    to maximally one-sided combinations before counting sides, since the
+    diagonalizer returns arbitrary (often cat-like) superpositions of left
+    and right.
     """
     if window is None:
         window = 0.1 * spectrum.bulk_gap
+    tol = DEGENERACY_TOL * spectrum.bulk_gap
     eps = spectrum.eps
     idx = [
         i
@@ -198,8 +200,8 @@ def detect_midgap(
     left = right = 0
     remaining = sorted(idx, key=lambda i: (eps[i].real, eps[i].imag))
     while remaining:
-        head = remaining[0]
-        group = [i for i in remaining if abs(eps[i] - eps[head]) < DEGENERACY_TOL]
+        head, *rest = remaining
+        group = [head, *(i for i in rest if abs(eps[i] - eps[head]) < tol)]  # even at tol 0
         remaining = [i for i in remaining if i not in group]
         balance = _side_balance(spectrum.states[group])
         left += int((balance > 0).sum())

@@ -37,7 +37,7 @@ DEFECT_OVERLAP = 1.0 - 1e-8
 MAX_STEP_NORM = 1.0
 #: pseudo-unitarity residual above which a propagator is rejected
 TOL_RESIDUAL = 1e-4
-#: propagators ``propagate`` integrates together, which bounds its temporaries
+#: propagators per ``solve_cells`` chunk (whole cells, at least one); bounds every stage
 CHUNK = 2048
 #: weights of Omega, Omega^2, Omega^3 and 1 in the Pade numerator and denominator
 _PADE = np.array([[1.0, 0.0, 1.0 / 60.0, 0.0], [-0.5, 0.1, -1.0 / 120.0, 1.0]])
@@ -171,12 +171,13 @@ def propagate(
     """Propagate i dU/dt = Sigma_z (H0 + H1 cos(omega t)) U over one period.
 
     h0, h1 have shape (..., d, d) and broadcast against each other; the
-    leading axes are batched so a whole k-grid or drive plane integrates
-    in one pass.  Each of the ``steps`` equal steps h is the sixth-order
-    Magnus step on the three Gauss-Legendre nodes of the step (Blanes,
-    Casas & Ros, BIT 40, 434 (2000)): with A = -i Sigma_z H, A_i its value
-    at node i, alpha1 = h A2, alpha2 = (sqrt(15) h/3)(A3 - A1) and
-    alpha3 = (10 h/3)(A3 - 2 A2 + A1),
+    leading axes are batched and integrate in one pass, whose temporaries
+    grow with the batch (``solve_cells`` hands over CHUNK at a time), and
+    no propagator's arithmetic depends on the rest of the batch.  Each of
+    the ``steps`` equal steps h is the sixth-order Magnus step on the three
+    Gauss-Legendre nodes of the step (Blanes, Casas & Ros, BIT 40, 434
+    (2000)): with A = -i Sigma_z H, A_i its value at node i, alpha1 = h A2,
+    alpha2 = (sqrt(15) h/3)(A3 - A1) and alpha3 = (10 h/3)(A3 - 2 A2 + A1),
 
         C1 = [alpha1, alpha2],  C2 = -[alpha1, 2 alpha3 + C1]/60,
         Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
@@ -205,10 +206,6 @@ def propagate(
     the second-half snapshots.  This equals the full-period product of the
     same steps up to round-off.
 
-    The flattened batch is integrated CHUNK propagators at a time, so the
-    commutator basis and the step temporaries take bounded memory at any
-    batch size; each propagator's arithmetic does not depend on the chunk.
-
     Every product of a step is real, which numpy computes faster at every
     batch shape: the real view of a complex (d, d) Z is (d, 2d), Re and Im
     interleaved, and that of Z W = Re(Z) W + Im(Z) (iW) is real(Z) R(W),
@@ -236,52 +233,42 @@ def propagate(
     sz = nambu_metric(d)[:, None]
     h = 2.0 * math.pi / omega / steps
     norms = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
-    step_norm = np.broadcast_to(h * norms, shape[:-2])
     half = steps // 2
     forward = steps - half
     weights = _magnus_coefficients(omega, h, forward)
-    eye = np.eye(d)
     direct = {s if s <= forward else steps - s for s in record}
     rows, cols = perm[:, None], perm
-    batch = shape[:-2] or (1,)
-    h0, h1 = (np.broadcast_to(x, (*batch, d, d)) for x in (h0, h1))
-    u_t = np.empty(shape, dtype=complex)
-    snaps = {s: np.empty(shape, dtype=complex) for s in record}
-    for start in range(0, math.prod(batch), CHUNK):
-        part = np.unravel_index(np.arange(start, min(start + CHUNK, math.prod(batch))), batch)
-        n = len(part[0])
-        basis = _magnus_basis(-1j * sz * h0[part], -1j * sz * h1[part], (n, d, d))
-        basis = basis.view(float).reshape(8, -1)
-        powers = np.empty((4, n, d, d), dtype=complex)  # Omega, Omega^2, Omega^3, 1
-        powers[3] = eye
-        pade = np.empty((2, n, d, d), dtype=complex)
-        rhs = np.empty((n, d, d), dtype=complex)
-        right = np.empty((2, n, d, 2, d), dtype=complex)  # R(Omega), R(U)
-        r_om, r_u = right.view(float).reshape(2, n, 2 * d, 2 * d)
-        om, om2, om3 = (x.view(float) for x in powers[:3])
-        u = powers[3].copy()
-        seen = {0: u.copy()} if 0 in direct else {}
-        for s in range(forward):
-            np.matmul(weights[s], basis, out=om.reshape(-1))
-            right[0, :, :, 0] = powers[0]
-            right[1, :, :, 0] = u
-            np.multiply(right[:, :, :, 0], 1j, out=right[:, :, :, 1])
-            np.matmul(om, r_om, out=om2)
-            np.matmul(om2, r_om, out=om3)
-            np.matmul(_PADE, powers.view(float).reshape(4, -1), out=pade.view(float).reshape(2, -1))
-            np.matmul(pade[0].view(float), r_u, out=rhs.view(float))
-            u += np.linalg.solve(pade[1], rhs)
-            if s + 1 == half:
-                u_half = u.copy()
-            if s + 1 in direct:
-                seen[s + 1] = u.copy()
-        u = (sz * np.swapaxes(u_half, -1, -2) * sz.T)[..., rows, cols] @ u
-        u_t.reshape(-1, d, d)[start:start + len(u)] = u
-        for s, snap in snaps.items():
-            snap.reshape(-1, d, d)[start:start + len(u)] = (
-                seen[s] if s <= forward else seen[steps - s][..., rows, cols].conj() @ u
-            )
-    return Propagation(u_t, snaps, step_norm)
+    n = math.prod(shape[:-2])
+    h0, h1 = (np.broadcast_to(x, shape).reshape(n, d, d) for x in (h0, h1))
+    basis = _magnus_basis(-1j * sz * h0, -1j * sz * h1, (n, d, d)).view(float).reshape(8, -1)
+    powers = np.empty((4, n, d, d), dtype=complex)  # Omega, Omega^2, Omega^3, 1
+    powers[3] = np.eye(d)
+    pade = np.empty((2, n, d, d), dtype=complex)
+    rhs = np.empty((n, d, d), dtype=complex)
+    right = np.empty((2, n, d, 2, d), dtype=complex)  # R(Omega), R(U)
+    r_om, r_u = right.view(float).reshape(2, n, 2 * d, 2 * d)
+    om, om2, om3 = (x.view(float) for x in powers[:3])
+    u = powers[3].copy()
+    seen = {0: u.copy()} if 0 in direct else {}
+    for s in range(forward):
+        np.matmul(weights[s], basis, out=om.reshape(-1))
+        right[0, :, :, 0] = powers[0]
+        right[1, :, :, 0] = u
+        np.multiply(right[:, :, :, 0], 1j, out=right[:, :, :, 1])
+        np.matmul(om, r_om, out=om2)
+        np.matmul(om2, r_om, out=om3)
+        np.matmul(_PADE, powers.view(float).reshape(4, -1), out=pade.view(float).reshape(2, -1))
+        np.matmul(pade[0].view(float), r_u, out=rhs.view(float))
+        u += np.linalg.solve(pade[1], rhs)
+        if s + 1 == half:
+            u_half = u.copy()
+        if s + 1 in direct:
+            seen[s + 1] = u.copy()
+    u = (sz * np.swapaxes(u_half, -1, -2) * sz.T)[..., rows, cols] @ u
+    snaps = {s: seen[s] if s <= forward else seen[steps - s][..., rows, cols].conj() @ u
+             for s in record}
+    return Propagation(u.reshape(shape), {s: x.reshape(shape) for s, x in snaps.items()},
+                       np.broadcast_to(h * norms, shape[:-2]))
 
 
 def sympl_residual(u) -> np.ndarray:
@@ -452,21 +439,33 @@ def classify_arrays(eps, cnorm, omega: float, tol_im: float):
     return np.where(unstable, 2, np.where(marginal, 1, 0))
 
 
-def solve_cells(prop: Propagation, what: str, cell_axes: int, solve) -> np.ndarray:
-    """The per-cell failure rule: runs ``solve(cells)``, the eigensolve of
-    ``prop.u[cells]``, once on the mask of the cells that pass ``_cell_errors``
-    and returns the error array.  If that raises LinAlgError, each cell is retried
-    alone, and those failing again get ``eigensolver failed: ...``."""
-    error = _cell_errors(prop, what, cell_axes)
-    ok = np.equal(error, None)
-    try:
-        solve(ok)
-    except np.linalg.LinAlgError:
-        for cell in map(tuple, np.argwhere(ok)):
-            try:
-                solve(cell)
-            except np.linalg.LinAlgError as exc:
-                error[cell] = f"eigensolver failed: {exc}"
+def solve_cells(h0, h1, omega: float, steps: int, what: str, solve) -> np.ndarray:
+    """The one loop over cells: returns the (cells,) error array of the failure rule.
+
+    Axis 0 of the broadcast (cells, ..., d, d) blocks indexes the cells; the
+    other batch axes hold a cell's members (a k-grid point's momenta).  Each
+    chunk of max(1, CHUNK // members) cells is integrated, checked
+    (``_cell_errors``) and eigensolved by ``solve(at, u)`` on its passing
+    cells' indices and propagators.  If that raises LinAlgError, the chunk's
+    cells are retried one at a time (``at`` an int, ``u`` with no cell axis),
+    and those failing again get ``eigensolver failed: ...``."""
+    shape = np.broadcast_shapes(np.shape(h0), np.shape(h1))
+    h0, h1 = (np.broadcast_to(h, shape) for h in (h0, h1))
+    size = max(1, CHUNK // math.prod(shape[1:-2]))
+    error = np.empty(shape[0], dtype=object)
+    for start in range(0, shape[0], size):
+        cells = slice(start, start + size)
+        prop = propagate(h0[cells], h1[cells], omega, steps)
+        error[cells] = _cell_errors(prop, what, 1)
+        ok = np.flatnonzero(np.equal(error[cells], None))
+        try:
+            solve(start + ok, prop.u[ok])
+        except np.linalg.LinAlgError:
+            for i in ok:
+                try:
+                    solve(start + i, prop.u[i])
+                except np.linalg.LinAlgError as exc:
+                    error[start + i] = f"eigensolver failed: {exc}"
     return error
 
 
@@ -476,7 +475,7 @@ def kgrid_solve(points, nk: int, steps: int = DEFAULT_STEPS):
     Returns (ks, eps, cnorm, states, error) shaped (nk,), (P, nk, 4), (P, nk, 4),
     (P, nk, 4, 4) and (P,), branch vectors along the last axis.  Each point is
     one cell of ``solve_cells`` (NaN eps and states if it fails); points sharing
-    omega share one ``propagate`` call.  Only k >= 0 is integrated: H_{-k} =
+    omega share one ``solve_cells`` loop.  Only k >= 0 is integrated: H_{-k} =
     C H_k C with C = CONJUGATION for every parameter set, so U_{-k} = C U_k C,
     and -k takes the eps and cnorm of k and C times its states.
     """
@@ -489,13 +488,11 @@ def kgrid_solve(points, nk: int, steps: int = DEFAULT_STEPS):
     for omega in dict.fromkeys(p.omega for p in points):
         group = np.array([i for i, p in enumerate(points) if p.omega == omega])
         h0, h1 = (np.stack(b) for b in zip(*(bloch_blocks(points[i], ks[half]) for i in group)))
-        prop = propagate(h0, h1, omega, steps)
 
-        def solve(cells):
-            at = group[cells]
-            eps[at], cnorm[at], states[at], _ = eig_branches(prop.u[cells], omega)
+        def solve(at, u):
+            eps[group[at]], cnorm[group[at]], states[group[at]], _ = eig_branches(u, omega)
 
-        error[group] = solve_cells(prop, "k-grid", 1, solve)
+        error[group] = solve_cells(h0, h1, omega, steps, "k-grid", solve)
     states = states[:, take]
     mirrored = half[take] != np.arange(nk)
     states[:, mirrored] = states[:, mirrored][..., _BLOCH_C]

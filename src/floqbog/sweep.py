@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .effective import effective_spectrum, resolve_indices
-from .floquet import DEFAULT_STEPS, TOL_IM, mirror_half, propagate, quasienergies, solve_cells
+from .floquet import DEFAULT_STEPS, TOL_IM, mirror_half, quasienergies, solve_cells
 from .model import ModelParams, field_matrix, static_block
 from .topology import evaluate_points
 
@@ -38,8 +38,8 @@ def stability_grid(
     ``hx1`` and ``hy1`` are the two axes; the table has the fields hx1, hy1,
     verdict, max_im and error.  Valid as a chain diagnostic when the static
     field is k-independent (nu0p = 0), in which case every momentum of the
-    full model lands on some point of this plane.  All cells integrate in
-    one batched pass and only their eigenvalues are computed: a cell is
+    full model lands on some point of this plane.  Cells integrate in
+    chunks (``solve_cells``) and only their eigenvalues are computed: a cell is
     Unstable when any |Im eps| exceeds ``tol_im``, and max_im is its largest
     Im eps (``quasienergies``, unpaired).  A cell that fails ``solve_cells``
     is Unstable with NaN max_im and carries the message in its ``error``.
@@ -64,16 +64,15 @@ def stability_grid(
         mirror_half(a) if mirrored else (np.arange(len(a)),) * 2 for a in (hy1, hx1)
     )
     x, y = np.meshgrid(np.asarray(hx1)[cols], np.asarray(hy1)[rows])  # (rows, cols)
-    h1 = field_matrix(x, y)
-    prop = propagate(static_block(*static_field, mu, g), h1, omega, steps)
-    eps = np.full(prop.u.shape[:-1], complex(np.nan, np.nan))
+    eps = np.full((x.size, 4), complex(np.nan, np.nan))
 
-    def solve(cells):
-        eps[cells] = quasienergies(prop.u[cells], omega)
+    def solve(at, u):
+        eps[at] = quasienergies(u, omega)
 
-    error = solve_cells(prop, "drive plane", 2, solve)
+    h1 = field_matrix(x, y).reshape(-1, 4, 4)
+    error = solve_cells(static_block(*static_field, mu, g), h1, omega, steps, "drive plane", solve)
     unstable = ~np.equal(error, None) | (np.abs(eps.imag) > tol_im).any(axis=-1)
-    fill = np.ix_(fill_rows, fill_cols)
+    fill = (fill_rows[:, None] * len(cols) + fill_cols).ravel()
     verdict = np.where(unstable, "Unstable", "Stable")[fill]
     x, y = np.meshgrid(hx1, hy1)  # (n2, n1)
     return np.rec.fromarrays(

@@ -75,7 +75,7 @@ def winding_undriven(params: ModelParams, nk: int = 256) -> int:
     """
     hx, hy = static_fields(params, kgrid(nk))
     h = hx + 1j * hy
-    if np.abs(h).min() < 1e-9:
+    if np.abs(h).min() <= 1e-9 * np.abs(h).max():  # relative, so h = 0 is refused too
         raise InvariantUndefinedError(
             "winding undefined at degeneracy: the static field vanishes on the grid"
         )

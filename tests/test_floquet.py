@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqbog import floquet
-from floqbog.dynamics import _chain_propagation, _mirror_halves
+from floqbog.dynamics import _mirror_halves
 from floqbog.floquet import (
     DEFAULT_STEPS,
     MAX_STEP_NORM,
@@ -35,6 +36,7 @@ from floqbog.model import (
     nambu_metric,
     static_block,
 )
+from floqbog.sweep import stability_grid
 from floqbog.topology import evaluate_points
 
 from helpers import (
@@ -253,32 +255,35 @@ class TestIntegrators:
             propagate(h0, h1, PA.omega, 64, snapshots=(65,))
 
     @pytest.mark.parametrize("case, chunk", [
-        ("k-grid", 7), ("k-grid", 1), ("drive-plane", 7), ("chain", 1),
+        ("k-grid", 7), ("k-grid", 1), ("k-grid", 20), ("drive-plane", 7), ("drive-plane", 1),
     ])
     def test_chunks_equal_whole_batch(self, monkeypatch, case, chunk):
-        """U(T), every snapshot and the step norms are bitwise those of the
-        batch integrated whole, however it is split into chunks: a two-point
-        k-grid, a drive plane with a broadcast H0, and the chain's sectors."""
-        marks = (0, 20, 32, 33, 51, 64)
+        """The eps, cnorm, states and error of every cell are bitwise those of
+        one whole-batch chunk, however ``solve_cells`` splits the cells: a
+        k-grid of points at two omega with 9 momenta per point (chunks of one
+        point when CHUNK is below 9, of two at 20), and a mirrored drive plane
+        with a broadcast H0.  One point and one plane column are too coarse."""
         if case == "k-grid":
-            h0, h1 = (np.stack(b) for b in zip(*(bloch_blocks(p, kgrid(16)) for p in (PA, PN))))
-        elif case == "drive-plane":
-            x, y = np.meshgrid(np.linspace(-9.0, 9.0, 5), np.linspace(-6.0, 6.0, 4))
-            h0, h1 = static_block(1.5, 0.7, -5.0, 1.0), field_matrix(x, y)
+            points = [PA, replace(PN, omega=6.0), PN, replace(PA, nu1=1e4), replace(PB, omega=6.0)]
 
-        def run():
-            if case == "chain":
-                return _chain_propagation(PA, 9, 64, marks)
-            return propagate(h0, h1, PA.omega, 64, snapshots=marks)
+            def run():
+                return kgrid_solve(points, 16, 64)[1:]
+        else:
+            def run():
+                table = stability_grid((-1.5, 0.0), 5.2, -5.0, 1.0,
+                                       np.array([-9.0, -4.0, 0.0, 4.0, 9.0, 1e4]),
+                                       np.linspace(-6.0, 6.0, 5), steps=64)
+                return table.max_im, table.verdict, table.error
 
         whole = run()
-        assert chunk < whole.step_norm.size < floquet.CHUNK  # one chunk, then several
         monkeypatch.setattr(floquet, "CHUNK", chunk)
         chunked = run()
-        for got, want in [(chunked.u, whole.u), (chunked.step_norm, whole.step_norm),
-                          *((chunked.snapshots[s], whole.snapshots[s]) for s in marks)]:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert sorted(chunked.snapshots) == list(marks)
+        for got, want in zip(chunked, whole):
+            assert got.shape == want.shape
+            assert got.tolist() == want.tolist() if got.dtype == object else (
+                got.tobytes() == want.tobytes())
+        errors = [e for e in whole[-1] if e is not None]
+        assert errors and all("too coarse" in e for e in errors)
 
     @pytest.mark.parametrize("case", ["k-grid", "drive-plane", "chain"])
     def test_matches_complex_products(self, case):

@@ -7,7 +7,15 @@ import pytest
 
 from floqbog import floquet, sweep
 from floqbog.cli import _axis
-from floqbog.floquet import TOL_IM, classify_arrays, eig_branches, kgrid, mirror_half, propagate
+from floqbog.floquet import (
+    TOL_IM,
+    classify_arrays,
+    eig_branches,
+    kgrid,
+    kgrid_solve,
+    mirror_half,
+    propagate,
+)
 from floqbog.model import I2, SX, ModelParams, drive_amplitudes, field_matrix
 from floqbog.sweep import effective_phase_overlay, phase_diagram, stability_grid
 from floqbog.topology import evaluate_points, scan_path
@@ -40,18 +48,22 @@ def direct(static_field, hx1, hy1, steps):
     return np.array(verdict), np.array(max_im)
 
 
-def fifth_cell_fails(monkeypatch, module, name, batch_ndim):
-    """Make every call of the eigen function ``module.name`` on a whole batch
-    (``batch_ndim`` dimensions) fail, and its fifth retry of a single cell too;
-    returns the list of cell retries."""
+def fifth_cell_fails(monkeypatch, module, name, batch_ndim, chunk=None, retry=5):
+    """Make calls of the eigen function ``module.name`` on a batch of cells
+    (``batch_ndim`` dimensions) fail, every one or only call number ``chunk``
+    (from 1), and its ``retry``-th retry of a single cell too; returns the
+    list of cell retries."""
     real = getattr(module, name)
-    single_calls = []
+    batch_calls, single_calls = [], []
 
     def flaky(u, omega):
         if np.ndim(u) == batch_ndim:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            batch_calls.append(u)
+            if chunk in (None, len(batch_calls)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(u, omega)
         single_calls.append(u)
-        if len(single_calls) == 5:
+        if len(single_calls) == retry:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real(u, omega)
 
@@ -62,20 +74,23 @@ def fifth_cell_fails(monkeypatch, module, name, batch_ndim):
 def eig_oracle(monkeypatch, static_field, hx1, hy1, steps):
     """The plane, and the verdict and max_im of each of its cells from
     ``eig_branches`` and ``classify_arrays`` of the propagator the plane
-    integrated for it (its own, or its mirror's when hy0 = 0)."""
+    integrated for it (its own, or its mirror's when hy0 = 0), from the flat
+    batch of integrated cells, hx1 fastest."""
     props = []
 
     def spy(*args):
         props.append(propagate(*args))
         return props[-1]
 
-    monkeypatch.setattr(sweep, "propagate", spy)
+    monkeypatch.setattr(floquet, "propagate", spy)
     table = stability_grid(static_field, 5.2, -5.0, 1.0, hx1, hy1, steps=steps)
     (prop,) = props
     eps, cnorm, _, _ = eig_branches(prop.u, 5.2)
     codes = classify_arrays(eps, cnorm, 5.2, TOL_IM)
     if static_field[1] == 0.0:
-        fill = np.ix_(mirror_half(hy1)[1], mirror_half(hx1)[1])
+        (rows, fill_rows), (cols, fill_cols) = mirror_half(hy1), mirror_half(hx1)
+        eps, codes = eps.reshape(len(rows), len(cols), 4), codes.reshape(len(rows), len(cols))
+        fill = np.ix_(fill_rows, fill_cols)
         codes, eps = codes[fill], eps[fill]
     verdict = np.where(codes == 2, "Unstable", "Stable")
     return table, verdict.ravel(), eps.imag.max(axis=-1).ravel()
@@ -214,9 +229,9 @@ class TestStabilityGrid:
             batches.append(np.shape(h1)[:-2])
             return propagate(h0, h1, *args)
 
-        monkeypatch.setattr(sweep, "propagate", spy)
+        monkeypatch.setattr(floquet, "propagate", spy)
         table = stability_grid(static_field, 5.2, -5.0, 1.0, hx1, hy1, steps=256)
-        assert batches == [shape]
+        assert batches == [(math.prod(shape),)]  # one flat chunk of cells
         verdict, max_im = direct(static_field, hx1, hy1, 256)
         assert table.verdict.tolist() == verdict.tolist()
         assert np.abs(table.max_im - max_im).max() < 1e-12
@@ -304,6 +319,22 @@ class TestStabilityGrid:
         assert retries == 6
         assert [(got[i].hx1, got[i].hy1) for i in (1, 7)] == [(-4.0, -4.0), (-4.0, 4.0)]
         self._only_bad(want, got, [1, 7])
+
+    @pytest.mark.parametrize("hy1, bad", [
+        (np.linspace(-4.0, 6.0, 3), [4]),
+        (np.linspace(-4.0, 4.0, 3), [1, 7]),
+    ], ids=["unmirrored", "mirrored"])
+    def test_eigensolver_failure_in_a_later_chunk(self, monkeypatch, hy1, bad):
+        """With three cells per chunk the fifth solved cell is the second of
+        the second chunk: only that chunk's eig fails and only its three
+        cells are retried; the fifth cell (and its mirror) alone errors."""
+        axes = np.linspace(-8.0, 0.0, 3), hy1
+        want = plane(*axes, 256)
+        monkeypatch.setattr(floquet, "CHUNK", 3)
+        retries = fifth_cell_fails(monkeypatch, sweep, "quasienergies", 3, chunk=2, retry=2)
+        got = plane(*axes, 256)
+        assert len(retries) == 3
+        self._only_bad(want, got, bad)
 
     def test_gamma_points_match_global_verdict(self):
         """Cells on the drive curve agree with the full-chain stability scan."""
@@ -401,12 +432,66 @@ class TestBatchedPoints:
         retries = fifth_cell_fails(monkeypatch, floquet, "eig_branches", 4)
         got = self.DRIVERS[driver]()
         assert len(retries) == len(got)
+        self._only_fifth(driver, want, got)
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_eigensolver_failure_in_a_later_chunk(self, monkeypatch, driver):
+        """With two points (2 x 33 momenta) per chunk the fifth point opens
+        the third chunk: only that chunk's eig fails and only its two points
+        are retried; the fifth point alone errors."""
+        want = self.DRIVERS[driver]()
+        monkeypatch.setattr(floquet, "CHUNK", 66)
+        retries = fifth_cell_fails(monkeypatch, floquet, "eig_branches", 4, chunk=3, retry=1)
+        got = self.DRIVERS[driver]()
+        assert len(retries) == 2
+        self._only_fifth(driver, want, got)
+
+    @staticmethod
+    def _only_fifth(driver, want, got):
         bad = got[4]
         assert bad.error == "eigensolver failed: Eigenvalues did not converge"
         assert math.isnan(bad.max_im) and bad.ws is None
         assert not bad.stable if driver == "scan" else bad.verdict == "Unstable"
         rest = np.arange(len(got)) != 4
         assert got[rest].tolist() == want[rest].tolist()
+
+
+class TestChunks:
+    """``solve_cells`` hands each stage at most CHUNK propagators, or one cell's."""
+
+    RUNS = {  # the run and the propagators of one of its cells
+        "plane": (lambda: plane(np.linspace(-15.0, 9.0, 25), np.linspace(-12.0, 12.0, 25), 64), 1),
+        "k-grid": (lambda: kgrid_solve([PA, replace(PA, omega=6.0), replace(PA, mu=-4.9),
+                                        replace(PA, nu1p=6.0)], 64, 64), 33),
+        "scan": (TestBatchedPoints.DRIVERS["scan"], 33),
+    }
+
+    @pytest.mark.parametrize("chunk", [20, 70])
+    @pytest.mark.parametrize("run", RUNS)
+    def test_no_call_exceeds_a_chunk(self, monkeypatch, run, chunk):
+        """No call of ``propagate``, ``eig_branches`` or ``quasienergies``
+        gets more propagators than CHUNK, or than one cell has when that is
+        more (33 momenta of a k-grid point at nk 64)."""
+        sizes = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                blocks = args[:2] if name == "propagate" else args[:1]
+                sizes.append((name, math.prod(np.broadcast_shapes(*map(np.shape, blocks))[:-2])))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in [(floquet, "propagate"), (floquet, "eig_branches"),
+                             (sweep, "quasienergies")]:
+            spy(module, name)
+        monkeypatch.setattr(floquet, "CHUNK", chunk)
+        run, members = self.RUNS[run]
+        run()
+        assert max(n for _, n in sizes) <= max(chunk, members)
+        assert sum(name == "propagate" for name, _ in sizes) > 1
 
 
 class TestEffectiveOverlay:

@@ -15,7 +15,12 @@ import pytest
 from floqbog.dynamics import chain_spectrum, detect_midgap, evolve_vacuum, growth_rate_fit
 from floqbog.model import ModelParams
 from floqbog.sweep import stability_grid
-from floqbog.topology import evaluate_points, symplectic_winding
+from floqbog.topology import (
+    InvariantUndefinedError,
+    evaluate_points,
+    symplectic_winding,
+    winding_undriven,
+)
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PC = replace(PA, nu1p=6.0)
@@ -57,3 +62,14 @@ def test_scale_covariance(unscaled, s):
     assert got["rate"] == pytest.approx(unscaled["rate"], rel=1e-9, abs=0.0)
     for key in ("bulk_gap", "max_im_fig1c"):
         assert got[key] == pytest.approx(unscaled[key], rel=1e-12, abs=0.0), key
+
+
+def test_undriven_winding_at_small_scale():
+    """A W = 1 static chain keeps its winding with every energy scaled by
+    1e-10: the vanishing-field floor is relative to max |h|.  A field that
+    is zero everywhere is still refused."""
+    topo = ModelParams(nu0=1.0, nu0p=2.0, nu1=0.0, nu1p=0.0, mu=0.0, omega=5.2, g=0.0)
+    tiny = ModelParams(**{f.name: 1e-10 * getattr(topo, f.name) for f in fields(topo)})
+    assert winding_undriven(topo) == winding_undriven(tiny) == 1
+    with pytest.raises(InvariantUndefinedError, match="static field vanishes"):
+        winding_undriven(replace(topo, nu0=0.0, nu0p=0.0))
