@@ -487,12 +487,12 @@ def kgrid_solve(points, nk: int, steps: int = DEFAULT_STEPS):
     error = np.empty(len(points), dtype=object)
     for omega in dict.fromkeys(p.omega for p in points):
         group = np.array([i for i, p in enumerate(points) if p.omega == omega])
-        h0, h1 = (np.stack(b) for b in zip(*(bloch_blocks(points[i], ks[half]) for i in group)))
 
         def solve(at, u):
             eps[group[at]], cnorm[group[at]], states[group[at]], _ = eig_branches(u, omega)
 
-        error[group] = solve_cells(h0, h1, omega, steps, "k-grid", solve)
+        blocks = (bloch_blocks(points[i], ks[half]) for i in group)  # stacked for the call only
+        error[group] = solve_cells(*map(np.stack, zip(*blocks)), omega, steps, "k-grid", solve)
     states = states[:, take]
     mirrored = half[take] != np.arange(nk)
     states[:, mirrored] = states[:, mirrored][..., _BLOCH_C]

@@ -69,8 +69,8 @@ def stability_grid(
     def solve(at, u):
         eps[at] = quasienergies(u, omega)
 
-    h1 = field_matrix(x, y).reshape(-1, 4, 4)
-    error = solve_cells(static_block(*static_field, mu, g), h1, omega, steps, "drive plane", solve)
+    error = solve_cells(static_block(*static_field, mu, g), field_matrix(x, y).reshape(-1, 4, 4),
+                        omega, steps, "drive plane", solve)  # blocks freed before the table
     unstable = ~np.equal(error, None) | (np.abs(eps.imag) > tol_im).any(axis=-1)
     fill = (fill_rows[:, None] * len(cols) + fill_cols).ravel()
     verdict = np.where(unstable, "Unstable", "Stable")[fill]
