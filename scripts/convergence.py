@@ -77,7 +77,8 @@ def solve_batch(h0, h1, omega: float, steps: int):
     """eps, cnorm, pseudo-unitarity residual and step norm h (|H0| + |H1|) of
     every propagator of a batch, integrated and solved chunk by chunk
     (``solve_cells``, one propagator per cell)."""
-    shape = np.broadcast_shapes(np.shape(h0), np.shape(h1))
+    h0, h1 = np.broadcast_arrays(h0, h1)
+    shape = h0.shape
     eps = np.empty(shape[:-1], dtype=complex)
     cnorm = np.empty(shape[:-1], dtype=int)
     residual = np.empty(shape[0])
@@ -86,7 +87,8 @@ def solve_batch(h0, h1, omega: float, steps: int):
         eps[at], cnorm[at], _, _ = eig_branches(u, omega)
         residual[at] = sympl_residual(u)
 
-    check_cells(solve_cells(h0, h1, omega, steps, "convergence", record))
+    check_cells(solve_cells(lambda cells: (h0[cells], h1[cells]), shape[:-2], omega, steps,
+                            "convergence", record))
     norms = [np.abs(np.asarray(h, dtype=complex)).sum(axis=-1).max(axis=-1) for h in (h0, h1)]
     return eps, cnorm, residual, 2.0 * math.pi / omega / steps * (norms[0] + norms[1])
 

@@ -128,13 +128,18 @@ def _magnus_basis(m0: np.ndarray, m1: np.ndarray, shape) -> np.ndarray:
     """M0, M1 and the nested commutators a sixth-order Omega is built from.
 
     Rows of the returned (8, *shape) array: M0, M1, K = [M0, M1], [M0, K],
-    [M1, K], [M0, [M0, K]], [M0, [M1, K]] = [M1, [M0, K]] and [M1, [M1, K]].
+    [M1, K], [M0, [M0, K]], [M0, [M1, K]] = [M1, [M0, K]] and [M1, [M1, K]];
+    each [A, B] = A B - B A is formed by two real products (``propagate``).
     """
     basis = np.empty((8, *shape), dtype=complex)
     basis[0], basis[1] = m0, m1
+    right = np.empty((2, *shape[:-1], 2, shape[-1]), dtype=complex)  # R(B), R(A)
+    real = right.view(float).reshape(2, *shape[:-2], 2 * shape[-1], 2 * shape[-1])
     for out, a, b in ((2, 0, 1), (3, 0, 2), (4, 1, 2), (5, 0, 3), (6, 0, 4), (7, 1, 4)):
-        np.matmul(basis[a], basis[b], out=basis[out])
-        basis[out] -= basis[b] @ basis[a]
+        right[0, ..., 0, :], right[1, ..., 0, :] = basis[b], basis[a]
+        np.multiply(right[..., 0, :], 1j, out=right[..., 1, :])
+        np.matmul(basis[a].view(float), real[0], out=basis[out].view(float))
+        basis[out] -= (basis[b].view(float) @ real[1]).view(complex)
     return basis
 
 
@@ -364,9 +369,30 @@ def _log_eps(lam, omega: float) -> np.ndarray:
     return fold(-pref * np.angle(lam), omega) + 1j * pref * np.log(np.abs(lam))
 
 
+def real_form(u):
+    """(Re(V+ U V), V): a real matrix similar to each monodromy U of a batch, and V.
+
+    H commutes with the Nambu swap S (pairing g 1, equal particle and hole
+    blocks), so with C of ``_conjugation``, Q = S C gives Q U* Q = U, (QK)^2 = 1
+    (Colpa, Physica A 93, 327 (1978)), and V+ U V is real for V with columns
+    (e_i + e_Q(i))/sqrt2 and i (e_i - e_Q(i))/sqrt2 over the particles i.  Q is
+    S C (C = CONJUGATION, 4x4) or S; ValueError if |Im(V+ U V)| > 1e-10 max |U| for both."""
+    u = np.ascontiguousarray(u, dtype=complex)
+    n = u.shape[-1] // 2
+    swap = np.roll(np.arange(2 * n), n)
+    tol = 1e-10 * np.abs(u).max(initial=0.0)
+    for q in [_BLOCH_C[swap], swap] if n == 2 else [swap]:
+        v = np.kron([[1, 1j], [1, -1j]], np.eye(n) / math.sqrt(2.0))[np.argsort(np.r_[:n, q[:n]])]
+        x = u.view(float) @ np.stack([v, 1j * v], 1).view(float).reshape(4 * n, -1)  # U V
+        s, t = ((x[..., :n, :] + sign * x[..., q[:n], :]) / math.sqrt(2.0) for sign in (1, -1))
+        if max(np.abs(a).max(initial=0.0) for a in (s[..., 1::2], t[..., ::2])) <= tol:
+            return np.concatenate([s[..., ::2], t[..., 1::2]], axis=-2), v  # V+ U V = [s; -i t]
+    raise ValueError("no real form: Q U* Q != U for Q = S C (C = 1 (x) sx for 4x4) and Q = S")
+
+
 def quasienergies(u, omega: float) -> np.ndarray:
     """The eps of ``eig_branches`` from eigenvalues alone, unpaired and unsorted."""
-    return _log_eps(np.linalg.eigvals(u), omega)
+    return _log_eps(np.linalg.eigvals(real_form(u)[0]), omega)
 
 
 def eig_branches(u, omega: float):
@@ -375,7 +401,7 @@ def eig_branches(u, omega: float):
     Parameters
     ----------
     u : (..., d, d) complex
-        Pseudo-unitary propagators.
+        Pseudo-unitary propagators, eigensolved in their ``real_form``.
     omega : drive frequency used for the folding window.
 
     Returns
@@ -393,13 +419,14 @@ def eig_branches(u, omega: float):
         Euclidean norm
     defective : (..., d) bool, True where eigenvectors nearly coalesce
     """
-    u = np.asarray(u, dtype=complex)
-    lam, vec = np.linalg.eig(u)
+    form, v = real_form(u)
+    lam, vec = np.linalg.eig(form)
+    vec = np.swapaxes(np.tensordot(vec, v, axes=(-2, 1)), -1, -2)  # V w
     eps = _log_eps(lam, omega)
 
     # near-parallel eigenvectors signal a defective (non-diagonalizable) U
     gram = np.abs(np.swapaxes(vec.conj(), -1, -2) @ vec)
-    d = u.shape[-1]
+    d = vec.shape[-1]
     gram[..., np.arange(d), np.arange(d)] = 0.0
     defective = (gram > DEFECT_OVERLAP).any(axis=-1)
 
@@ -439,23 +466,20 @@ def classify_arrays(eps, cnorm, omega: float, tol_im: float):
     return np.where(unstable, 2, np.where(marginal, 1, 0))
 
 
-def solve_cells(h0, h1, omega: float, steps: int, what: str, solve) -> np.ndarray:
+def solve_cells(blocks, shape, omega: float, steps: int, what: str, solve) -> np.ndarray:
     """The one loop over cells: returns the (cells,) error array of the failure rule.
 
-    Axis 0 of the broadcast (cells, ..., d, d) blocks indexes the cells; the
-    other batch axes hold a cell's members (a k-grid point's momenta).  Each
-    chunk of max(1, CHUNK // members) cells is integrated, checked
-    (``_cell_errors``) and eigensolved by ``solve(at, u)`` on its passing
-    cells' indices and propagators.  If that raises LinAlgError, the chunk's
-    cells are retried one at a time (``at`` an int, ``u`` with no cell axis),
-    and those failing again get ``eigensolver failed: ...``."""
-    shape = np.broadcast_shapes(np.shape(h0), np.shape(h1))
-    h0, h1 = (np.broadcast_to(h, shape) for h in (h0, h1))
-    size = max(1, CHUNK // math.prod(shape[1:-2]))
+    ``shape`` is (cells, *members); ``blocks(cells)`` builds H0 and H1 of a slice of
+    cells, broadcasting to (cells, *members, d, d).  Each chunk of max(1, CHUNK //
+    members) cells is built, integrated, checked (``_cell_errors``) and eigensolved
+    by ``solve(at, u)`` on its passing cells' indices and propagators.  If that raises
+    LinAlgError, the chunk's cells are retried one at a time (``at`` an int, ``u``
+    with no cell axis), and those failing again get ``eigensolver failed: ...``."""
+    size = max(1, CHUNK // math.prod(shape[1:]))
     error = np.empty(shape[0], dtype=object)
     for start in range(0, shape[0], size):
         cells = slice(start, start + size)
-        prop = propagate(h0[cells], h1[cells], omega, steps)
+        prop = propagate(*blocks(cells), omega, steps)
         error[cells] = _cell_errors(prop, what, 1)
         ok = np.flatnonzero(np.equal(error[cells], None))
         try:
@@ -491,9 +515,9 @@ def kgrid_solve(points, nk: int, steps: int = DEFAULT_STEPS):
         def solve(at, u):
             eps[group[at]], cnorm[group[at]], states[group[at]], _ = eig_branches(u, omega)
 
-        blocks = (bloch_blocks(points[i], ks[half]) for i in group)  # stacked for the call only
-        error[group] = solve_cells(*map(np.stack, zip(*blocks)), omega, steps, "k-grid", solve)
-    states = states[:, take]
-    mirrored = half[take] != np.arange(nk)
-    states[:, mirrored] = states[:, mirrored][..., _BLOCH_C]
+        error[group] = solve_cells(
+            lambda c: map(np.stack, zip(*(bloch_blocks(points[i], ks[half]) for i in group[c]))),
+            (group.size, half.size), omega, steps, "k-grid", solve)
+    comps = np.where((half[take] != np.arange(nk))[:, None], _BLOCH_C, np.arange(4))  # C at -k
+    states = states[:, take[:, None, None], np.arange(4)[:, None], comps[:, None, :]]
     return ks, eps[:, take], cnorm[:, take], states, error

@@ -63,14 +63,14 @@ def stability_grid(
     (rows, fill_rows), (cols, fill_cols) = (
         mirror_half(a) if mirrored else (np.arange(len(a)),) * 2 for a in (hy1, hx1)
     )
-    x, y = np.meshgrid(np.asarray(hx1)[cols], np.asarray(hy1)[rows])  # (rows, cols)
+    x, y = (a.ravel() for a in np.meshgrid(np.asarray(hx1)[cols], np.asarray(hy1)[rows]))
     eps = np.full((x.size, 4), complex(np.nan, np.nan))
 
     def solve(at, u):
         eps[at] = quasienergies(u, omega)
 
-    error = solve_cells(static_block(*static_field, mu, g), field_matrix(x, y).reshape(-1, 4, 4),
-                        omega, steps, "drive plane", solve)  # blocks freed before the table
+    error = solve_cells(lambda c: (static_block(*static_field, mu, g), field_matrix(x[c], y[c])),
+                        x.shape, omega, steps, "drive plane", solve)
     unstable = ~np.equal(error, None) | (np.abs(eps.imag) > tol_im).any(axis=-1)
     fill = (fill_rows[:, None] * len(cols) + fill_cols).ravel()
     verdict = np.where(unstable, "Unstable", "Stable")[fill]

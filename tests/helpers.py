@@ -4,7 +4,8 @@ Nothing here may import from the integrator or eigensolver code paths it
 validates: the monodromy oracles use scipy's general-purpose ODE machinery
 and matrix exponentials, the reference Magnus stepper takes the scheme's
 commutators literally over the whole period, the folded reference forms
-every product of the kernel's step loop as a complex product, the static spectrum is the
+every product of the kernel's step loop as a complex product, the reference eigensolve
+runs complex LAPACK on the monodromy itself, the static spectrum is the
 closed form of the 4x4 Bogoliubov problem, the chiral residual checks the
 model's symmetry from its closed form, the open chain's site matrices are
 rebuilt from its parity sectors entry by entry, band tracking matches one
@@ -181,6 +182,37 @@ def folded_monodromy(h0: np.ndarray, h1: np.ndarray, omega: float, steps: int, m
             seen[s + 1] = u
     u = (sz * np.swapaxes(u_half, -1, -2) * sz.T)[c] @ u
     return u, {s: seen[s] if s <= forward else seen[steps - s][c].conj() @ u for s in marks}
+
+
+def eig_reference(u: np.ndarray, omega: float):
+    """Quasienergy branches of U from complex LAPACK on U itself: (eps, cnorm, states).
+
+    eps = (i omega/2pi) Log lambda for the eigenvalues lambda of np.linalg.eig(U),
+    with Re eps folded into (-omega/2, omega/2] (within 1e-12 omega above
+    -omega/2 counts as +omega/2).  An eigenvector v with |<v|Sigma_z|v>| > 1e-6
+    is scaled to <psi|Sigma_z|psi> = cnorm = +-1; the others (cnorm 0) keep
+    unit length.  states[..., i, :] is branch i.  Per matrix, branches are
+    sorted by Re eps; branches within 1e-12 omega of their neighbour in Re
+    form one group, ordered by Im eps if cnorm is 0 and then by cnorm.
+    """
+    lam, vec = np.linalg.eig(np.asarray(u, dtype=complex))
+    pref = omega / (2.0 * math.pi)
+    re = omega / 2.0 - np.mod(omega / 2.0 + pref * np.angle(lam), omega)
+    eps = np.where(re < (1e-12 - 0.5) * omega, re + omega, re) + 1j * pref * np.log(np.abs(lam))
+    sz = nambu_metric(lam.shape[-1])
+    q = np.einsum("...mi,m,...mi->...i", vec.conj(), sz, vec).real
+    cnorm = np.where(np.abs(q) > 1e-6, np.sign(q), 0.0).astype(int)
+    states = np.swapaxes(vec / np.where(cnorm != 0, np.sqrt(np.abs(q)), 1.0)[..., None, :], -1, -2)
+    order = np.empty(eps.shape, dtype=int)
+    for idx in np.ndindex(eps.shape[:-1]):
+        e, c = eps[idx], cnorm[idx]
+        by_re = sorted(range(e.size), key=lambda i: e[i].real)
+        group = {by_re[0]: 0}
+        for a, b in zip(by_re, by_re[1:]):
+            group[b] = group[a] + int(e[b].real - e[a].real > 1e-12 * omega)
+        order[idx] = sorted(by_re, key=lambda i: (group[i], e[i].imag if c[i] == 0 else 0.0, c[i]))
+    take = np.take_along_axis
+    return take(eps, order, -1), take(cnorm, order, -1), take(states, order[..., None], -2)
 
 
 def chain_sites(u: np.ndarray) -> np.ndarray:

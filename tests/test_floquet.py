@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqbog import floquet
-from floqbog.dynamics import _mirror_halves
+from floqbog.dynamics import _chain_propagation, _mirror_halves
 from floqbog.floquet import (
     DEFAULT_STEPS,
     MAX_STEP_NORM,
@@ -23,6 +23,8 @@ from floqbog.floquet import (
     kgrid_solve,
     mirror_half,
     propagate,
+    quasienergies,
+    real_form,
     sympl_residual,
 )
 from floqbog.model import (
@@ -41,6 +43,7 @@ from floqbog.topology import evaluate_points
 
 from helpers import (
     dop853_monodromy,
+    eig_reference,
     expm_monodromy,
     folded_monodromy,
     magnus6_monodromy,
@@ -456,6 +459,82 @@ class TestQuasienergies:
         for c, state in zip(cnorm, states):
             q = float(np.real(np.vdot(state, sz * state)))
             assert q == pytest.approx(c, abs=1e-8)
+
+
+def monodromies(case: str) -> np.ndarray:
+    """U(T) at the recipe steps (64) of the fig1b and fig1c k-grids (nk 256),
+    of 64 random cells of the fig2b drive plane and of the fig3a chain's
+    (2, 40, 40) parity sectors."""
+    if case in ("fig1b", "fig1c"):
+        return propagate(*bloch_blocks(PA if case == "fig1b" else PB, kgrid(256)), 5.2, 64).u
+    if case == "fig2b":
+        rng = np.random.default_rng(2)
+        x, y = (rng.choice(np.linspace(lo, hi, 201), 64) for lo, hi in ((-15.0, 9.0), (-12.0, 12.0)))
+        return propagate(static_block(-1.5, 0.0, -5.0, 1.0), field_matrix(x, y), 5.2, 64).u
+    return _chain_propagation(PA, 20, 64).u
+
+
+def circle_distance(a, b, omega: float):
+    """|a - b| with Re taken on the quasienergy circle of period omega."""
+    re = np.abs(a.real - b.real) % omega
+    return np.hypot(np.minimum(re, omega - re), a.imag - b.imag)
+
+
+class TestRealForm:
+    def test_rejects_matrix_without_real_form(self):
+        """A random complex U has Im(V+ U V) of order |U| for every Q: refused."""
+        rng = np.random.default_rng(5)
+        for d in (4, 40):
+            u = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+            with pytest.raises(ValueError, match="no real form"):
+                real_form(u)
+            with pytest.raises(ValueError, match="no real form"):
+                eig_branches(u, 5.2)
+
+    @pytest.mark.parametrize("case", ["dop853", "site-chain"])
+    def test_accepts_oracle_and_site_basis(self, case):
+        """The DOP853 monodromy of fig1b momenta and the 80x80 site-basis chain
+        U have a real form: V is unitary and V+ U V equals it to round-off."""
+        if case == "dop853":
+            h0, h1 = bloch_blocks(PA, kgrid(256)[[0, 70, 128, 200, 255]])
+            u = np.array([dop853_monodromy(a, b, PA.omega) for a, b in zip(h0, h1)])
+        else:
+            u = propagate(*chain_blocks(PA, 20), PA.omega, 64).u
+        form, v = real_form(u)
+        assert form.dtype == float and form.shape == u.shape
+        assert np.abs(v.conj().T @ v - np.eye(u.shape[-1])).max() < 1e-15
+        assert np.abs(v.conj().T @ u @ v - form).max() < 1e-12 * np.abs(u).max()
+
+    @pytest.mark.parametrize("case", ["fig1b", "fig1c", "fig2b", "chain"])
+    def test_eig_branches_match_complex_lapack(self, case):
+        """The real eigensolve gives the branches of complex LAPACK on U itself
+        (``eig_reference``): the same cnorm and order, eps within 1e-13 on the
+        quasienergy circle, and states equal up to a phase, each to 1e-13 of its
+        length over its eigenvalue's distance to the nearest other one."""
+        u = monodromies(case)
+        eps, cnorm, states, _ = eig_branches(u, 5.2)
+        ref, ref_cnorm, ref_states = eig_reference(u, 5.2)
+        assert np.array_equal(cnorm, ref_cnorm)
+        assert circle_distance(eps, ref, 5.2).max() < 1e-13
+        overlap = np.einsum("...im,...im->...i", ref_states.conj(), states)
+        lam = np.exp(-2j * math.pi * ref / 5.2)
+        separation = np.abs(lam[..., :, None] - lam[..., None, :])
+        separation[..., np.arange(lam.shape[-1]), np.arange(lam.shape[-1])] = np.inf
+        bound = 1e-13 * np.linalg.norm(ref_states, axis=-1) / separation.min(axis=-1)
+        diff = np.abs(ref_states * (overlap / np.abs(overlap))[..., None] - states).max(axis=-1)
+        assert (diff < bound).all()
+
+    @pytest.mark.parametrize("case", ["fig1b", "fig1c", "fig2b", "chain"])
+    def test_quasienergies_match_eigvals(self, case):
+        """``quasienergies`` equals the eps of np.linalg.eigvals(U) as a set, to 1e-13."""
+        u = monodromies(case)
+        eps = quasienergies(u, 5.2)
+        lam = np.linalg.eigvals(u)
+        ref = -5.2 / (2.0 * math.pi) * (np.angle(lam) - 1j * np.log(np.abs(lam)))
+        gap = circle_distance(eps[..., :, None], ref[..., None, :], 5.2)
+        match = gap.argmin(axis=-1)
+        assert (np.sort(match, axis=-1) == np.arange(u.shape[-1])).all()
+        assert gap.min(axis=-1).max() < 1e-13
 
 
 class TestClassification:
