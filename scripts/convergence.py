@@ -38,7 +38,7 @@ from floqbog.floquet import (
     solve_cells,
     sympl_residual,
 )
-from floqbog.model import SX, I2, ModelParams, bloch_blocks, chain_blocks, field_matrix
+from floqbog.model import ModelParams, bloch_blocks, chain_blocks, field_matrix, static_block
 from floqbog.topology import symplectic_winding
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -128,7 +128,7 @@ def plane(points: int, oracle, steps_list) -> list[dict]:
     hx1, hy1 = np.meshgrid(np.linspace(task["hx1"]["min"], task["hx1"]["max"], points),
                            np.linspace(task["hy1"]["min"], task["hy1"]["max"], points))
     h1 = field_matrix(hx1, hy1).reshape(-1, 4, 4)
-    h0 = field_matrix(-m["nu0"], 0.0) - m["mu"] * np.eye(4) + m["g"] * np.kron(SX, I2)
+    h0 = static_block(-m["nu0"], 0.0, m["mu"], m["g"])
     h0s = np.broadcast_to(h0, h1.shape)
     omega = m["omega"]
     idx = np.random.default_rng(points).choice(len(h1), SAMPLES, replace=False)

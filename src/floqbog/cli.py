@@ -1,11 +1,13 @@
 """Command-line front end with declarative JSON configs and flat CSV output.
 
-Each subcommand maps to one figure-level computation.  Configuration comes
-from an optional JSON file, an optional shipped recipe, and repeatable
+Each command maps to one figure-level computation.  Configuration comes
+from an optional shipped recipe, an optional JSON file, and repeatable
 --set dotted-path overrides, merged in that order (flags win).  Outputs
-are a CSV table plus a JSON metadata sidecar carrying the fully resolved
-configuration, so every file can be regenerated from its sidecar alone.
-Exit codes: 0 success, 2 invalid input, 3 numerical failure,
+are a CSV table plus a JSON metadata sidecar carrying the configuration
+with its model, numerics and output blocks filled with their defaults;
+the task block holds only the keys given, and the defaults a command
+applies to the others (``cells``, ``t_max``, ``points``, ...) are not
+recorded.  Exit codes: 0 success, 2 invalid input, 3 numerical failure,
 4 invariant undefined.
 
 Every command is a function ``(params, cfg) -> (table, meta, summary)``;
@@ -206,11 +208,8 @@ def resolve_config(args, command: str) -> dict:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    """CSV text of a non-float cell (floats take the bit-pattern path of ``write_outputs``)."""
+    return "" if value is None else str(value)
 
 
 def _table(columns: dict) -> np.recarray:
@@ -343,11 +342,8 @@ def cmd_evolve(params: ModelParams, cfg: dict):
     occ = trace.occupations
     table = _table({"t": trace.times, **{f"n_{j + 1}": occ[:, j] for j in range(occ.shape[1])},
                     "sympl_residual": trace.sympl_residual})
-    try:
-        rate = growth_rate_fit(trace)
-    except ValueError:  # no exponential regime: the vacuum does not grow
-        rate = None
-    meta = {"truncated": trace.truncated, "final_n1": float(occ[-1, 0]), "growth_rate": rate}
+    meta = {"truncated": trace.truncated, "final_n1": float(occ[-1, 0]),
+            "growth_rate": growth_rate_fit(trace)}
     return table, meta, (f"evolve: {len(trace.times)} samples, n_1(end) = {occ[-1, 0]:.3e}"
                          f"{' (truncated)' if trace.truncated else ''}")
 
@@ -378,18 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Floquet-Bogoliubov spectra, stability, and topology of the driven chain",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} computation")
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--recipe", help="name of a shipped recipe (e.g. fig1b)")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="PATH=VALUE",
-            help="override a config entry, e.g. --set model.mu=-4.9",
-        )
-        p.add_argument("--output", help="output path prefix (overrides output.path)")
+    parser.add_argument("command", choices=COMMANDS, help="the computation to run")
+    parser.add_argument("--config", help="JSON configuration file")
+    parser.add_argument("--recipe", help="name of a shipped recipe (e.g. fig1b)")
+    parser.add_argument("--set", action="append", metavar="PATH=VALUE",
+                        help="override a config entry, e.g. --set model.mu=-4.9")
+    parser.add_argument("--output", help="output path prefix (overrides output.path)")
     return parser
 
 

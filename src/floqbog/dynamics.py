@@ -278,25 +278,17 @@ def evolve_vacuum(
                           marks[:len(times)])
 
 
-def growth_rate_fit(
-    trace: EvolutionTrace, site: int = 1, fit_window: tuple[float, float] | None = None
-) -> float:
-    """Least-squares growth rate of ln n_site(t) over the fit window.
+def growth_rate_fit(trace: EvolutionTrace) -> float | None:
+    """Least-squares growth rate of ln n_1(t), or None if the vacuum does not grow.
 
-    ``site`` is 1-based (j = 2m + s).  The default window skips the first
-    40 percent of the trace as transient, decided on the integer step marks
-    so that a sample on its bound stays in under any choice of units.
-    Requires at least 8 samples with occupation above 1e-6 inside the window.
+    The fit skips the first 40 percent of the trace as transient, decided on
+    the integer step marks so that a sample on its bound stays in under any
+    choice of units.  It needs at least 8 samples with occupation above 1e-6
+    in that window; with fewer there is no exponential regime, and no rate.
     """
-    if not 1 <= site <= trace.occupations.shape[1]:
-        raise ValueError(f"site {site} outside 1..{trace.occupations.shape[1]}")
-    if fit_window is None:
-        inside = 5 * trace.marks >= 2 * trace.marks[-1]
-    else:
-        inside = (trace.times >= fit_window[0]) & (trace.times <= fit_window[1])
-    n = trace.occupations[:, site - 1]
-    mask = inside & (n > 1e-6)
+    n = trace.occupations[:, 0]
+    mask = (5 * trace.marks >= 2 * trace.marks[-1]) & (n > 1e-6)
     if mask.sum() < 8:
-        raise ValueError("no exponential regime detected")
+        return None
     slope, _ = np.polyfit(trace.times[mask], np.log(n[mask]), 1)
     return float(slope)

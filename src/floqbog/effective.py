@@ -21,6 +21,8 @@ from .model import ModelParams, drive_amplitudes, static_fields
 
 #: drive magnitude below which the drive phase phi_k is conventionally zero
 AMP_TOL = 1e-12
+#: momenta over which ``choose_indices`` takes the worst case, and its largest |alpha|
+CHOOSE_NK, ALPHA_RANGE = 128, 6
 
 
 def _bessel_j(n: int, z) -> np.ndarray:
@@ -45,24 +47,17 @@ class EffectiveCoefficients:
     """Coefficients of the effective Hamiltonian on a set of momenta.
 
     ``mueff`` is scalar; the remaining fields are arrays over k.
-    ``degenerate`` marks momenta where the drive magnitude vanishes and
-    phi_k was set to zero by convention.
     """
 
-    alpha: int
-    beta: int
     heffx: np.ndarray
     heffy: np.ndarray
     mueff: float
     geff: np.ndarray
     Gx: np.ndarray
     Gy: np.ndarray
-    phik: np.ndarray
-    amp: np.ndarray
-    degenerate: np.ndarray
 
 
-def choose_indices(params: ModelParams, nk: int = 128, alpha_range: int = 6) -> tuple[int, int]:
+def choose_indices(params: ModelParams) -> tuple[int, int]:
     """Pick the interaction-picture integers (alpha, beta).
 
     beta minimizes |mu - beta*omega/2| (so |mueff| <= omega/4 always),
@@ -75,7 +70,7 @@ def choose_indices(params: ModelParams, nk: int = 128, alpha_range: int = 6) -> 
         (b0 - 1, b0, b0 + 1),
         key=lambda b: (abs(params.mu - b * half), abs(b)),
     )
-    ks = kgrid(nk)
+    ks = kgrid(CHOOSE_NK)
     hx0, hy0 = static_fields(params, ks)
     hx1, hy1 = drive_amplitudes(params, ks)
     amp = np.hypot(hx1, hy1)
@@ -88,7 +83,7 @@ def choose_indices(params: ModelParams, nk: int = 128, alpha_range: int = 6) -> 
         hay = hy0 - a * half * np.sin(phi)
         return float(np.maximum(np.abs(hax), np.abs(hay)).max())
 
-    alpha = min(range(-alpha_range, alpha_range + 1), key=lambda a: (worst(a), abs(a)))
+    alpha = min(range(-ALPHA_RANGE, ALPHA_RANGE + 1), key=lambda a: (worst(a), abs(a)))
     return int(alpha), int(beta)
 
 
@@ -101,12 +96,7 @@ def resolve_indices(params: ModelParams, alpha: int | None, beta: int | None) ->
     return alpha, beta
 
 
-def effective_coefficients(
-    params: ModelParams,
-    k,
-    alpha: int | None = None,
-    beta: int | None = None,
-) -> EffectiveCoefficients:
+def effective_coefficients(params: ModelParams, k, alpha: int, beta: int) -> EffectiveCoefficients:
     """Evaluate the effective coefficients at momenta ``k``.
 
     With phi_k = arg(h_x1 + i h_y1) and z = 2 amp / omega, the reduced
@@ -117,13 +107,11 @@ def effective_coefficients(
     drive direction.  This is the f^+- form multiplied through, which
     avoids the spurious divisions at h^alpha_x = 0 or h^alpha_y = 0.
     """
-    alpha, beta = resolve_indices(params, alpha, beta)
     ks = np.asarray(k, dtype=float)
     hx0, hy0 = static_fields(params, ks)
     hx1, hy1 = drive_amplitudes(params, ks)
     amp = np.hypot(hx1, hy1)
-    degenerate = amp < AMP_TOL
-    phi = np.where(degenerate, 0.0, np.arctan2(hy1, hx1))
+    phi = np.where(amp < AMP_TOL, 0.0, np.arctan2(hy1, hx1))
     z = 2.0 * amp / params.omega
     half = params.omega / 2.0
 
@@ -153,9 +141,7 @@ def effective_coefficients(
             f"(largest coefficient {worst:.3g} > omega/4 = {params.omega / 4.0:.3g})",
             stacklevel=2,
         )
-    return EffectiveCoefficients(
-        int(alpha), int(beta), heffx, heffy, float(mueff), geff, gx, gy, phi, amp, degenerate
-    )
+    return EffectiveCoefficients(heffx, heffy, float(mueff), geff, gx, gy)
 
 
 def effective_quasienergies(coeffs: EffectiveCoefficients) -> tuple[np.ndarray, np.ndarray]:
@@ -185,13 +171,7 @@ def effective_quasienergies(coeffs: EffectiveCoefficients) -> tuple[np.ndarray, 
     return eps_plus, eps_minus
 
 
-def effective_spectrum(
-    params: ModelParams,
-    nk: int = 256,
-    alpha: int | None = None,
-    beta: int | None = None,
-    tol_im: float = TOL_IM,
-):
+def effective_spectrum(params: ModelParams, nk: int, alpha: int, beta: int, tol_im: float = TOL_IM):
     """Effective dispersion over the Brillouin zone with a stability verdict.
 
     Returns (ks, eps_plus, eps_minus, verdict); the system is estimated

@@ -376,7 +376,7 @@ def real_form(u):
     blocks), so with C of ``_conjugation``, Q = S C gives Q U* Q = U, (QK)^2 = 1
     (Colpa, Physica A 93, 327 (1978)), and V+ U V is real for V with columns
     (e_i + e_Q(i))/sqrt2 and i (e_i - e_Q(i))/sqrt2 over the particles i.  Q is
-    S C (C = CONJUGATION, 4x4) or S; ValueError if |Im(V+ U V)| > 1e-10 max |U| for both."""
+    S C (C = CONJUGATION, 4x4) or S; LinAlgError if |Im(V+ U V)| > 1e-10 max |U| for both."""
     u = np.ascontiguousarray(u, dtype=complex)
     n = u.shape[-1] // 2
     swap = np.roll(np.arange(2 * n), n)
@@ -387,7 +387,8 @@ def real_form(u):
         s, t = ((x[..., :n, :] + sign * x[..., q[:n], :]) / math.sqrt(2.0) for sign in (1, -1))
         if max(np.abs(a).max(initial=0.0) for a in (s[..., 1::2], t[..., ::2])) <= tol:
             return np.concatenate([s[..., ::2], t[..., 1::2]], axis=-2), v  # V+ U V = [s; -i t]
-    raise ValueError("no real form: Q U* Q != U for Q = S C (C = 1 (x) sx for 4x4) and Q = S")
+    raise np.linalg.LinAlgError(
+        "no real form: Q U* Q != U for Q = S C (C = 1 (x) sx for 4x4) and Q = S")
 
 
 def quasienergies(u, omega: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .effective import effective_spectrum, resolve_indices
+from .effective import choose_indices, effective_spectrum
 from .floquet import DEFAULT_STEPS, TOL_IM, mirror_half, quasienergies, solve_cells
 from .model import ModelParams, field_matrix, static_block
 from .topology import evaluate_points
@@ -121,19 +121,17 @@ def effective_phase_overlay(
     axis1: tuple[str, np.ndarray],
     axis2: tuple[str, np.ndarray],
     nk: int = 128,
-    alpha: int | None = None,
-    beta: int | None = None,
     tol_im: float = TOL_IM,
 ) -> np.recarray:
     """Fast effective-Hamiltonian stability verdicts over the same grid.
 
-    When the indices are not given they are chosen once at the grid
-    center, so the overlay uses a single rotating frame throughout.  The
-    table's fields are the two axis names, verdict and max_im.
+    The indices are chosen once at the grid center (``choose_indices``), so
+    the overlay uses a single rotating frame throughout.  The table's fields
+    are the two axis names, verdict and max_im.
     """
     x, y, points = _plane(base, axis1, axis2)
     center = {name: float(values[len(values) // 2]) for name, values in (axis1, axis2)}
-    alpha, beta = resolve_indices(replace(base, **center), alpha, beta)
+    alpha, beta = choose_indices(replace(base, **center))
     verdict, max_im = [], []
     for p in points:
         _, ep, em, v = effective_spectrum(p, nk, alpha, beta, tol_im)

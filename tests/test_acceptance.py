@@ -19,7 +19,12 @@ from floqbog.dynamics import (
     evolve_vacuum,
     growth_rate_fit,
 )
-from floqbog.effective import effective_quasienergies, effective_coefficients, effective_spectrum
+from floqbog.effective import (
+    choose_indices,
+    effective_coefficients,
+    effective_quasienergies,
+    effective_spectrum,
+)
 from floqbog.floquet import fold, kgrid_solve, propagate, sympl_residual
 from floqbog.model import ModelParams, bloch_blocks
 from floqbog.topology import (
@@ -218,7 +223,8 @@ def test_acceptance_7_property_suite():
         g = 0.5 * max(nu0 - nu0p - abs(mu), 0.1) * rng.uniform(0.1, 1.0)
         p = ModelParams(nu0=nu0, nu0p=nu0p, nu1=0, nu1p=0, mu=mu, omega=16.0, g=g)
         k = rng.uniform(-math.pi, math.pi)
-        ep_eff, em_eff = effective_quasienergies(effective_coefficients(p, np.array([k])))
+        coeffs = effective_coefficients(p, np.array([k]), *choose_indices(p))
+        ep_eff, em_eff = effective_quasienergies(coeffs)
         h = math.hypot(-nu0 - nu0p * math.cos(k), -nu0p * math.sin(k))
         ep, em = static_energies(h, mu, g)
         undriven = max(

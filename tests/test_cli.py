@@ -579,3 +579,12 @@ def test_version_flag(capsys):
         entry(["--version"])
     assert exc.value.code == 0
     assert floqbog.__version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["fig1b"], [], ["--recipe", "fig1b"]],
+                         ids=["unknown", "none", "options-only"])
+def test_command_required_and_known(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        entry(argv)
+    assert exc.value.code == 2
+    assert "command" in capsys.readouterr().err

@@ -267,8 +267,7 @@ class TestEvolution:
         p = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2, g=0.0)
         trace = evolve_vacuum(p, cells=8, t_max=3.0, n_samples=12, steps_per_period=256)
         assert np.abs(trace.occupations).max() == 0.0
-        with pytest.raises(ValueError, match="no exponential regime"):
-            growth_rate_fit(trace)
+        assert growth_rate_fit(trace) is None
 
     def test_overflow_truncates(self):
         trace = evolve_vacuum(PA, cells=12, t_max=60.0, n_samples=61, steps_per_period=512)
@@ -287,15 +286,7 @@ class TestGrowthRateFit:
     def test_synthetic_exponential(self):
         times = np.linspace(0.0, 10.0, 101)
         lam = 0.37
-        occ = np.exp(2.0 * lam * times)[:, None] * np.ones((1, 3))
+        occ = np.exp(2.0 * lam * np.outer(times, [1.0, 2.0, 3.0]))  # site 1 is fitted
         trace = EvolutionTrace(times, occ, np.zeros(101), False, np.arange(101))
         assert growth_rate_fit(trace) == pytest.approx(2 * lam, abs=1e-6)
-        assert growth_rate_fit(trace, fit_window=(2.0, 8.0)) == pytest.approx(2 * lam, abs=1e-6)
-
-    def test_site_validation(self):
-        times = np.linspace(0.0, 1.0, 10)
-        trace = EvolutionTrace(times, np.ones((10, 3)), np.zeros(10), False, np.arange(10))
-        for bad in (0, 4):
-            with pytest.raises(ValueError, match="site"):
-                growth_rate_fit(trace, site=bad)
 

@@ -49,16 +49,20 @@ class TestChooseIndices:
 
 class TestCoefficients:
     def test_drive_magnitude_and_phase(self):
-        p = ModelParams(nu0=0, nu0p=0, nu1=-3.0, nu1p=-4.0, mu=0, omega=20.0, g=0)
-        c = effective_coefficients(p, np.array([math.pi / 2]), alpha=0, beta=0)
-        assert c.amp[0] == pytest.approx(5.0)
-        assert c.phik[0] == pytest.approx(math.atan2(4.0, 3.0))
+        """G lies along the drive (3, 4) at k = pi/2, with |G| set by z = 2 |drive| / omega."""
+        p = ModelParams(nu0=0, nu0p=0, nu1=-3.0, nu1p=-4.0, mu=10.0, omega=20.0, g=1.0)
+        c = effective_coefficients(p, np.array([math.pi / 2]), alpha=0, beta=1)
+        gd = 0.5 * (jv(-1, 2.0 * 5.0 / p.omega) - jv(1, 2.0 * 5.0 / p.omega))
+        assert abs(gd) > 0.1
+        assert c.Gx[0] == pytest.approx(gd * 3.0 / 5.0, abs=1e-12)
+        assert c.Gy[0] == pytest.approx(gd * 4.0 / 5.0, abs=1e-12)
 
     def test_phase_along_y(self):
-        p = ModelParams(nu0=0, nu0p=0, nu1=0.0, nu1p=-2.0, mu=0, omega=20.0, g=0)
-        c = effective_coefficients(p, np.array([math.pi / 2]), alpha=0, beta=0)
-        assert c.phik[0] == pytest.approx(math.pi / 2)
-        assert c.amp[0] == pytest.approx(2.0)
+        p = ModelParams(nu0=0, nu0p=0, nu1=0.0, nu1p=-2.0, mu=10.0, omega=20.0, g=1.0)
+        c = effective_coefficients(p, np.array([math.pi / 2]), alpha=0, beta=1)
+        gd = 0.5 * (jv(-1, 2.0 * 2.0 / p.omega) - jv(1, 2.0 * 2.0 / p.omega))
+        assert c.Gx[0] == pytest.approx(0.0, abs=1e-12)
+        assert c.Gy[0] == pytest.approx(gd, abs=1e-12)
 
     def test_drive_along_x_splits_components(self):
         """Drive along x keeps h_x and Bessel-suppresses h_y."""
@@ -71,17 +75,22 @@ class TestCoefficients:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 c = effective_coefficients(p, ks, alpha=alpha, beta=0)
-            assert np.allclose(c.phik, 0.0)
             assert np.allclose(c.heffx, hx0 - alpha * p.omega / 2.0, atol=1e-12)
             assert np.allclose(c.heffy, jv(alpha, z) * hy0, atol=1e-12)
 
     def test_zero_drive_is_degenerate(self):
+        """With no drive phi_k is 0 by convention: at alpha != 0 the reduced
+        field is shifted along x only, and its y part is suppressed by J_alpha(0)."""
         p = ModelParams(nu0=1.0, nu0p=0.3, nu1=0, nu1p=0, mu=0.5, omega=8.0)
-        c = effective_coefficients(p, kgrid(16), alpha=0, beta=0)
-        assert c.degenerate.all()
-        assert np.allclose(c.phik, 0.0)
+        ks = kgrid(16)
+        c = effective_coefficients(p, ks, alpha=0, beta=0)
         assert np.allclose(c.geff, p.g)
         assert np.allclose(np.hypot(c.Gx, c.Gy), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            c = effective_coefficients(p, ks, alpha=1, beta=0)
+        assert np.allclose(c.heffx, -p.nu0 - p.nu0p * np.cos(ks) - p.omega / 2.0, atol=1e-12)
+        assert np.allclose(c.heffy, 0.0, atol=1e-12)
 
     def test_pairing_bessel_combination(self):
         p = ModelParams(nu0=0, nu0p=0, nu1=-3.0, nu1p=0.0, mu=-5.0, omega=5.2, g=1.0)
@@ -90,7 +99,8 @@ class TestCoefficients:
         want = 0.5 * (bessel_series(2, z) + bessel_series(-2, z))
         assert c.geff[0] == pytest.approx(want, abs=1e-12)
         gd = 0.5 * (bessel_series(2, z) - bessel_series(-2, z))
-        assert c.Gx[0] == pytest.approx(gd * math.cos(c.phik[0]), abs=1e-12)
+        assert c.Gx[0] == pytest.approx(gd, abs=1e-12)
+        assert c.Gy[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_bessel_j_against_series(self):
         zs = (0.0, 0.3, 1.0, 4.23, 11.0, 20.0, 30.0)
@@ -111,7 +121,7 @@ class TestValidity:
         p = ModelParams(nu0=0.5, nu0p=0.3, nu1=0.8, nu1p=0.4, mu=0.3, omega=20.0, g=0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            effective_coefficients(p, kgrid(32))
+            effective_coefficients(p, kgrid(32), *choose_indices(p))
 
 
 class TestSpectrum:
@@ -125,7 +135,7 @@ class TestSpectrum:
             g = 0.5 * max(hmin - abs(mu), 0.1) * rng.uniform(0.1, 1.0)
             p = ModelParams(nu0=nu0, nu0p=nu0p, nu1=0, nu1p=0, mu=mu, omega=16.0, g=g)
             for k in (0.0, 1.1, 2.6):
-                c = effective_coefficients(p, np.array([k]))
+                c = effective_coefficients(p, np.array([k]), *choose_indices(p))
                 ep_eff, em_eff = effective_quasienergies(c)
                 h = math.hypot(-nu0 - nu0p * math.cos(k), -nu0p * math.sin(k))
                 ep, em = static_energies(h, mu, g)

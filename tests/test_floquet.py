@@ -25,6 +25,7 @@ from floqbog.floquet import (
     propagate,
     quasienergies,
     real_form,
+    solve_cells,
     sympl_residual,
 )
 from floqbog.model import (
@@ -486,10 +487,28 @@ class TestRealForm:
         rng = np.random.default_rng(5)
         for d in (4, 40):
             u = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
-            with pytest.raises(ValueError, match="no real form"):
+            with pytest.raises(np.linalg.LinAlgError, match="no real form"):
                 real_form(u)
-            with pytest.raises(ValueError, match="no real form"):
+            with pytest.raises(np.linalg.LinAlgError, match="no real form"):
                 eig_branches(u, 5.2)
+
+    def test_cell_without_real_form_fails_alone(self):
+        """A cell whose hole block is shifted keeps C (``propagate`` accepts it)
+        but loses the Nambu swap S, so its U has no real form: only that cell of
+        the grid fails, as an eigensolver failure."""
+        x, y = np.linspace(-3.0, 3.0, 5), np.full(5, 2.0)
+        h0 = np.array([static_block(-1.5, 0.0, -5.0, 1.0)] * 5)
+        h0[2, [2, 3], [2, 3]] += 0.3
+        eps = np.full((5, 4), np.nan, dtype=complex)
+
+        def solve(at, u):
+            eps[at] = quasienergies(u, 5.2)
+
+        error = solve_cells(lambda c: (h0[c], field_matrix(x[c], y[c])), (5,), 5.2, 64,
+                            "drive plane", solve)
+        assert [i for i, e in enumerate(error) if e is not None] == [2]
+        assert error[2].startswith("eigensolver failed: no real form")
+        assert np.isfinite(np.delete(eps, 2, axis=0)).all() and np.isnan(eps[2]).all()
 
     @pytest.mark.parametrize("case", ["dop853", "site-chain"])
     def test_accepts_oracle_and_site_basis(self, case):

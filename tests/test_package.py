@@ -31,6 +31,38 @@ def test_public_names_used_by_the_package():
     assert [name for name in floqbog.__all__ if name not in used] == []
 
 
+def test_defaults_passed_by_the_package():
+    """Every defaulted parameter of a package function is passed, by keyword or
+    by position, by some call in the package or in ``scripts/``, so no option
+    exists for the tests' sake alone.  A starred argument covers every position
+    and a double-starred one every name; ``cli.entry(argv)`` is the tests' seam."""
+    sources = sorted((ROOT / "src" / "floqbog").glob("*.py"))
+    defaulted = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args
+                skip = 1 if args and args[0].arg in ("self", "cls") else 0
+                first = len(args) - len(node.args.defaults)
+                defaulted += [(node.name, i - skip, args[i].arg) for i in range(first, len(args))]
+                defaulted += [(node.name, None, a.arg) for a, d in
+                              zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+    passed = set()
+    for path in sources + sorted((ROOT / "scripts").glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            passed |= {(name, i) for i in range(starred[0] if starred else len(call.args))}
+            passed |= {(name, kw.arg) for kw in call.keywords}
+            if starred:
+                passed.add((name, "*"))
+    unused = [f"{f}({arg})" for f, pos, arg in defaulted if f != "entry" and not (
+        {(f, arg), (f, None)} | ({(f, pos), (f, "*")} if pos is not None else set())) & passed]
+    assert unused == []
+
+
 def test_no_unused_imports():
     """Every imported name is referenced in its module; ``__init__.py`` re-exports are exempt."""
     unused = []

@@ -7,6 +7,7 @@ import pytest
 
 from floqbog import floquet, sweep
 from floqbog.cli import _axis
+from floqbog.effective import choose_indices, effective_spectrum
 from floqbog.floquet import (
     TOL_IM,
     classify_arrays,
@@ -498,7 +499,7 @@ class TestEffectiveOverlay:
     def test_flags_instability_window_near_exact_one(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ov = effective_phase_overlay(BASE, *ROW, nk=64, alpha=0, beta=-2)
+            ov = effective_phase_overlay(BASE, *ROW, nk=64)
         at_mu = ov[ov.mu == -5.0]
         exact_unstable = {5.0, 6.0, 7.0, 8.0, 9.0}
         eff_unstable = set(at_mu.nu1p[at_mu.verdict == "Unstable"].tolist())
@@ -518,10 +519,15 @@ class TestEffectiveOverlay:
         assert (ov.verdict == "Stable").all()
 
     def test_default_indices_chosen_at_grid_center(self):
-        """On the 23-point nu1p row, the center cell (nu1p = 5.5) picks (0, -2)."""
+        """On the 23-point nu1p row, the center cell (nu1p = 5.5, mu = -4.95)
+        picks (0, -2), and every cell is evaluated in that one frame."""
         row = (("nu1p", np.linspace(0.0, 11.0, 23)), ("mu", np.linspace(-5.0, -4.95, 2)))
+        assert choose_indices(replace(BASE, nu1p=5.5, mu=-4.95)) == (0, -2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            default = effective_phase_overlay(BASE, *row, nk=64)
-            fixed = effective_phase_overlay(BASE, *row, nk=64, alpha=0, beta=-2)
-        assert default.tolist() == fixed.tolist()
+            overlay = effective_phase_overlay(BASE, *row, nk=64)
+            for cell in overlay:
+                p = replace(BASE, nu1p=cell.nu1p, mu=cell.mu)
+                _, ep, em, verdict = effective_spectrum(p, 64, 0, -2)
+                max_im = max(np.abs(ep.imag).max(), np.abs(em.imag).max())
+                assert (cell.verdict, cell.max_im) == (verdict, max_im)
