@@ -4,7 +4,10 @@
 For every shipped recipe shape and every step count it records the largest
 quasienergy deviation from the adaptive DOP853 oracle of tests/helpers.py
 on sampled points, verdict mismatches, the topological outputs (W^S,
-midgap modes, growth rate) and the pseudo-unitarity residual.  The kernel
+midgap modes, growth rate) and the pseudo-unitarity residual; on the drive
+planes also the largest deviation of any cell from the table's finest step
+count (``max_deps_vs_finest``), which for ``--steps 64 512`` measures the
+64-step error of the whole plane.  The kernel
 is sixth order, so the deviation falls about 64x per step doubling until
 it reaches the oracle's own error near 1e-11.  The recipes'
 ``numerics.steps`` are read off this table: the smallest power of two
@@ -134,16 +137,18 @@ def plane(points: int, oracle, steps_list) -> list[dict]:
     idx = np.random.default_rng(points).choice(len(h1), SAMPLES, replace=False)
     ref, _ = oracle_branches(oracle, h0s, h1, omega, idx)
     ref_unstable = np.abs(ref.imag).max(axis=-1) > TOL_IM
-    finest = None
+    finest = finest_eps = None
     rows = []
     for steps in sorted(steps_list, reverse=True):
         eps, cnorm, residual, step_norm = solve_batch(h0, h1, omega, steps)
         codes = classify_arrays(eps, cnorm, omega, TOL_IM)
         unstable = codes == 2
-        finest = unstable if finest is None else finest
+        if finest is None:
+            finest, finest_eps = unstable, eps
         rows.append({
             "steps": steps,
             "max_deps": eps_deviation(eps[idx], ref, omega),
+            "max_deps_vs_finest": eps_deviation(eps, finest_eps, omega),
             "verdict_mismatches": int((unstable[idx] != ref_unstable).sum()),
             "sampled": len(idx),
             "unstable_cells": int(unstable.sum()),

@@ -24,6 +24,7 @@ MIN_STEPS = 64
 #: oracle stays at or below that of 256 fourth-order steps, the count the
 #: recipes were validated with, on every shipped recipe shape (scripts/convergence.py);
 #: |eps(64) - eps(512)| over the whole 201x201 fig2b plane is 5.7e-7 at worst
+#: (``max_deps_vs_finest`` of ``--plane 201 --steps 64 512``, with the solve-free 4x4 step)
 DEFAULT_STEPS = 64
 TOL_IM = 1e-8
 #: Re eps distance, in units of omega, below which opposite-norm branches resonate
@@ -41,9 +42,26 @@ TOL_RESIDUAL = 1e-4
 CHUNK = 2048
 #: weights of Omega, Omega^2, Omega^3 and 1 in the Pade numerator and denominator
 _PADE = np.array([[1.0, 0.0, 1.0 / 60.0, 0.0], [-0.5, 0.1, -1.0 / 120.0, 1.0]])
+#: Delta and the weights of Omega, Omega^2, Omega^3 and 1 in Delta D^-1 (Omega + Omega^3/60)
+#: of a 4x4 Omega with characteristic polynomial x^4 + a x^2 + b (``_pade_increment``),
+#: each as a polynomial in a and b: entry [j, i, k] weighs a^i b^k in polynomial j
+_INCREMENT = np.array([
+    [[207360000, -172800, -864, 1], [10368000, -25920, 24, 0], [345600, 720, 0, 0],
+     [14400, 0, 0, 0]],
+    [[8640000, -79200, 94, 0], [432000, -2880, 1, 0], [14400, -70, 0, 0], [600, 0, 0, 0]],
+    [[360000, -1300, 1, 0], [-12000, -20, 0, 0], [100, 0, 0, 0], [0, 0, 0, 0]],
+    [[1440000, -3000, 1, 0], [0, -70, 0, 0], [600, 0, 0, 0], [0, 0, 0, 0]],
+    [[0, -4320000, 7200, -1], [0, -72000, 120, 0], [0, -3600, 0, 0], [0, 0, 0, 0]],
+]) / np.array([207360000.0, 8640000.0, 720000.0, 8640000.0, 103680000.0])[:, None, None]
+#: _INCREMENT in the variables tr(p) = -2a and tr(p)^2/2 - tr(p^2) = 4b, as [k, j, i, 1]
+_HORNER = np.ascontiguousarray(
+    (_INCREMENT * (-0.5) ** np.arange(4)[:, None] * 0.25 ** np.arange(4)).transpose(2, 0, 1)
+)[..., None]
 
 #: index permutation p of CONJUGATION, (C X C)[i, j] = X[p[i], p[j]]
 _BLOCH_C = CONJUGATION.real.argmax(axis=-1)
+#: index permutation of the 4x4 Nambu swap S = sx (x) 1, particles <-> holes
+_SWAP = np.roll(np.arange(4), 2)
 #: Gauss-Legendre nodes of one step, as fractions of h
 _NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
@@ -99,6 +117,15 @@ class Propagation(NamedTuple):
     step_norm: np.ndarray
 
 
+def _invariant(h0: np.ndarray, h1: np.ndarray, p: np.ndarray, op=np.asarray) -> bool:
+    """Whether op(X)[p[i], p[j]] = X[i, j] holds for both blocks, to HERMITICITY_TOL."""
+    return all(
+        np.abs(op(h[..., p[:, None], p]) - h).max(initial=0.0)
+        <= HERMITICITY_TOL * (1.0 + np.abs(h).max(initial=0.0))
+        for h in (h0, h1)
+    )
+
+
 def _conjugation(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     """Index permutation p of the batch's conjugation symmetry C, C H* C = H.
 
@@ -112,11 +139,7 @@ def _conjugation(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     d = h0.shape[-1]
     candidates = [_BLOCH_C, np.arange(d)] if d == 4 else [np.arange(d)]
     for p in candidates:
-        if all(
-            np.abs(h[..., p[:, None], p].conj() - h).max(initial=0.0)
-            <= HERMITICITY_TOL * (1.0 + np.abs(h).max(initial=0.0))
-            for h in (h0, h1)
-        ):
+        if _invariant(h0, h1, p, np.conj):
             return p
     raise ValueError(
         "propagate needs C H* C = H for both blocks, with C = 1 (real blocks) "
@@ -170,6 +193,46 @@ def _magnus_coefficients(omega: float, h: float, steps: int) -> np.ndarray:
     ], axis=-1)
 
 
+def _pade_increment(om: np.ndarray, om2: np.ndarray, r_om: np.ndarray) -> np.ndarray:
+    """F = D^-1 (Omega + Omega^3/60) of the Pade step for a batch of 4x4 Omega, solve-free.
+
+    ``om`` and ``om2`` are Omega and Omega^2, complex (n, 4, 4), and ``r_om`` the
+    real (n, 8, 8) R(Omega) of ``propagate``.  The Omega of ``propagate`` is
+    Sigma_z anti-Hermitian and Q-real, Q Omega* Q = Omega with Q = S C
+    (``real_form``), so its characteristic polynomial is even, x^4 + a x^2 + b,
+    with a = -tr(p)/2 and b = (tr(p)^2/2 - tr(p^2))/4 for p = Omega^2, both real.
+    D^-1 = N/(D N) with N(Omega) = D(-Omega), and D N = 1 - p/20 + p^2/600 -
+    p^3/14400, reduced modulo p^2 + a p + b, has a scalar inverse, so
+
+        F = (u0 + t0 Omega + u1 Omega^2 + t1 Omega^3) / Delta = u0/Delta + Y Omega,
+
+    Y = (t0 + u1 Omega + t1 Omega^2) / Delta, with the polynomials of _INCREMENT.
+    They are evaluated elementwise (Horner), so no matrix's arithmetic depends
+    on the rest of the batch, and F, a polynomial in Omega with no change of
+    basis, keeps every entry that vanishes in all powers of Omega exactly zero.
+    """
+    s = np.einsum("...ii->...", om2).real
+    w = 0.5 * s * s
+    w -= np.einsum("...ij,...ji->...", om2, om2).real
+    r = _HORNER[3] * w
+    for k in (2, 1):
+        r += _HORNER[k]
+        r *= w
+    r += _HORNER[0]
+    q = r[:, 3] * s
+    for i in (2, 1):
+        q += r[:, i]
+        q *= s
+    q += r[:, 0]
+    t0, u1, t1, u0 = (q[1:] / q[0])[..., None]
+    y = om.view(float) * u1[..., None]
+    y += om2.view(float) * t1[..., None]
+    y.reshape(-1, 32)[:, ::10] += t0  # entries 10 i of a flattened (4, 8) real view: Re Y_ii
+    f = y @ r_om
+    f.reshape(-1, 32)[:, ::10] += u0
+    return f.view(complex)
+
+
 def propagate(
     h0: np.ndarray, h1: np.ndarray, omega: float, steps: int, snapshots=()
 ) -> Propagation:
@@ -196,7 +259,12 @@ def propagate(
 
     That map sends the Lie algebra of U(n, n) into the group, so U stays
     pseudo-unitary to round-off at any step size; the quasienergy error
-    falls as steps^-6.
+    falls as steps^-6.  For 4x4 blocks the increment D^-1 (Omega + Omega^3/60)
+    is a cubic in Omega with scalar weights, formed without a solve
+    (``_pade_increment``); it needs the Nambu swap symmetry S H S = H,
+    S = sx (x) 1, of both blocks, which every Bloch block has (anything else
+    is a ValueError).  Larger blocks (the chain's parity sectors) solve
+    D X = Omega + Omega^3/60 by LU.
 
     Only the first half period is integrated.  H(T - t) = H(t), and the
     blocks have a conjugation symmetry C H* C = H (C = 1 for real blocks,
@@ -215,8 +283,9 @@ def propagate(
     batch shape: the real view of a complex (d, d) Z is (d, 2d), Re and Im
     interleaved, and that of Z W = Re(Z) W + Im(Z) (iW) is real(Z) R(W),
     where rows 2k and 2k + 1 of the real (2d, 2d) R(W) are row k of real(W)
-    and of real(iW).  Only the Pade solve is complex.  R(W) changes no basis,
-    so entries that vanish stay exactly zero and U(0) is exactly 1.
+    and of real(iW).  Only the LU solve of larger blocks is complex.  R(W)
+    changes no basis, so entries that vanish stay exactly zero and U(0) is
+    exactly 1.
 
     ``steps`` must be at least MIN_STEPS.  ``snapshots`` lists step indices
     s in 0..steps at which U(s h) is recorded.  ``step_norm`` is
@@ -235,6 +304,11 @@ def propagate(
     perm = _conjugation(h0, h1)
     shape = np.broadcast_shapes(h0.shape, h1.shape)
     d = shape[-1]
+    if d == 4 and not _invariant(h0, h1, _SWAP):
+        raise ValueError(
+            "propagate needs the Nambu swap symmetry S H S = H, S = sx (x) 1, of 4x4 blocks "
+            "for both blocks: the closed-form Pade step holds only for them"
+        )
     sz = nambu_metric(d)[:, None]
     h = 2.0 * math.pi / omega / steps
     norms = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
@@ -261,10 +335,15 @@ def propagate(
         right[1, :, :, 0] = u
         np.multiply(right[:, :, :, 0], 1j, out=right[:, :, :, 1])
         np.matmul(om, r_om, out=om2)
-        np.matmul(om2, r_om, out=om3)
-        np.matmul(_PADE, powers.view(float).reshape(4, -1), out=pade.view(float).reshape(2, -1))
-        np.matmul(pade[0].view(float), r_u, out=rhs.view(float))
-        u += np.linalg.solve(pade[1], rhs)
+        if d == 4:
+            np.matmul(_pade_increment(*powers[:2], r_om).view(float), r_u, out=rhs.view(float))
+            u += rhs
+        else:
+            np.matmul(om2, r_om, out=om3)
+            np.matmul(_PADE, powers.view(float).reshape(4, -1),
+                      out=pade.view(float).reshape(2, -1))
+            np.matmul(pade[0].view(float), r_u, out=rhs.view(float))
+            u += np.linalg.solve(pade[1], rhs)
         if s + 1 == half:
             u_half = u.copy()
         if s + 1 in direct:

@@ -339,6 +339,23 @@ class TestIntegrators:
         with pytest.raises(ValueError, match="C H\\* C = H"):
             propagate(h0, h1, PA.omega, 64)
 
+    def test_requires_nambu_swap_symmetry(self):
+        """A 4x4 batch that keeps C but breaks the Nambu swap S, one cell's hole
+        block at another mu or the drive acting on particles only, is refused:
+        the closed-form Pade step holds only for S H S = H."""
+        x, y = np.linspace(-3.0, 3.0, 5), np.full(5, 2.0)
+        h0 = np.array([static_block(-1.5, 0.0, -5.0, 1.0)] * 5)
+        h1 = field_matrix(x, y)
+        propagate(h0, h1, PA.omega, 64)
+        hole_mu = h0.copy()
+        hole_mu[2, [2, 3], [2, 3]] += 0.3
+        particle_drive = h1.copy()
+        particle_drive[..., 2:, 2:] = 0.0
+        for a, b in ((hole_mu, h1), (h0, particle_drive)):
+            assert (floquet._conjugation(a, b) == floquet._BLOCH_C).all()
+            with pytest.raises(ValueError, match="Nambu swap symmetry S H S = H"):
+                propagate(a, b, PA.omega, 64)
+
     def test_coarse_step_flagged(self):
         """Far past the Magnus radius the Pade map stays finite, so the guard must flag."""
         h0, h1 = bloch_blocks(PA, np.array([0.0, 0.0]))
@@ -350,6 +367,71 @@ class TestIntegrators:
             check_cells(floquet._cell_errors(prop, "test", 0))
         check_cells(floquet._cell_errors(
             prop._replace(u=prop.u[:1], step_norm=prop.step_norm[:1]), "test", 0))
+
+
+def pade_increment(om: np.ndarray) -> np.ndarray:
+    """``floquet._pade_increment`` of a complex (n, 4, 4) Omega, given R(Omega) and Omega^2."""
+    r_om = np.stack([om, 1j * om], axis=-2).view(float).reshape(len(om), 8, 8)
+    return floquet._pade_increment(om, om @ om, r_om)
+
+
+def solved_increment(om: np.ndarray) -> np.ndarray:
+    """D^-1 (Omega + Omega^3/60) by an LU solve."""
+    eye = np.eye(om.shape[-1])
+    om2 = om @ om
+    om3 = om2 @ om
+    return np.linalg.solve(eye - 0.5 * om + 0.1 * om2 - om3 / 120.0, om + om3 / 60.0)
+
+
+def symmetric_blocks(rng, n: int) -> np.ndarray:
+    """n random Hermitian 4x4 blocks with C H* C = H (C = 1 (x) sx) and S H S = H."""
+    a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    h = a + np.swapaxes(a.conj(), -1, -2)
+    swap = np.kron(SX, I2)
+    h = h + swap @ h @ swap
+    return h + CONJUGATION @ h.conj() @ CONJUGATION
+
+
+class TestPadeIncrement:
+    """The closed-form increment of the 4x4 step equals the LU-solved one."""
+
+    def test_random_generators_up_to_step_guard(self):
+        """Magnus-like exponents h (A0 + A1/2) + h^2/12 [A0, A1] of random C- and
+        S-symmetric blocks, at step norms h (|H0| + |H1|) up to MAX_STEP_NORM."""
+        rng = np.random.default_rng(11)
+        h0, h1 = symmetric_blocks(rng, 200), symmetric_blocks(rng, 200)
+        sz = nambu_metric(4)[:, None]
+        a0, a1 = -1j * sz * h0, -1j * sz * h1
+        norm = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
+        h = (np.geomspace(1e-4, 1.0, 200) * MAX_STEP_NORM / norm)[:, None, None]
+        om = h * (a0 + 0.5 * a1) + h * h / 12.0 * (a0 @ a1 - a1 @ a0)
+        ref = solved_increment(om)
+        err = np.abs(pade_increment(om) - ref).max(axis=(-2, -1))
+        assert (err <= 1e-14 * np.abs(ref).max(axis=(-2, -1))).all()
+
+    def test_zero_exponent(self):
+        """Omega = 0 gives exactly F = 0."""
+        assert not pade_increment(np.zeros((3, 4, 4), dtype=complex)).any()
+
+    @pytest.mark.parametrize("field, mu", [(0.0, -1.0), (1.0, 0.0)])
+    def test_nilpotent(self, field, mu):
+        """At band energy +-g the static block gives a nilpotent Omega (a = b = 0),
+        for which F = Omega."""
+        om = -1j * nambu_metric(4)[:, None] * static_block(field, 0.0, mu, 1.0)[None] / 8.0
+        assert not (om @ om).any()
+        assert np.abs(pade_increment(om) - solved_increment(om)).max() <= 1e-16
+        assert (pade_increment(om) == om).all()
+
+    @pytest.mark.parametrize("mu", [-5.0, -0.5])
+    def test_double_root(self, mu):
+        """With no field both sublattices share eps, so a^2 = 4b: a stable double
+        pair +-i E (mu = -5) and an unstable one +-E (mu = -0.5)."""
+        om = -1j * nambu_metric(4)[:, None] * static_block(0.0, 0.0, mu, 1.0)[None] / 8.0
+        p = (om @ om)[0]
+        a, b = -np.trace(p).real / 2.0, (np.trace(p).real ** 2 / 2.0 - np.trace(p @ p).real) / 4.0
+        assert a * a == pytest.approx(4.0 * b, rel=1e-14)
+        ref = solved_increment(om)
+        assert np.abs(pade_increment(om) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestQuasienergies:
@@ -493,19 +575,20 @@ class TestRealForm:
                 eig_branches(u, 5.2)
 
     def test_cell_without_real_form_fails_alone(self):
-        """A cell whose hole block is shifted keeps C (``propagate`` accepts it)
-        but loses the Nambu swap S, so its U has no real form: only that cell of
-        the grid fails, as an eigensolver failure."""
-        x, y = np.linspace(-3.0, 3.0, 5), np.full(5, 2.0)
-        h0 = np.array([static_block(-1.5, 0.0, -5.0, 1.0)] * 5)
-        h0[2, [2, 3], [2, 3]] += 0.3
-        eps = np.full((5, 4), np.nan, dtype=complex)
+        """A two-cell chain whose hole block is shifted keeps C = 1 (``propagate``
+        accepts it: only 4x4 blocks need the Nambu swap S) but loses S, so its U
+        has no real form: only that cell of the grid fails, as an eigensolver
+        failure."""
+        h0, h1 = chain_blocks(PA, 2)
+        h0 = np.array([h0] * 5)
+        h0[2, [4, 5, 6, 7], [4, 5, 6, 7]] += 0.3
+        h1 = h1 * np.linspace(0.2, 1.0, 5)[:, None, None]
+        eps = np.full((5, 8), np.nan, dtype=complex)
 
         def solve(at, u):
             eps[at] = quasienergies(u, 5.2)
 
-        error = solve_cells(lambda c: (h0[c], field_matrix(x[c], y[c])), (5,), 5.2, 64,
-                            "drive plane", solve)
+        error = solve_cells(lambda c: (h0[c], h1[c]), (5,), 5.2, 64, "chains", solve)
         assert [i for i, e in enumerate(error) if e is not None] == [2]
         assert error[2].startswith("eigensolver failed: no real form")
         assert np.isfinite(np.delete(eps, 2, axis=0)).all() and np.isnan(eps[2]).all()
