@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Time of ``floquet.propagate`` at the benchmark's batch shapes under two source trees.
+"""Time of ``floquet.propagate`` and ``dynamics.evolve_vacuum`` under two source trees.
 
 Each run is one fresh child process with the given ``src`` directory first on
-PYTHONPATH; it builds the blocks of every shape with that tree's ``model``,
-calls ``propagate`` once to warm up and then ``--repeats`` times, and reports
-the fastest call per shape and a SHA-256 digest of U(T) and of every
-snapshot.  The two sides alternate, the first side leading on even runs.
-Prints one JSON object: per shape and side, each run's fastest call (ms),
-their median and minimum, the ratios of the medians and of the minima
-(second side over first; on a shared host the minima spread less) and
-whether both sides gave bitwise the same U(T) and snapshots.
+PYTHONPATH; it builds the inputs of every row with that tree's ``model`` (and
+recipe), makes the row's call once to warm up and then ``--repeats`` times, and
+reports the fastest call per row and a SHA-256 digest of its result.  The two
+sides alternate, the first side leading on even runs.  Prints one JSON object:
+per row and side, each run's fastest call (ms), their median and minimum, the
+ratios of the medians and of the minima (second side over first; on a shared
+host the minima spread less) and whether both sides gave bitwise the same
+result.
 
-The shapes are those the benchmark integrates at 64 steps:
+The ``propagate`` rows are the batch shapes the benchmark integrates at 64
+steps, digested over U(T) and every snapshot:
 
 - ``plane-41x41``: the integrated quadrant of the 41x41 fig2b drive plane
   (546 cells, one broadcast H0);
@@ -21,6 +22,10 @@ The shapes are those the benchmark integrates at 64 steps:
   (a 3x3 phase diagram and a 16-point scan path at nk 64);
 - ``chain-2x40x40``: the two parity sectors of the 20-cell fig3a chain, with
   a snapshot every 8 steps.
+
+The vacuum-evolution row ``evolve-fig3b`` calls ``evolve_vacuum`` at the fig3b
+recipe (its chain propagation included), digested over the trace's times,
+occupations, residuals, marks and truncation flag.
 
     python3 scripts/layer_time.py --src old/src src --runs 5 --repeats 20
 """
@@ -42,6 +47,7 @@ MODEL = {"nu0": 1.5, "nu0p": 0.0, "nu1": 3.0, "nu1p": 11.0, "mu": -5.0, "omega":
 PLANE = ((-15.0, 9.0), (-12.0, 12.0), 41)
 SHAPES = ("plane-41x41", "kgrid-33", "kgrid-65", "kgrid-129", "kgrid-297", "kgrid-528",
           "chain-2x40x40")
+ROWS = (*SHAPES, "evolve-fig3b")
 
 
 def blocks(shape: str):
@@ -73,24 +79,50 @@ def blocks(shape: str):
     return np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs]), ()
 
 
-def child(repeats: int) -> None:
-    """Time every shape with the tree on the path; print one JSON line."""
+def call(row: str):
+    """(size, f): the row's size entry and its call, which returns the arrays to digest."""
+    if row == "evolve-fig3b":
+        from floqbog.cli import load_recipe
+        from floqbog.dynamics import evolve_vacuum
+        from floqbog.model import ModelParams
+
+        recipe = load_recipe("fig3b")
+        task = recipe["task"]
+        args = (ModelParams(**recipe["model"]), task["cells"], task["t_max"], task["samples"],
+                recipe["numerics"]["steps"])
+
+        def evolve():
+            trace = evolve_vacuum(*args)
+            return (trace.times, trace.occupations, trace.sympl_residual, trace.marks,
+                    np.array(trace.truncated))
+
+        return {"samples": task["samples"]}, evolve
     from floqbog.floquet import propagate
 
-    out = {}
-    for shape in SHAPES:
-        h0, h1, marks = blocks(shape)
+    h0, h1, marks = blocks(row)
+
+    def integrate():
         prop = propagate(h0, h1, MODEL["omega"], STEPS, marks)
+        return (prop.u, *(prop.snapshots[s] for s in sorted(prop.snapshots)))
+
+    return {"matrices": int(np.prod(np.broadcast_shapes(h0.shape, h1.shape)[:-2]))}, integrate
+
+
+def child(repeats: int) -> None:
+    """Time every row with the tree on the path; print one JSON line."""
+    out = {}
+    for row in ROWS:
+        size, f = call(row)
+        result = f()
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            propagate(h0, h1, MODEL["omega"], STEPS, marks)
+            f()
             best = min(best, time.perf_counter() - start)
-        digest = hashlib.sha256(prop.u.tobytes())
-        for s in sorted(prop.snapshots):
-            digest.update(prop.snapshots[s].tobytes())
-        out[shape] = {"ms": 1e3 * best,
-                      "matrices": int(np.prod(prop.u.shape[:-2])), "digest": digest.hexdigest()}
+        digest = hashlib.sha256()
+        for part in result:
+            digest.update(np.ascontiguousarray(part).tobytes())
+        out[row] = {"ms": 1e3 * best, **size, "digest": digest.hexdigest()}
     print(json.dumps(out))
 
 
@@ -110,7 +142,7 @@ def main() -> None:
                         help="the two source directories (each holds the floqbog package)")
     parser.add_argument("--runs", type=int, default=5, help="child processes per side (default 5)")
     parser.add_argument("--repeats", type=int, default=20,
-                        help="timed calls per shape in each child (default 20)")
+                        help="timed calls per row in each child (default 20)")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child is not None:
@@ -125,13 +157,14 @@ def main() -> None:
         for src in args.src if i % 2 == 0 else args.src[::-1]:
             runs[src].append(run_once(src, args.repeats))
     table = {}
-    for shape in SHAPES:
-        sides = {src: [r[shape]["ms"] for r in runs[src]] for src in args.src}
+    for row in ROWS:
+        sides = {src: [r[row]["ms"] for r in runs[src]] for src in args.src}
         medians = [statistics.median(sides[src]) for src in args.src]
         minima = [min(sides[src]) for src in args.src]
-        digests = {r[shape]["digest"] for src in args.src for r in runs[src]}
-        table[shape] = {
-            "matrices": runs[args.src[0]][0][shape]["matrices"],
+        digests = {r[row]["digest"] for src in args.src for r in runs[src]}
+        first = runs[args.src[0]][0][row]
+        table[row] = {
+            **{k: first[k] for k in ("matrices", "samples") if k in first},
             "ms": sides,
             "median_ms": dict(zip(args.src, medians)),
             "min_ms": dict(zip(args.src, minima)),
@@ -140,7 +173,7 @@ def main() -> None:
             "bitwise_equal": len(digests) == 1,
         }
     print(json.dumps({"steps": STEPS, "runs": args.runs, "repeats": args.repeats,
-                      "shapes": table}, indent=1))
+                      "rows": table}, indent=1))
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -227,27 +228,48 @@ def _axis(task: dict, key: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _csv_text(strings: list, cache: dict, alone: bool) -> list:
+    """Each string as ``csv.writer`` writes it as a field (QUOTE_MINIMAL), and
+    each distinct one formatted once into ``cache``; ``alone`` when a row has a
+    single field, where an empty one is written as ""."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for text in set(strings).difference(cache):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text,) if alone else (text, ""))
+        cache[text] = buf.getvalue()[:-1 if alone else -2]
+    return [cache[text] for text in strings]
+
+
 def write_outputs(cfg: dict, table: np.recarray, meta: dict):
     """Write ``table`` as ``<prefix>.csv`` and the config plus ``meta`` as
-    ``<prefix>.meta.json``; returns both paths."""
+    ``<prefix>.meta.json`` in the existing directory of the prefix; returns both paths.
+
+    The CSV is the bytes of ``csv.writer`` (lineterminator "\n"), written as
+    one string per block of WRITE_ROWS rows joined with "," and "\n": each
+    distinct bit pattern of a float column is formatted once by ``repr``,
+    which never needs quoting, and each distinct string of the other
+    columns is quoted once, as ``csv.writer`` quotes it (``_csv_text``).
+    """
     prefix = Path(cfg["output"]["path"])
-    if prefix.parent != Path("."):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = prefix.with_suffix(".csv")
     names = table.dtype.names
     floats = [n for n in names if table.dtype[n] == np.float64]
+    alone = len(names) == 1
+    cache: dict = {}
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
+        fh.write(",".join(_csv_text(list(names), cache, alone)) + "\n")
         for start in range(0, len(table), WRITE_ROWS):
             block = table[start:start + WRITE_ROWS]
-            columns = {n: list(map(_fmt, block[n].tolist())) for n in names if n not in floats}
+            columns = {n: _csv_text(list(map(_fmt, block[n].tolist())), cache, alone)
+                       for n in names if n not in floats}
             # each distinct float bit pattern (-0.0 is not 0.0) is formatted once
             bits = np.array([block[n] for n in floats]).reshape(len(floats), len(block))
             unique, inverse = np.unique(bits.view(np.int64), return_inverse=True)
             text = np.array([repr(v) for v in unique.view(np.float64).tolist()], dtype=object)
             columns.update(zip(floats, text[inverse.reshape(bits.shape)].tolist()))
-            writer.writerows(zip(*(columns[n] for n in names)))
+            fh.write("\n".join(map(",".join, zip(*(columns[n] for n in names)))) + "\n")
     sidecar = {"config": cfg, "version": __version__, "result": meta}
     meta_path = prefix.with_suffix(".meta.json")
     meta_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
@@ -386,6 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = resolve_config(args, args.command)
+    parent = Path(cfg["output"]["path"]).parent
+    try:
+        parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {parent}: {exc.strerror}") from None
     table, meta, summary = COMMANDS[args.command](ModelParams(**cfg["model"]), cfg)
     csv_path, _ = write_outputs(cfg, table, meta)
     print(f"{summary} -> {csv_path}")

@@ -17,16 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import (
+    CHUNK,
     DEFAULT_STEPS,
     Propagation,
     _cell_errors,
     branch_order,
     check_cells,
     eig_branches,
-    kgrid_solve,
+    kgrid,
+    mirror_half,
     propagate,
+    quasienergies,
+    solve_cells,
 )
-from .model import ModelParams, chain_blocks
+from .model import ModelParams, bloch_blocks, chain_blocks
 
 #: occupation beyond which the linear Bogoliubov description is hopeless
 OVERFLOW_OCC = 1e12
@@ -120,9 +124,21 @@ def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()
 
 
 def _bulk_gap(params: ModelParams, nk: int = 128, steps: int = DEFAULT_STEPS) -> float:
-    """Distance between the folded bulk bands across Re eps = 0."""
-    _, eps, _, _, error = kgrid_solve([params], nk, steps)
-    check_cells(error)
+    """Distance between the folded bulk bands across Re eps = 0, from eigenvalues alone.
+
+    The k >= 0 momenta of the ``nk`` grid (``mirror_half``; -k has the
+    spectrum of k) integrate as one ``solve_cells`` cell, and only their
+    ``quasienergies`` are computed: the gap is 2 min |Re eps|.
+    """
+    ks = kgrid(nk)
+    ks = ks[mirror_half(ks)[0]]
+    eps = np.empty((1, ks.size, 4), dtype=complex)
+
+    def solve(at, u):
+        eps[at] = quasienergies(u, params.omega)
+
+    check_cells(solve_cells(lambda _: (h[None] for h in bloch_blocks(params, ks)), eps.shape[:2],
+                            params.omega, steps, "k-grid", solve))
     return 2.0 * float(np.abs(eps.real).min())
 
 
@@ -209,20 +225,24 @@ def detect_midgap(
     return tuple(idx), (left, right)
 
 
-def _sector_residual(u: np.ndarray) -> float:
-    """Site-basis symplectic residual of the chain from its (2, N, N) sectors.
+def _sector_residual(u: np.ndarray):
+    """Site-basis symplectic residual of the chain from its sectors, per sample.
 
+    ``u`` holds (..., 2, rows, N) sector matrices, even sector first: the whole
+    (2, N, N) pair, or only its top N/2 rows, which are all the formula reads.
     With A, B the particle-particle and particle-hole blocks, the residual is
     the largest entry of X = A A^+ - B B^+ - 1 and of X = A B^T - (A B^T)^T.
     In the site basis X has the sector form of U, so its entries are
-    (X_e + X_o)/2 and (X_e - X_o)/2.
+    (X_e + X_o)/2 and (X_e - X_o)/2.  Returns a float for one pair, and an
+    array over the leading axes otherwise.
     """
     m = u.shape[-1] // 2
-    a, b = u[:, :m, :m], u[:, :m, m:]
+    a, b = u[..., :m, :m], u[..., :m, m:]
     cons = a @ a.conj().swapaxes(-1, -2) - b @ b.conj().swapaxes(-1, -2) - np.eye(m)
     sym = a @ b.swapaxes(-1, -2)
     sym = sym - sym.swapaxes(-1, -2)
-    return 0.5 * max(float(np.abs(x[0] + s * x[1]).max()) for x in (cons, sym) for s in (1, -1))
+    return 0.5 * np.max([np.abs(x[..., 0, :, :] + s * x[..., 1, :, :]).max(axis=(-2, -1))
+                         for x in (cons, sym) for s in (1, -1)], axis=0)
 
 
 def evolve_vacuum(
@@ -240,8 +260,14 @@ def evolve_vacuum(
     the snapped ones), per parity sector.  Occupations follow from the
     anomalous block, n_j = (B B^dagger)_jj, which in sector form is
     n_near = n_far = (|B_e|^2 + |B_o|^2)/2 summed over the columns, so they
-    are exactly mirror-symmetric.  The trace is truncated once any occupation
-    exceeds 1e12, where exponential growth has left the linear regime.
+    are exactly mirror-symmetric.  They and the residual (``_sector_residual``)
+    read only the A and B blocks, the top N/2 rows of each sector, so only
+    those rows are formed: the samples of one drive period share U(T)^n, and
+    their stacked rows of U(tau) take one product with it per sector, at most
+    CHUNK // 2 samples at a time.  Row for row this is the full product.  The
+    trace is truncated after the first sample whose occupation exceeds 1e12,
+    where exponential growth has left the linear regime; no later period is
+    formed.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -258,24 +284,29 @@ def evolve_vacuum(
     mono = prop.u
     m = mono.shape[-1] // 2
     power = np.broadcast_to(np.eye(2 * m), mono.shape).astype(complex)
-    done = 0
-    times, occs, resid = [], [], []
+    done = start = 0
+    occs, resid = [], []
     truncated = False
-    for s in range(n_samples):
-        while done < wraps[s]:
+    while start < n_samples and not truncated:
+        stop = min(int(np.searchsorted(wraps, wraps[start], side="right")),
+                   start + CHUNK // len(mono))
+        while done < wraps[start]:
             power = mono @ power
             done += 1
-        u = prop.snapshots[int(offs[s])] @ power
-        half = 0.5 * (np.abs(u[:, :m, m:]) ** 2).sum(axis=(0, 2))
-        occ = np.concatenate([half, half[::-1]])
-        times.append(marks[s] * dt)
-        occs.append(occ)
-        resid.append(_sector_residual(u))
-        if occ.max() > OVERFLOW_OCC:
-            truncated = True
-            break
-    return EvolutionTrace(np.array(times), np.array(occs), np.array(resid), truncated,
-                          marks[:len(times)])
+        tops = np.stack([prop.snapshots[s][:, :m] for s in offs[start:stop].tolist()], axis=1)
+        rows = (tops.reshape(len(tops), -1, 2 * m) @ power).reshape(tops.shape).swapaxes(0, 1)
+        half = 0.5 * (np.abs(rows[..., m:]) ** 2).sum(axis=(1, 3))
+        occ = np.concatenate([half, half[:, ::-1]], axis=1)
+        over = np.flatnonzero(occ.max(axis=1) > OVERFLOW_OCC)
+        truncated = over.size > 0
+        keep = over[0] + 1 if truncated else len(occ)
+        occs.append(occ[:keep])
+        resid.append(_sector_residual(rows[:keep]))
+        start = stop
+    occupations = np.concatenate(occs)
+    count = len(occupations)
+    return EvolutionTrace(marks[:count] * dt, occupations, np.concatenate(resid), truncated,
+                          marks[:count])
 
 
 def growth_rate_fit(trace: EvolutionTrace) -> float | None:

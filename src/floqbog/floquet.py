@@ -287,12 +287,13 @@ def propagate(
     changes no basis, so entries that vanish stay exactly zero and U(0) is
     exactly 1.
 
-    ``steps`` must be at least MIN_STEPS.  ``snapshots`` lists step indices
-    s in 0..steps at which U(s h) is recorded.  ``step_norm`` is
-    h (|H0| + |H1|) per propagator, in the max-row-sum norm, which bounds
-    the spectral norm of a Hermitian matrix; above MAX_STEP_NORM the Magnus
-    series is too close to its convergence radius pi and U, while
-    pseudo-unitary, is not accurate.
+    ``steps`` must be at least MIN_STEPS, and h and every step weight must be
+    finite (a ValueError names omega and steps otherwise).  ``snapshots``
+    lists step indices s in 0..steps at which U(s h) is recorded.
+    ``step_norm`` is h (|H0| + |H1|) per propagator, in the max-row-sum
+    norm, which bounds the spectral norm of a Hermitian matrix; above
+    MAX_STEP_NORM the Magnus series is too close to its convergence radius
+    pi and U, while pseudo-unitary, is not accurate.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} integrator steps, got {steps}")
@@ -314,7 +315,14 @@ def propagate(
     norms = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
     half = steps // 2
     forward = steps - half
-    weights = _magnus_coefficients(omega, h, forward)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            weights = _magnus_coefficients(omega, h, forward)
+        except OverflowError:  # h**3 of a float raises where an array gives inf
+            weights = np.array(math.inf)
+    if not np.isfinite(weights).all():  # h is weights[:, 0]
+        raise ValueError(f"integrator step weights are not finite for omega = {omega!r} "
+                         f"and {steps} steps (step h = {h!r})")
     direct = {s if s <= forward else steps - s for s in record}
     rows, cols = perm[:, None], perm
     n = math.prod(shape[:-2])

@@ -9,9 +9,10 @@ runs complex LAPACK on the monodromy itself, the static spectrum is the
 closed form of the 4x4 Bogoliubov problem, the chiral residual checks the
 model's symmetry from its closed form, the open chain's site matrices are
 rebuilt from its parity sectors entry by entry, band tracking matches one
-momentum at a time against the already-tracked states, the CSV writer
-formats every cell of every row on its own, and Bessel values come from
-mpmath's arbitrary precision series.
+momentum at a time against the already-tracked states, the vacuum
+evolution forms the whole U(tau) U(T)^n of every sample on its own, the
+CSV writer formats every cell of every row on its own, and Bessel values
+come from mpmath's arbitrary precision series.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from floqbog.dynamics import OVERFLOW_OCC, EvolutionTrace, _chain_propagation, _sector_residual
 from floqbog.model import I2, SX, nambu_metric
 from floqbog.topology import AMBIGUITY_GAP, MIN_TRACK_OVERLAP, TrackingError
 
@@ -279,6 +281,42 @@ def track_loop(ks, eps, cnorm, states):
     st_t = np.take_along_axis(states, perm[:, :, None], axis=1)
     closure = np.abs(np.einsum("im,m,im->i", st_t[-1].conj(), sz, st_t[0]))
     return eps_t, cn_t, st_t, closure
+
+
+def evolve_reference(params, cells: int, t_max: float, n_samples: int, steps: int):
+    """The vacuum evolution one sample at a time, as an ``EvolutionTrace``.
+
+    Each sample forms the whole (2, N, N) sector pair U(tau) U(T)^n and its
+    residual from that pair; the power U(T)^n is advanced one period at a
+    time, and the trace stops after the first sample whose occupation
+    exceeds OVERFLOW_OCC.  The chain propagation and the pair residual are
+    the library's, checked on their own (``chain_sites``, ``block_residual``):
+    what this checks is the per-period batching on the particle rows.
+    """
+    dt = params.period / steps
+    marks = np.rint(np.linspace(0.0, t_max * params.period, n_samples) / dt).astype(int)
+    wraps, offs = np.divmod(marks, steps)
+    prop = _chain_propagation(params, cells, steps, offs.tolist())
+    m = prop.u.shape[-1] // 2
+    power = np.broadcast_to(np.eye(2 * m), prop.u.shape).astype(complex)
+    done = 0
+    times, occs, resid = [], [], []
+    truncated = False
+    for s in range(n_samples):
+        while done < wraps[s]:
+            power = prop.u @ power
+            done += 1
+        u = prop.snapshots[int(offs[s])] @ power
+        half = 0.5 * (np.abs(u[:, :m, m:]) ** 2).sum(axis=(0, 2))
+        occ = np.concatenate([half, half[::-1]])
+        times.append(marks[s] * dt)
+        occs.append(occ)
+        resid.append(_sector_residual(u))
+        if occ.max() > OVERFLOW_OCC:
+            truncated = True
+            break
+    return EvolutionTrace(np.array(times), np.array(occs), np.array(resid), truncated,
+                          marks[:len(times)])
 
 
 def write_rows(path, table) -> None:

@@ -194,6 +194,27 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert err.startswith("config error: ") and "task.overlay_nk" in err
 
+    @pytest.mark.parametrize("command, recipe", [("spectrum", "fig1b"), ("chain", "fig3a")])
+    def test_nonfinite_step_weight_exits_2(self, command, recipe, capsys):
+        """At omega = 1e-300 the step h is finite but h**3 is not."""
+        assert entry([command, "--recipe", recipe, "--set", "model.omega=1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error: ") and "omega = 1e-300 and 64 steps" in err
+
+    def test_unwritable_prefix_checked_before_compute(self, in_tmp, capsys, monkeypatch):
+        import floqbog.cli as cli
+
+        def never(*a, **kw):
+            raise AssertionError("ws ran with an unwritable output prefix")
+
+        monkeypatch.setitem(cli.COMMANDS, "ws", never)
+        Path("taken").write_text("")
+        assert entry(["ws", "--recipe", "fig1b", "--output", "taken/x"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error: ") and "taken" in err
+
     def test_main_raises(self):
         with pytest.raises(ValueError, match="at least 8 unit cells"):
             main(["chain", "--recipe", "fig3a", "--set", "task.cells=4"])
@@ -304,12 +325,13 @@ class TestWriteOutputs:
         tiny = 5e-324  # the smallest subnormal
         return np.rec.fromarrays(
             [
-                np.array([-0.0, 0.0, np.nan, np.inf, tiny, 0.1, 0.1, -np.nan]),
-                np.array([0.0, -0.0, 0.1, -np.inf, 1e300, -tiny, np.nan, 1 / 3]),
-                np.array([True, False, True, True, False, False, True, False]),
-                np.arange(-3, 5),
-                np.array(["Stable", "Unstable", "", "a,b", 'q"t', "x ", "x ", " y"]),
-                np.array([None, 2, 0.1, -0.0, None, "w", None, 7], dtype=object),
+                np.array([-0.0, 0.0, np.nan, np.inf, tiny, 0.1, 0.1, -np.nan, 2.5, 0.1]),
+                np.array([0.0, -0.0, 0.1, -np.inf, 1e300, -tiny, np.nan, 1 / 3, 0.0, -1e-7]),
+                np.array([True, False, True, True, False, False, True, False, True, True]),
+                np.arange(-3, 7),
+                np.array(["Stable", "Unstable", "", "a,b", 'q"t', "x ", "x ", " y", "l\nf",
+                          "c\rr"]),
+                np.array([None, 2, 0.1, -0.0, None, "w", None, 7, None, ""], dtype=object),
             ],
             names=["a", "b", "flag", "n", "verdict", "ws"],
         )
@@ -330,6 +352,14 @@ class TestWriteOutputs:
         csv_path, _ = write_outputs({"output": {"path": str(tmp_path / "t")}}, self.table(), {})
         write_rows(tmp_path / "want.csv", self.table())
         assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_single_column_empty_field(self, tmp_path):
+        """A row whose only field is empty is written as "", as csv.writer does."""
+        table = np.rec.fromarrays([np.array(["", "a", ""])], names=["error"])
+        csv_path, _ = write_outputs({"output": {"path": str(tmp_path / "t")}}, table, {})
+        write_rows(tmp_path / "want.csv", table)
+        want = (tmp_path / "want.csv").read_bytes()
+        assert csv_path.read_bytes() == want == b'error\n""\na\n""\n'
 
     def test_signed_zeros_and_nan_kept(self, tmp_path):
         csv_path, _ = write_outputs({"output": {"path": str(tmp_path / "t")}}, self.table(), {})

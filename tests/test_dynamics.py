@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from floqbog.cli import load_recipe
 from floqbog.dynamics import (
     ChainSpectrum,
     EvolutionTrace,
+    _bulk_gap,
     _chain_propagation,
     _sector_residual,
     _side_balance,
@@ -19,7 +21,7 @@ from floqbog.dynamics import (
 from floqbog.floquet import IntegrationError, eig_branches, kgrid_solve, propagate
 from floqbog.model import ModelParams, chain_blocks
 
-from helpers import block_residual, chain_sites
+from helpers import block_residual, chain_sites, evolve_reference
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 #: a stable chain whose two parity sectors differ: at 8 cells its occupations
@@ -156,6 +158,14 @@ class TestChainSpectrum:
         spec = chain_spectrum(PA, cells=8, steps=256, nk=nk)
         assert spec.bulk_gap == 2.0 * float(np.abs(eps.real).min())
 
+    def test_bulk_gap_from_eigenvalues(self):
+        """At the fig3a point the eigenvalue-only gap is that of the full k-grid
+        solve to round-off, and the fig3a midgap states and sides are unchanged."""
+        _, eps, _, _, _ = kgrid_solve([PA], 128, 64)
+        assert _bulk_gap(PA, 128, 64) == pytest.approx(2.0 * np.abs(eps.real).min(), abs=1e-13)
+        spec = chain_spectrum(PA, cells=20, steps=64, nk=128)
+        assert detect_midgap(spec) == ((38, 39, 40, 41), (2, 2))
+
     def test_rejects_tiny_chain(self):
         with pytest.raises(ValueError):
             chain_spectrum(PA, cells=4)
@@ -252,6 +262,23 @@ class TestEvolution:
             want = block_residual(chain_sites(x))
             assert want > 0.1
             assert abs(_sector_residual(x) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("run", [{}, {"t_max": 120.0, "samples": 481}],
+                             ids=["fig3b", "truncated-mid-period"])
+    def test_equals_per_sample_reference(self, run):
+        """Per-period products on the particle rows give bitwise the trace of
+        full per-sample products, also when the overflow stop falls inside a
+        period (the 171st sample is the third of period 42, at 42.5 T)."""
+        recipe = load_recipe("fig3b")
+        task = {**recipe["task"], **run}
+        args = (ModelParams(**recipe["model"]), task["cells"], task["t_max"], task["samples"],
+                recipe["numerics"]["steps"])
+        got, want = evolve_vacuum(*args), evolve_reference(*args)
+        assert got.truncated == want.truncated == bool(run)
+        for name in ("times", "occupations", "sympl_residual", "marks"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        if run:
+            assert got.times.size == 171 and got.marks[-1] == 42 * 64 + 32
 
     def test_edge_growth_matches_spectrum(self, spec_a, trace_a):
         rate = growth_rate_fit(trace_a)
