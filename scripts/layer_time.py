@@ -9,7 +9,10 @@ sides alternate, the first side leading on even runs.  Prints one JSON object:
 per row and side, each run's fastest call (ms), their median and minimum, the
 ratios of the medians and of the minima (second side over first; on a shared
 host the minima spread less) and whether both sides gave bitwise the same
-result.
+result.  Where they did not, ``max_rel_diff`` gives, per compared part, the
+largest |a - b| / max |a| between the sides' first runs (a from the first
+side): U(T) and the snapshots of a ``propagate`` row, the occupations and
+residuals of the evolve row.
 
 The ``propagate`` rows are the batch shapes the benchmark integrates at 64
 steps, digested over U(T) and every snapshot:
@@ -37,6 +40,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -48,6 +52,8 @@ PLANE = ((-15.0, 9.0), (-12.0, 12.0), 41)
 SHAPES = ("plane-41x41", "kgrid-33", "kgrid-65", "kgrid-129", "kgrid-297", "kgrid-528",
           "chain-2x40x40")
 ROWS = (*SHAPES, "evolve-fig3b")
+#: parts whose largest relative difference is reported for rows that are not bitwise equal
+COMPARED = ("u", "snapshots", "occupations", "sympl_residual")
 
 
 def blocks(shape: str):
@@ -80,7 +86,8 @@ def blocks(shape: str):
 
 
 def call(row: str):
-    """(size, f): the row's size entry and its call, which returns the arrays to digest."""
+    """(size, f): the row's size entry and its call, which returns the named arrays to
+    digest, as (name, array) pairs."""
     if row == "evolve-fig3b":
         from floqbog.cli import load_recipe
         from floqbog.dynamics import evolve_vacuum
@@ -93,8 +100,9 @@ def call(row: str):
 
         def evolve():
             trace = evolve_vacuum(*args)
-            return (trace.times, trace.occupations, trace.sympl_residual, trace.marks,
-                    np.array(trace.truncated))
+            return [("times", trace.times), ("occupations", trace.occupations),
+                    ("sympl_residual", trace.sympl_residual), ("marks", trace.marks),
+                    ("truncated", np.array(trace.truncated))]
 
         return {"samples": task["samples"]}, evolve
     from floqbog.floquet import propagate
@@ -103,14 +111,15 @@ def call(row: str):
 
     def integrate():
         prop = propagate(h0, h1, MODEL["omega"], STEPS, marks)
-        return (prop.u, *(prop.snapshots[s] for s in sorted(prop.snapshots)))
+        return [("u", prop.u), *(("snapshots", prop.snapshots[s]) for s in sorted(prop.snapshots))]
 
     return {"matrices": int(np.prod(np.broadcast_shapes(h0.shape, h1.shape)[:-2]))}, integrate
 
 
-def child(repeats: int) -> None:
-    """Time every row with the tree on the path; print one JSON line."""
-    out = {}
+def child(repeats: int, dump: str | None) -> None:
+    """Time every row with the tree on the path; print one JSON line, and save
+    every row's result to the .npz file ``dump`` if given."""
+    out, saved = {}, {}
     for row in ROWS:
         size, f = call(row)
         result = f()
@@ -120,20 +129,35 @@ def child(repeats: int) -> None:
             f()
             best = min(best, time.perf_counter() - start)
         digest = hashlib.sha256()
-        for part in result:
+        for i, (name, part) in enumerate(result):
             digest.update(np.ascontiguousarray(part).tobytes())
+            saved[f"{row}.{i}.{name}"] = part
         out[row] = {"ms": 1e3 * best, **size, "digest": digest.hexdigest()}
+    if dump:
+        np.savez(dump, **saved)
     print(json.dumps(out))
 
 
-def run_once(src: str, repeats: int) -> dict:
+def run_once(src: str, repeats: int, dump: str | None = None) -> dict:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, __file__, "--child", str(repeats)],
+    result = subprocess.run([sys.executable, __file__, "--child", str(repeats),
+                             *(["--dump", dump] if dump else [])],
                             env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, check=False)
     if result.returncode != 0:
         raise SystemExit(f"{src}: child exited {result.returncode}\n{result.stderr}")
     return json.loads(result.stdout)
+
+
+def max_rel_diff(a: dict, b: dict, row: str) -> dict:
+    """Largest |a - b| / max |a| of each COMPARED part of ``row`` in two saved results."""
+    out = {}
+    for key in a:
+        part, _, name = key.rsplit(".", 2)
+        if part == row and name in COMPARED:
+            diff = np.abs(a[key] - b[key]).max(initial=0.0)
+            out[name] = max(out.get(name, 0.0), float(diff / np.abs(a[key]).max(initial=0.0)))
+    return out
 
 
 def main() -> None:
@@ -144,18 +168,23 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=20,
                         help="timed calls per row in each child (default 20)")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--dump", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child is not None:
-        child(args.child)
+        child(args.child, args.dump)
         return
     if args.src is None or args.src[0] == args.src[1]:
         parser.error("--src needs two different directories")
     if args.runs < 1 or args.repeats < 1:
         parser.error("--runs and --repeats must be at least 1")
     runs = {src: [] for src in args.src}
-    for i in range(args.runs):
-        for src in args.src if i % 2 == 0 else args.src[::-1]:
-            runs[src].append(run_once(src, args.repeats))
+    with tempfile.TemporaryDirectory() as tmp:
+        dumps = [os.path.join(tmp, f"side{j}.npz") for j in range(2)]
+        for i in range(args.runs):
+            for src in args.src if i % 2 == 0 else args.src[::-1]:
+                dump = dumps[args.src.index(src)] if i == 0 else None
+                runs[src].append(run_once(src, args.repeats, dump))
+        results = [dict(np.load(dump)) for dump in dumps]
     table = {}
     for row in ROWS:
         sides = {src: [r[row]["ms"] for r in runs[src]] for src in args.src}
@@ -172,6 +201,8 @@ def main() -> None:
             "ratio_min": minima[1] / minima[0],
             "bitwise_equal": len(digests) == 1,
         }
+        if len(digests) > 1:
+            table[row]["max_rel_diff"] = max_rel_diff(*results, row)
     print(json.dumps({"steps": STEPS, "runs": args.runs, "repeats": args.repeats,
                       "rows": table}, indent=1))
 

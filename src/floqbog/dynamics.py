@@ -29,6 +29,7 @@ from .floquet import (
     propagate,
     quasienergies,
     solve_cells,
+    step_weights,
 )
 from .model import ModelParams, bloch_blocks, chain_blocks
 
@@ -105,7 +106,9 @@ def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()
     (|j> +- |N-1-j>)/sqrt2 of the first N/2 sites, particles then holes, the
     generator splits into an even and an odd sector, each Sigma_z-structured
     of dimension N, with blocks A +- B for A = H[near, near], B = H[near, far]
-    (``_mirror_halves``).  The two sectors propagate as one batch, so U(T) and
+    (``_mirror_halves``); each keeps S H S = H and C = 1, so ``propagate``
+    carries its particle columns alone and its U(T) and snapshots are exactly
+    Q-real (Q = S).  The two sectors propagate as one batch, so U(T) and
     every snapshot have shape (2, N, N), even sector first; the site matrix
     would be U[near, near] = U[far, far] = (U_e + U_o)/2 and U[near, far] =
     U[far, near] = (U_e - U_o)/2.  The step-size guard bounds each sector's
@@ -273,6 +276,7 @@ def evolve_vacuum(
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
+    step_weights(params.omega, steps_per_period)  # propagate's step check, before the time grid
     period = params.period
     dt = period / steps_per_period
     total = np.linspace(0.0, t_max * period, n_samples)

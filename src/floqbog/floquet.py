@@ -60,8 +60,6 @@ _HORNER = np.ascontiguousarray(
 
 #: index permutation p of CONJUGATION, (C X C)[i, j] = X[p[i], p[j]]
 _BLOCH_C = CONJUGATION.real.argmax(axis=-1)
-#: index permutation of the 4x4 Nambu swap S = sx (x) 1, particles <-> holes
-_SWAP = np.roll(np.arange(4), 2)
 #: Gauss-Legendre nodes of one step, as fractions of h
 _NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
@@ -193,6 +191,22 @@ def _magnus_coefficients(omega: float, h: float, steps: int) -> np.ndarray:
     ], axis=-1)
 
 
+def step_weights(omega: float, steps: int) -> tuple[float, np.ndarray]:
+    """h = T/steps and the first steps - steps // 2 weights, checked by ``propagate``'s rule."""
+    if steps < MIN_STEPS:
+        raise ValueError(f"need at least {MIN_STEPS} integrator steps, got {steps}")
+    h = 2.0 * math.pi / omega / steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            weights = _magnus_coefficients(omega, h, steps - steps // 2)
+        except OverflowError:  # h**3 of a float raises where an array gives inf
+            weights = np.array(math.inf)
+    if not np.isfinite(weights).all():  # h is weights[:, 0]
+        raise ValueError(f"integrator step weights are not finite for omega = {omega!r} "
+                         f"and {steps} steps (step h = {h!r})")
+    return h, weights
+
+
 def _pade_increment(om: np.ndarray, om2: np.ndarray, r_om: np.ndarray) -> np.ndarray:
     """F = D^-1 (Omega + Omega^3/60) of the Pade step for a batch of 4x4 Omega, solve-free.
 
@@ -261,10 +275,11 @@ def propagate(
     pseudo-unitary to round-off at any step size; the quasienergy error
     falls as steps^-6.  For 4x4 blocks the increment D^-1 (Omega + Omega^3/60)
     is a cubic in Omega with scalar weights, formed without a solve
-    (``_pade_increment``); it needs the Nambu swap symmetry S H S = H,
-    S = sx (x) 1, of both blocks, which every Bloch block has (anything else
-    is a ValueError).  Larger blocks (the chain's parity sectors) solve
-    D X = Omega + Omega^3/60 by LU.
+    (``_pade_increment``).  Larger blocks (the chain's parity sectors) carry
+    the particle columns U[..., :d/2] alone, an LU solve for d/2 right-hand
+    sides per step, and rebuild each full U from Q U* Q = U, Q = S C
+    (``real_form``), so U(T) and every snapshot are exactly Q-real.  Both need
+    S H S = H, S = sx (x) 1, for both blocks (anything else is a ValueError).
 
     Only the first half period is integrated.  H(T - t) = H(t), and the
     blocks have a conjugation symmetry C H* C = H (C = 1 for real blocks,
@@ -295,8 +310,6 @@ def propagate(
     MAX_STEP_NORM the Magnus series is too close to its convergence radius
     pi and U, while pseudo-unitary, is not accurate.
     """
-    if steps < MIN_STEPS:
-        raise ValueError(f"need at least {MIN_STEPS} integrator steps, got {steps}")
     record = set(snapshots)
     if not all(0 <= s <= steps for s in record):
         raise ValueError(f"snapshot steps must lie in 0..{steps}, got {sorted(record)}")
@@ -305,24 +318,24 @@ def propagate(
     perm = _conjugation(h0, h1)
     shape = np.broadcast_shapes(h0.shape, h1.shape)
     d = shape[-1]
-    if d == 4 and not _invariant(h0, h1, _SWAP):
-        raise ValueError(
-            "propagate needs the Nambu swap symmetry S H S = H, S = sx (x) 1, of 4x4 blocks "
-            "for both blocks: the closed-form Pade step holds only for them"
-        )
     sz = nambu_metric(d)[:, None]
-    h = 2.0 * math.pi / omega / steps
+    swap = np.roll(np.arange(d), d // 2)
+    if not _invariant(h0, h1, swap):
+        raise ValueError("propagate needs the Nambu swap symmetry S H S = H, S = sx (x) 1, of both "
+                         "blocks: the Pade step and the particle-column step hold only for them")
+    q, w = perm[swap], (d if d == 4 else d // 2)  # Q = S C, and the columns carried
+
+    def full(x):  # U from U[..., :w] by Q U* Q = U
+        if x.shape[-1] == d:
+            return x
+        u = np.empty((*x.shape[:-1], d), dtype=complex)
+        u[..., :w], u[..., q[:w]] = x, x[..., q, :].conj()
+        return u
+
+    h, weights = step_weights(omega, steps)
     norms = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
     half = steps // 2
     forward = steps - half
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            weights = _magnus_coefficients(omega, h, forward)
-        except OverflowError:  # h**3 of a float raises where an array gives inf
-            weights = np.array(math.inf)
-    if not np.isfinite(weights).all():  # h is weights[:, 0]
-        raise ValueError(f"integrator step weights are not finite for omega = {omega!r} "
-                         f"and {steps} steps (step h = {h!r})")
     direct = {s if s <= forward else steps - s for s in record}
     rows, cols = perm[:, None], perm
     n = math.prod(shape[:-2])
@@ -331,17 +344,18 @@ def propagate(
     powers = np.empty((4, n, d, d), dtype=complex)  # Omega, Omega^2, Omega^3, 1
     powers[3] = np.eye(d)
     pade = np.empty((2, n, d, d), dtype=complex)
-    rhs = np.empty((n, d, d), dtype=complex)
-    right = np.empty((2, n, d, 2, d), dtype=complex)  # R(Omega), R(U)
-    r_om, r_u = right.view(float).reshape(2, n, 2 * d, 2 * d)
+    rhs = np.empty((n, d, w), dtype=complex)
+    right = (np.empty((2, n, d, 2, d), dtype=complex) if w == d  # R(Omega), R(U); one fill
+             else (np.empty((n, d, 2, d), dtype=complex), np.empty((n, d, 2, w), dtype=complex)))
+    r_om, r_u = (x.view(float).reshape(n, 2 * d, -1) for x in right)
     om, om2, om3 = (x.view(float) for x in powers[:3])
-    u = powers[3].copy()
+    u = powers[3][..., :w].copy()
     seen = {0: u.copy()} if 0 in direct else {}
     for s in range(forward):
         np.matmul(weights[s], basis, out=om.reshape(-1))
-        right[0, :, :, 0] = powers[0]
-        right[1, :, :, 0] = u
-        np.multiply(right[:, :, :, 0], 1j, out=right[:, :, :, 1])
+        right[0][..., 0, :], right[1][..., 0, :] = powers[0], u
+        for x in (right,) if w == d else right:
+            np.multiply(x[..., 0, :], 1j, out=x[..., 1, :])
         np.matmul(om, r_om, out=om2)
         if d == 4:
             np.matmul(_pade_increment(*powers[:2], r_om).view(float), r_u, out=rhs.view(float))
@@ -356,9 +370,10 @@ def propagate(
             u_half = u.copy()
         if s + 1 in direct:
             seen[s + 1] = u.copy()
-    u = (sz * np.swapaxes(u_half, -1, -2) * sz.T)[..., rows, cols] @ u
-    snaps = {s: seen[s] if s <= forward else seen[steps - s][..., rows, cols].conj() @ u
+    u = (sz * np.swapaxes(full(u_half), -1, -2) * sz.T)[..., rows, cols] @ u
+    snaps = {s: full(seen[s] if s <= forward else full(seen[steps - s])[..., rows, cols].conj() @ u)
              for s in record}
+    u = full(u)
     return Propagation(u.reshape(shape), {s: x.reshape(shape) for s, x in snaps.items()},
                        np.broadcast_to(h * norms, shape[:-2]))
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,13 +195,20 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert err.startswith("config error: ") and "task.overlay_nk" in err
 
-    @pytest.mark.parametrize("command, recipe", [("spectrum", "fig1b"), ("chain", "fig3a")])
+    @pytest.mark.parametrize("command, recipe",
+                             [("spectrum", "fig1b"), ("chain", "fig3a"), ("evolve", "fig3b")])
     def test_nonfinite_step_weight_exits_2(self, command, recipe, capsys):
-        """At omega = 1e-300 the step h is finite but h**3 is not."""
-        assert entry([command, "--recipe", recipe, "--set", "model.omega=1e-300"]) == 2
+        """At omega = 1e-300 the step h is finite but h**3 is not; at 5e-324 the
+        period and h are infinite, and evolve refuses them before it forms its
+        sample times.  No case emits a RuntimeWarning."""
+        omega = "5e-324" if command == "evolve" else "1e-300"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert entry([command, "--recipe", recipe, "--set", f"model.omega={omega}"]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.startswith("config error: ") and "omega = 1e-300 and 64 steps" in err
+        assert err.startswith("config error: ") and f"omega = {omega} and 64 steps" in err
 
     def test_unwritable_prefix_checked_before_compute(self, in_tmp, capsys, monkeypatch):
         import floqbog.cli as cli

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqbog import floquet
-from floqbog.dynamics import _chain_propagation, _mirror_halves
+from floqbog.dynamics import _chain_propagation, _mirror_halves, evolve_vacuum
 from floqbog.floquet import (
     DEFAULT_STEPS,
     MAX_STEP_NORM,
@@ -62,6 +62,13 @@ def bloch_branches(p: ModelParams, k: float, steps: int):
     prop = propagate(*bloch_blocks(p, np.asarray(k)), p.omega, steps)
     check_cells(floquet._cell_errors(prop, f"k={k}", 0))
     return eig_branches(prop.u, p.omega)
+
+
+def assert_q_real(u: np.ndarray) -> None:
+    """U[..., q[:h]] == conj(U[..., q, :h]) bitwise, q the Nambu swap (Q = S, C = 1)."""
+    h = u.shape[-1] // 2
+    q = np.roll(np.arange(2 * h), h)
+    assert np.array_equal(u[..., q[:h]], u[..., q, :h].conj())
 
 
 def verdict(eps, cnorm, omega: float) -> int:
@@ -189,9 +196,13 @@ class TestIntegrators:
             assert sympl_residual(u) < 1e-8
 
     def test_step_validation(self):
+        """``propagate`` and ``evolve_vacuum``, before its time grid, refuse too
+        few steps; zero steps would otherwise divide by zero."""
         h0, h1 = bloch_blocks(PA, np.asarray(0.0))
         with pytest.raises(ValueError, match=f"at least {MIN_STEPS} integrator steps"):
             propagate(h0, h1, PA.omega, MIN_STEPS - 1)
+        with pytest.raises(ValueError, match=f"at least {MIN_STEPS} integrator steps"):
+            evolve_vacuum(PA, steps_per_period=0)
         propagate(h0, h1, PA.omega, MIN_STEPS)
 
     @pytest.mark.parametrize("case", ["bloch", "chain"])
@@ -217,7 +228,8 @@ class TestIntegrators:
     @pytest.mark.parametrize("case", ["complex-static-field", "k-batch", "chain", "odd"])
     def test_matches_plain_stepper(self, case):
         """The folded kernel with its hand-expanded Omega equals the scheme
-        stepped plainly over the whole period (``magnus6_monodromy``)."""
+        stepped plainly over the whole period (``magnus6_monodromy``); the
+        80x80 site chain's U(T) and snapshots are exactly Q-real."""
         steps, marks = 64, ()
         if case == "complex-static-field":
             hx, hy = np.meshgrid(np.linspace(-9.0, 9.0, 3), np.linspace(-6.0, 6.0, 3))
@@ -236,6 +248,9 @@ class TestIntegrators:
         assert np.abs(prop.u - ref).max() < 1e-13
         for s in marks:
             assert np.abs(prop.snapshots[s] - ref_snaps[s]).max() < 1e-13
+        if case == "chain":
+            for u in (prop.u, *prop.snapshots.values()):
+                assert_q_real(u)
 
     def test_snapshots(self):
         """U(s h) is recorded at the requested steps on both sides of the midpoint.
@@ -294,7 +309,7 @@ class TestIntegrators:
         """U(T) and every snapshot equal those of the same fold with complex
         products (``folded_monodromy``) to round-off: a two-point k-grid, a
         drive plane with a broadcast H0 at an odd step count, and the chain's
-        parity sectors."""
+        parity sectors, whose U(T) and snapshots are exactly Q-real."""
         steps = 65 if case == "drive-plane" else 64
         marks = (0, 20, 32, 33, 51, steps)
         if case == "k-grid":
@@ -311,24 +326,34 @@ class TestIntegrators:
         assert np.abs(prop.u - ref).max() < 1e-13
         for s in marks:
             assert np.abs(prop.snapshots[s] - ref_snaps[s]).max() < 1e-13
+        if case == "chain":
+            for u in (prop.u, *prop.snapshots.values()):
+                assert_q_real(u)
 
     @pytest.mark.parametrize("steps", [64, 65])
-    @pytest.mark.parametrize("case", ["k-grid", "drive-plane"])
+    @pytest.mark.parametrize("case", ["k-grid", "drive-plane", "chain"])
     def test_no_pairing_keeps_blocks_zero(self, case, steps):
         """At g = 0 particles and holes never mix: the particle-hole blocks of
-        U(T) and of every snapshot are exactly 0, and U(0) is exactly 1."""
+        U(T) and of every snapshot are exactly 0, and U(0) is exactly 1, also
+        for the chain's parity sectors, whose holes come from the particles."""
         marks = (0, 17, steps // 2, steps // 2 + 1, 50, steps)
+        p = ModelParams(nu0=1.5, nu0p=0.7, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2, g=0.0)
         if case == "k-grid":
-            p = ModelParams(nu0=1.5, nu0p=0.7, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2, g=0.0)
             h0, h1 = bloch_blocks(p, kgrid(16))
-        else:
+        elif case == "drive-plane":
             x, y = np.meshgrid(np.linspace(-9.0, 9.0, 5), np.linspace(-6.0, 6.0, 4))
             h0, h1 = static_block(1.5, 0.7, -5.0, 0.0), field_matrix(x, y)
+        else:
+            near, far = _mirror_halves(16)
+            h0, h1 = (np.stack([h[np.ix_(near, near)] + sign * h[np.ix_(near, far)]
+                                for sign in (1.0, -1.0)]) for h in chain_blocks(p, 8))
         prop = propagate(h0, h1, PA.omega, steps, snapshots=marks)
-        assert (prop.snapshots[0] == np.eye(4)).all()
+        d = h0.shape[-1]
+        m = d // 2
+        assert (prop.snapshots[0] == np.eye(d)).all()
         for u in (prop.u, *prop.snapshots.values()):
-            assert u[..., :2, :2].any() and u[..., 2:, 2:].any()
-            assert not u[..., :2, 2:].any() and not u[..., 2:, :2].any()
+            assert u[..., :m, :m].any() and u[..., m:, m:].any()
+            assert not u[..., :m, m:].any() and not u[..., m:, :m].any()
 
     def test_requires_conjugation_symmetry(self):
         """A Hermitian batch with neither C = 1 nor C = 1 (x) sx cannot be folded."""
@@ -340,9 +365,11 @@ class TestIntegrators:
             propagate(h0, h1, PA.omega, 64)
 
     def test_requires_nambu_swap_symmetry(self):
-        """A 4x4 batch that keeps C but breaks the Nambu swap S, one cell's hole
-        block at another mu or the drive acting on particles only, is refused:
-        the closed-form Pade step holds only for S H S = H."""
+        """A batch that keeps C but breaks the Nambu swap S is refused: a 4x4
+        batch with one cell's hole block at another mu or the drive acting on
+        particles only, and an 8x8 chain whose hole block is shifted.  The
+        closed-form Pade step and the particle-column step hold only for
+        S H S = H."""
         x, y = np.linspace(-3.0, 3.0, 5), np.full(5, 2.0)
         h0 = np.array([static_block(-1.5, 0.0, -5.0, 1.0)] * 5)
         h1 = field_matrix(x, y)
@@ -355,6 +382,12 @@ class TestIntegrators:
             assert (floquet._conjugation(a, b) == floquet._BLOCH_C).all()
             with pytest.raises(ValueError, match="Nambu swap symmetry S H S = H"):
                 propagate(a, b, PA.omega, 64)
+        c0, c1 = chain_blocks(PA, 2)
+        propagate(c0, c1, PA.omega, 64)
+        c0[[4, 5, 6, 7], [4, 5, 6, 7]] += 0.3
+        assert (floquet._conjugation(c0, c1) == np.arange(8)).all()
+        with pytest.raises(ValueError, match="Nambu swap symmetry S H S = H"):
+            propagate(c0, c1, PA.omega, 64)
 
     def test_coarse_step_flagged(self):
         """Far past the Magnus radius the Pade map stays finite, so the guard must flag."""
@@ -574,21 +607,31 @@ class TestRealForm:
             with pytest.raises(np.linalg.LinAlgError, match="no real form"):
                 eig_branches(u, 5.2)
 
-    def test_cell_without_real_form_fails_alone(self):
-        """A two-cell chain whose hole block is shifted keeps C = 1 (``propagate``
-        accepts it: only 4x4 blocks need the Nambu swap S) but loses S, so its U
-        has no real form: only that cell of the grid fails, as an eigensolver
-        failure."""
+    def test_cell_without_real_form_fails_alone(self, monkeypatch):
+        """One cell of a grid of two-cell chains gets a random pseudo-unitary U,
+        diag(V1, V2) with independent random unitaries, which passes the
+        integration checks but has no real form: only that cell fails, as an
+        eigensolver failure."""
         h0, h1 = chain_blocks(PA, 2)
-        h0 = np.array([h0] * 5)
-        h0[2, [4, 5, 6, 7], [4, 5, 6, 7]] += 0.3
         h1 = h1 * np.linspace(0.2, 1.0, 5)[:, None, None]
+        rng = np.random.default_rng(11)
+        blocks = [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+                  for _ in range(2)]
+        unitary = np.kron(np.diag([1.0, 0.0]), blocks[0]) + np.kron(np.diag([0.0, 1.0]), blocks[1])
+
+        def tampered(*args, **kwargs):
+            prop = propagate(*args, **kwargs)
+            u = prop.u.copy()
+            u[2] = unitary
+            return prop._replace(u=u)
+
+        monkeypatch.setattr(floquet, "propagate", tampered)
         eps = np.full((5, 8), np.nan, dtype=complex)
 
         def solve(at, u):
             eps[at] = quasienergies(u, 5.2)
 
-        error = solve_cells(lambda c: (h0[c], h1[c]), (5,), 5.2, 64, "chains", solve)
+        error = solve_cells(lambda c: (h0, h1[c]), (5,), 5.2, 64, "chains", solve)
         assert [i for i, e in enumerate(error) if e is not None] == [2]
         assert error[2].startswith("eigensolver failed: no real form")
         assert np.isfinite(np.delete(eps, 2, axis=0)).all() and np.isnan(eps[2]).all()
