@@ -310,6 +310,7 @@ def propagate(
     MAX_STEP_NORM the Magnus series is too close to its convergence radius
     pi and U, while pseudo-unitary, is not accurate.
     """
+    h, weights = step_weights(omega, steps)
     record = set(snapshots)
     if not all(0 <= s <= steps for s in record):
         raise ValueError(f"snapshot steps must lie in 0..{steps}, got {sorted(record)}")
@@ -332,7 +333,6 @@ def propagate(
         u[..., :w], u[..., q[:w]] = x, x[..., q, :].conj()
         return u
 
-    h, weights = step_weights(omega, steps)
     norms = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
     half = steps // 2
     forward = steps - half
@@ -345,16 +345,15 @@ def propagate(
     powers[3] = np.eye(d)
     pade = np.empty((2, n, d, d), dtype=complex)
     rhs = np.empty((n, d, w), dtype=complex)
-    right = (np.empty((2, n, d, 2, d), dtype=complex) if w == d  # R(Omega), R(U); one fill
-             else (np.empty((n, d, 2, d), dtype=complex), np.empty((n, d, 2, w), dtype=complex)))
-    r_om, r_u = (x.view(float).reshape(n, 2 * d, -1) for x in right)
+    right = np.empty((n, d, 2, d), dtype=complex), np.empty((n, d, 2, w), dtype=complex)
+    r_om, r_u = (x.view(float).reshape(n, 2 * d, -1) for x in right)  # R(Omega), R(U)
     om, om2, om3 = (x.view(float) for x in powers[:3])
     u = powers[3][..., :w].copy()
     seen = {0: u.copy()} if 0 in direct else {}
     for s in range(forward):
         np.matmul(weights[s], basis, out=om.reshape(-1))
         right[0][..., 0, :], right[1][..., 0, :] = powers[0], u
-        for x in (right,) if w == d else right:
+        for x in right:
             np.multiply(x[..., 0, :], 1j, out=x[..., 1, :])
         np.matmul(om, r_om, out=om2)
         if d == 4:

@@ -197,10 +197,13 @@ class TestIntegrators:
 
     def test_step_validation(self):
         """``propagate`` and ``evolve_vacuum``, before its time grid, refuse too
-        few steps; zero steps would otherwise divide by zero."""
+        few steps; zero steps would otherwise divide by zero.  ``propagate``
+        checks the steps first, before the snapshots and the blocks."""
         h0, h1 = bloch_blocks(PA, np.asarray(0.0))
         with pytest.raises(ValueError, match=f"at least {MIN_STEPS} integrator steps"):
             propagate(h0, h1, PA.omega, MIN_STEPS - 1)
+        with pytest.raises(ValueError, match=f"at least {MIN_STEPS} integrator steps"):
+            propagate(h0, np.roll(h1, 1, axis=-1), PA.omega, MIN_STEPS - 1, snapshots=(-1,))
         with pytest.raises(ValueError, match=f"at least {MIN_STEPS} integrator steps"):
             evolve_vacuum(PA, steps_per_period=0)
         propagate(h0, h1, PA.omega, MIN_STEPS)
