@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Compare the CSV and sidecar outputs of CLI invocations under two source trees.
+"""Compare the outputs, peak memory and wall time of CLI invocations under two source trees.
 
-Each invocation runs twice in fresh child processes, ``python -m floqbog
-<argv> --output out``, once with each ``src`` directory first on
-PYTHONPATH and each in its own working directory, so the two sidecars
-record the same output path.  By default the invocations are the five
+Each invocation runs in fresh child processes, ``python -m floqbog <argv>
+--output out``, once per side with that side's ``src`` directory first on
+PYTHONPATH and in that side's own working directory, so the two sidecars
+record the same output path.  ``--runs`` repeats this with the sides
+alternating, the first side leading on even runs; the outputs compared are
+those of each side's last run.  By default the invocations are the five
 shipped recipes; ``--seeds`` adds every ``recipebench/workloads.py`` op at
 those seeds, and argv after ``--`` replaces the defaults by one invocation.
 
@@ -12,11 +14,14 @@ For each CSV column the report gives "identical", the worst absolute and
 relative |difference| of a numeric column, or "differs" (another column,
 a NaN in one tree only, or a different row count).  Sidecar entries are
 compared by dotted key the same way, and only those that differ are listed.
-Prints one JSON object per invocation and exits 1 if any entry differs in
-a non-numeric way or numerically by more than atol + rtol * |first tree|.
+Each side also reports every run's peak memory (``peak_mb``: the child's
+``ru_maxrss`` from ``os.wait4``, in MB) and wall time (``wall_s``), with
+their medians.  Prints one JSON object per invocation and exits 1 if any
+entry differs in a non-numeric way or numerically by more than
+atol + rtol * |first tree|.
 
     python3 scripts/compare_outputs.py --src old/src src --seeds 0 3 7 --atol 1e-13
-    python3 scripts/compare_outputs.py --src old/src src -- stability-grid --recipe fig2b
+    python3 scripts/compare_outputs.py --src old/src src --runs 3 -- stability-grid --recipe fig2b
 """
 
 import argparse
@@ -24,9 +29,11 @@ import csv
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,12 +54,23 @@ def invocations(seeds) -> list[tuple[str, list[str]]]:
     return runs
 
 
-def run(src: str, argv: list[str], cwd: Path) -> tuple[list[list[str]], dict]:
-    """CSV rows (header first) and flattened sidecar of one child process."""
+def run(src: str, argv: list[str], cwd: Path) -> tuple[float, float]:
+    """(peak MB, wall s) of one child process running the CLI from ``src`` in ``cwd``."""
     path = os.pathsep.join(filter(None, [str(Path(src).resolve()), os.environ.get("PYTHONPATH")]))
-    cwd.mkdir(parents=True)
-    subprocess.run([sys.executable, "-m", "floqbog", *argv, "--output", "out"], cwd=cwd,
-                   env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.DEVNULL, check=True)
+    cwd.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "floqbog", *argv, "--output", "out"], cwd=cwd,
+                             env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = code = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    if code:
+        raise SystemExit(f"{src}: floqbog {' '.join(argv)} exited {code}")
+    return usage.ru_maxrss / 1024.0, wall
+
+
+def outputs(cwd: Path) -> tuple[list[list[str]], dict]:
+    """CSV rows (header first) and flattened sidecar of the last run in ``cwd``."""
     with open(cwd / "out.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     return rows, flatten(json.loads((cwd / "out.meta.json").read_text()))
@@ -98,15 +116,25 @@ def main() -> int:
                         help="also run every recipebench workload op at these seeds")
     parser.add_argument("--atol", type=float, default=0.0, help="absolute tolerance (default 0)")
     parser.add_argument("--rtol", type=float, default=0.0, help="relative tolerance (default 0)")
+    parser.add_argument("--runs", type=int, default=1, help="runs per side (default 1)")
     parser.add_argument("argv", nargs="*", help="one CLI invocation, without --output")
     args = parser.parse_args()
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
     runs = [("argv", args.argv)] if args.argv else invocations(args.seeds)
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, argv) in enumerate(runs):
-            (rows_a, meta_a), (rows_b, meta_b) = (
-                run(src, argv, Path(tmp) / str(i) / str(side)) for side, src in enumerate(args.src))
-            report = {"name": name, "argv": argv, "csv": {}, "sidecar": {}}
+            dirs = [Path(tmp) / str(i) / str(side) for side in (0, 1)]
+            usage = [[], []]  # (peak MB, wall s) of each run, per side
+            for r in range(args.runs):
+                for side in (0, 1) if r % 2 == 0 else (1, 0):
+                    usage[side].append(run(args.src[side], argv, dirs[side]))
+            sides = [dict(src=src, peak_mb=mb, wall_s=wall, median_peak_mb=statistics.median(mb),
+                          median_wall_s=statistics.median(wall))
+                     for src, (mb, wall) in zip(args.src, (zip(*u) for u in usage))]
+            (rows_a, meta_a), (rows_b, meta_b) = map(outputs, dirs)
+            report = {"name": name, "argv": argv, "sides": sides, "csv": {}, "sidecar": {}}
             same = rows_a[0] == rows_b[0] and len(rows_a) == len(rows_b)
             if not same:
                 report["csv"] = "differs: header or row count"

@@ -287,7 +287,7 @@ def cmd_spectrum(params: ModelParams, cfg: dict):
     meta: dict = {"max_im": float(eps.imag.max())}
     if cfg["task"].get("effective_overlay", True):
         alpha, beta = resolve_indices(params, cfg["task"].get("alpha"), cfg["task"].get("beta"))
-        _, ep, em, verdict = effective_spectrum(params, nk, alpha, beta, cfg["numerics"]["tol_im"])
+        ep, em, _, verdict = effective_spectrum(params, nk, alpha, beta, cfg["numerics"]["tol_im"])
         columns.update(eff_re_plus=ep.real, eff_im_plus=ep.imag,
                        eff_re_minus=em.real, eff_im_minus=em.imag)
         meta.update(effective_verdict=verdict, alpha=alpha, beta=beta)

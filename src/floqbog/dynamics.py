@@ -269,8 +269,8 @@ def evolve_vacuum(
     their stacked rows of U(tau) take one product with it per sector, at most
     CHUNK // 2 samples at a time.  Row for row this is the full product.  The
     trace is truncated after the first sample whose occupation exceeds 1e12,
-    where exponential growth has left the linear regime; no later period is
-    formed.
+    where exponential growth has left the linear regime, or before the first
+    with non-finite occupations (U(T)^n overflowed); no later period is formed.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -291,22 +291,23 @@ def evolve_vacuum(
     done = start = 0
     occs, resid = [], []
     truncated = False
-    while start < n_samples and not truncated:
-        stop = min(int(np.searchsorted(wraps, wraps[start], side="right")),
-                   start + CHUNK // len(mono))
-        while done < wraps[start]:
-            power = mono @ power
-            done += 1
-        tops = np.stack([prop.snapshots[s][:, :m] for s in offs[start:stop].tolist()], axis=1)
-        rows = (tops.reshape(len(tops), -1, 2 * m) @ power).reshape(tops.shape).swapaxes(0, 1)
-        half = 0.5 * (np.abs(rows[..., m:]) ** 2).sum(axis=(1, 3))
-        occ = np.concatenate([half, half[:, ::-1]], axis=1)
-        over = np.flatnonzero(occ.max(axis=1) > OVERFLOW_OCC)
-        truncated = over.size > 0
-        keep = over[0] + 1 if truncated else len(occ)
-        occs.append(occ[:keep])
-        resid.append(_sector_residual(rows[:keep]))
-        start = stop
+    with np.errstate(over="ignore", invalid="ignore"):  # U(T)^n may overflow between samples
+        while start < n_samples and not truncated:
+            stop = min(int(np.searchsorted(wraps, wraps[start], side="right")),
+                       start + CHUNK // len(mono))
+            while done < wraps[start]:
+                power = mono @ power
+                done += 1
+            tops = np.stack([prop.snapshots[s][:, :m] for s in offs[start:stop].tolist()], axis=1)
+            rows = (tops.reshape(len(tops), -1, 2 * m) @ power).reshape(tops.shape).swapaxes(0, 1)
+            half = 0.5 * (np.abs(rows[..., m:]) ** 2).sum(axis=(1, 3))
+            occ = np.concatenate([half, half[:, ::-1]], axis=1)
+            over = np.flatnonzero(~(occ.max(axis=1) <= OVERFLOW_OCC))  # NaN is past it too
+            truncated = over.size > 0
+            keep = over[0] + int(np.isfinite(occ[over[0]]).all()) if truncated else len(occ)
+            occs.append(occ[:keep])
+            resid.append(_sector_residual(rows[:keep]))
+            start = stop
     occupations = np.concatenate(occs)
     count = len(occupations)
     return EvolutionTrace(marks[:count] * dt, occupations, np.concatenate(resid), truncated,

@@ -23,6 +23,8 @@ from .model import ModelParams, drive_amplitudes, static_fields
 AMP_TOL = 1e-12
 #: momenta over which ``choose_indices`` takes the worst case, and its largest |alpha|
 CHOOSE_NK, ALPHA_RANGE = 128, 6
+#: largest max|z| + |n| of ``_bessel_j``, whose node count (and memory) grows with it
+BESSEL_REACH = 1e4
 
 
 def _bessel_j(n: int, z) -> np.ndarray:
@@ -37,7 +39,11 @@ def _bessel_j(n: int, z) -> np.ndarray:
     (|z|/2)^nu / nu! lies far below round-off.
     """
     z = np.asarray(z, dtype=float)
-    nodes = 32 + math.ceil(float(np.abs(z).max(initial=0.0)) + abs(n))
+    reach = float(np.abs(z).max(initial=0.0)) + abs(n)
+    if not reach <= BESSEL_REACH:
+        raise ValueError(f"Bessel order plus argument {reach:.3g} exceeds {BESSEL_REACH:g}: "
+                         f"the drive or mu is too large against omega for the effective model")
+    nodes = 32 + math.ceil(reach)
     tau = (np.arange(nodes) + 0.5) * (math.pi / nodes)
     return np.cos(n * tau - z[..., None] * np.sin(tau)).mean(axis=-1)
 
@@ -57,6 +63,16 @@ class EffectiveCoefficients:
     Gy: np.ndarray
 
 
+def _frame(params: ModelParams, ks: np.ndarray):
+    """(hx0, hy0, amp, cos phi_k, sin phi_k) at momenta ``ks``: amp = |h_1(k)| is the
+    drive magnitude, phi_k = arg(h_x1 + i h_y1), taken as zero where amp < AMP_TOL."""
+    hx0, hy0 = static_fields(params, ks)
+    hx1, hy1 = drive_amplitudes(params, ks)
+    amp = np.hypot(hx1, hy1)
+    phi = np.where(amp < AMP_TOL, 0.0, np.arctan2(hy1, hx1))
+    return hx0, hy0, amp, np.cos(phi), np.sin(phi)
+
+
 def choose_indices(params: ModelParams) -> tuple[int, int]:
     """Pick the interaction-picture integers (alpha, beta).
 
@@ -65,22 +81,21 @@ def choose_indices(params: ModelParams) -> tuple[int, int]:
     h^alpha over the Brillouin zone.  Ties go to the smaller |index|.
     """
     half = params.omega / 2.0
+    if not abs(params.mu) <= BESSEL_REACH * half:  # beta would exceed the Bessel reach
+        raise ValueError(f"|mu| = {abs(params.mu):.3g} exceeds {BESSEL_REACH:g} omega/2: "
+                         f"mu is too large against omega for the effective model")
     b0 = round(params.mu / half)
     beta = min(
         (b0 - 1, b0, b0 + 1),
         key=lambda b: (abs(params.mu - b * half), abs(b)),
     )
-    ks = kgrid(CHOOSE_NK)
-    hx0, hy0 = static_fields(params, ks)
-    hx1, hy1 = drive_amplitudes(params, ks)
-    amp = np.hypot(hx1, hy1)
+    hx0, hy0, amp, cp, sp = _frame(params, kgrid(CHOOSE_NK))
     if amp.max() < AMP_TOL:
         return 0, int(beta)
-    phi = np.where(amp < AMP_TOL, 0.0, np.arctan2(hy1, hx1))
 
     def worst(a: int) -> float:
-        hax = hx0 - a * half * np.cos(phi)
-        hay = hy0 - a * half * np.sin(phi)
+        hax = hx0 - a * half * cp
+        hay = hy0 - a * half * sp
         return float(np.maximum(np.abs(hax), np.abs(hay)).max())
 
     alpha = min(range(-ALPHA_RANGE, ALPHA_RANGE + 1), key=lambda a: (worst(a), abs(a)))
@@ -107,15 +122,10 @@ def effective_coefficients(params: ModelParams, k, alpha: int, beta: int) -> Eff
     drive direction.  This is the f^+- form multiplied through, which
     avoids the spurious divisions at h^alpha_x = 0 or h^alpha_y = 0.
     """
-    ks = np.asarray(k, dtype=float)
-    hx0, hy0 = static_fields(params, ks)
-    hx1, hy1 = drive_amplitudes(params, ks)
-    amp = np.hypot(hx1, hy1)
-    phi = np.where(amp < AMP_TOL, 0.0, np.arctan2(hy1, hx1))
+    hx0, hy0, amp, cp, sp = _frame(params, np.asarray(k, dtype=float))
     z = 2.0 * amp / params.omega
     half = params.omega / 2.0
 
-    cp, sp = np.cos(phi), np.sin(phi)
     hax = hx0 - alpha * half * cp
     hay = hy0 - alpha * half * sp
     radial = hax * cp + hay * sp
@@ -174,12 +184,10 @@ def effective_quasienergies(coeffs: EffectiveCoefficients) -> tuple[np.ndarray, 
 def effective_spectrum(params: ModelParams, nk: int, alpha: int, beta: int, tol_im: float = TOL_IM):
     """Effective dispersion over the Brillouin zone with a stability verdict.
 
-    Returns (ks, eps_plus, eps_minus, verdict); the system is estimated
-    stable iff both branches stay real for every momentum.
+    Returns (eps_plus, eps_minus, max_im, verdict) on ``kgrid(nk)``: the system
+    is estimated stable iff max_im, the largest |Im eps| of both branches, is <= tol_im.
     """
-    ks = kgrid(nk)
-    coeffs = effective_coefficients(params, ks, alpha, beta)
+    coeffs = effective_coefficients(params, kgrid(nk), alpha, beta)
     eps_plus, eps_minus = effective_quasienergies(coeffs)
     max_im = max(float(np.abs(eps_plus.imag).max()), float(np.abs(eps_minus.imag).max()))
-    verdict = "Stable" if max_im <= tol_im else "Unstable"
-    return ks, eps_plus, eps_minus, verdict
+    return eps_plus, eps_minus, max_im, "Stable" if max_im <= tol_im else "Unstable"

@@ -67,12 +67,6 @@ class ModelParams:
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    def nu(self, t: float) -> float:
-        return self.nu0 + self.nu1 * math.cos(self.omega * t)
-
-    def nup(self, t: float) -> float:
-        return self.nu0p + self.nu1p * math.cos(self.omega * t)
-
 
 def static_fields(params: ModelParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (hx0, hy0) over an array of momenta."""

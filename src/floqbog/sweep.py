@@ -132,11 +132,7 @@ def effective_phase_overlay(
     x, y, points = _plane(base, axis1, axis2)
     center = {name: float(values[len(values) // 2]) for name, values in (axis1, axis2)}
     alpha, beta = choose_indices(replace(base, **center))
-    verdict, max_im = [], []
-    for p in points:
-        _, ep, em, v = effective_spectrum(p, nk, alpha, beta, tol_im)
-        verdict.append(v)
-        max_im.append(max(float(np.abs(ep.imag).max()), float(np.abs(em.imag).max())))
+    max_im, verdict = zip(*(effective_spectrum(p, nk, alpha, beta, tol_im)[2:] for p in points))
     return np.rec.fromarrays(
         [x, y, np.array(verdict), np.array(max_im)],
         names=[axis1[0], axis2[0], "verdict", "max_im"],

@@ -144,7 +144,7 @@ def test_acceptance_5_edge_growth_rate(chain20):
 @pytest.mark.filterwarnings("ignore:effective Hamiltonian")
 def test_acceptance_6_effective_agreement():
     nk = 256
-    _, ep, em, verdict_a = effective_spectrum(PA, nk=nk, alpha=0, beta=-2)
+    ep, em, _, verdict_a = effective_spectrum(PA, nk=nk, alpha=0, beta=-2)
     _, (eps,), _, _, _ = kgrid_solve([PA], nk, 2048)
     half = PA.omega / 2.0
     worst = 0.0

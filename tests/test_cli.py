@@ -126,6 +126,8 @@ BAD_VALUES = [
      "task.hy1 range must satisfy min < max"),
     ([*PHASE, "--set", "task.axis1.points=1"], "task.axis1 needs at least 2 points"),
     ([*PHASE, "--set", "task.axis2.name=nu1p"], "grid axes must differ"),
+    ([*PHASE, "--set", "task.overlay=true", "--set", "task.axis1.max=1e8"],
+     "too large against omega for the effective model"),
     (["stability-grid", "--recipe", "fig2b", "--set", 'task.static_field="ab"'],
      "task.static_field must be a list of two numbers"),
     (["stability-grid", "--recipe", "fig2b", "--set", "task.static_field=[1]"],
@@ -610,6 +612,76 @@ class TestScanPath:
             "task": {"end_model": {"bad_key": 1.0}},
         })
         assert entry(["scan-path", "--config", cfg]) == 2
+
+
+#: model values of the fuzz: zero, the extremes of the float range and ordinary values
+FUZZ_VALUES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1e8, -1.0, 1.0, 3.0, 5.2, 11.0, -5.0)
+#: configs per seed of ``test_entry_fuzz``
+FUZZ_RUNS = 60
+
+
+def fuzz_argv(rng) -> list[str]:
+    """A random invocation: each model entry a FUZZ_VALUES draw with probability
+    0.3, grids of at most 3 x 3 points, scan paths of at most 17, nk <= 128, at
+    most 9 chain cells and evolve traces of t_max <= 1e4 with at most 17 samples."""
+    base = {**MODEL_A, "g": 1.0}
+
+    def value():
+        return float(rng.choice(FUZZ_VALUES))
+
+    def model():
+        return {k: value() if rng.random() < 0.3 else v for k, v in base.items()}
+
+    def axis(**name):
+        lo, hi = sorted((value(), value()))
+        return {**name, "min": lo, "max": hi, "points": int(rng.integers(2, 4))}
+
+    command = str(rng.choice(["spectrum", "stability-grid", "phase-diagram", "winding", "ws",
+                              "chain", "evolve", "scan-path"]))
+    names = list(base)
+    task = {
+        "spectrum": lambda: {"effective_overlay": bool(rng.random() < 0.5)},
+        "stability-grid": lambda: {"hx1": axis(), "hy1": axis()},
+        "phase-diagram": lambda: {"axis1": axis(name=str(rng.choice(names))),
+                                  "axis2": axis(name=str(rng.choice(names))),
+                                  "overlay": bool(rng.random() < 0.5), "overlay_nk": 64},
+        "winding": dict,
+        "ws": dict,
+        "chain": lambda: {"cells": int(rng.integers(7, 10))},
+        "evolve": lambda: {"cells": int(rng.integers(2, 10)),
+                           "t_max": float(rng.choice([0.5, 25.0, 1e3, 1e4])),
+                           "samples": int(rng.integers(2, 18))},
+        "scan-path": lambda: {"end_model": model(), "points": int(rng.integers(16, 18))},
+    }[command]()
+    numerics = {"nk": int(rng.choice([64, 100, 128])), "steps": MIN_STEPS}
+    return [command, "--output", "out", *(f"--set={key}={json.dumps(block)}" for key, block in
+                                          (("model", model()), ("numerics", numerics),
+                                           ("task", task)))]
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which strict JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"sidecar holds {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:effective Hamiltonian")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_entry_fuzz(seed):
+    """Random configs with extreme model values end in a documented exit code,
+    and a successful run writes strict JSON and, for evolve, finite occupations."""
+    rng = np.random.default_rng(seed)
+    for _ in range(FUZZ_RUNS):
+        argv = fuzz_argv(rng)
+        code = entry(argv)
+        assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            strict_json(Path("out.meta.json").read_text())
+            if argv[0] == "evolve":
+                rows = read_csv("out.csv")
+                occ = np.array([r[1:-1] for r in rows[1:]], dtype=float)
+                assert np.isfinite(occ).all(), argv
 
 
 def test_version_flag(capsys):

@@ -296,11 +296,18 @@ class TestEvolution:
         assert np.abs(trace.occupations).max() == 0.0
         assert growth_rate_fit(trace) is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_truncates(self):
         trace = evolve_vacuum(PA, cells=12, t_max=60.0, n_samples=61, steps_per_period=512)
         assert trace.truncated
         assert trace.times.size < 61
         assert trace.occupations[-1].max() > 1e12
+        # samples 2500 periods apart: U(T)^n overflows before the second one,
+        # which is dropped rather than kept as NaN occupations
+        far = evolve_vacuum(PA, cells=12, t_max=1e4, n_samples=5, steps_per_period=512)
+        assert far.truncated
+        assert far.times.size == 1
+        assert np.isfinite(far.occupations).all() and np.isfinite(far.sympl_residual).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):

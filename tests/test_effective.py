@@ -6,6 +6,7 @@ import pytest
 from scipy.special import jv
 
 from floqbog.effective import (
+    BESSEL_REACH,
     _bessel_j,
     choose_indices,
     effective_coefficients,
@@ -36,6 +37,14 @@ class TestChooseIndices:
     def test_beta_tie_prefers_small_index(self):
         p = ModelParams(nu0=1.0, nu0p=0.0, nu1=1.0, nu1p=0.0, mu=1.3, omega=5.2)
         assert choose_indices(p)[1] == 0
+
+    def test_refuses_mu_beyond_bessel_reach(self):
+        """beta ~ mu / (omega/2) is a Bessel order, so |mu| beyond BESSEL_REACH
+        omega/2 is refused, also where mu / (omega/2) overflows to infinity."""
+        for mu, omega in ((2.7e4, 5.2), (1e300, 1e-8)):
+            with pytest.raises(ValueError, match="mu is too large against omega"):
+                choose_indices(ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=mu,
+                                           omega=omega))
 
     def test_mueff_within_quarter(self):
         rng = np.random.default_rng(5)
@@ -111,6 +120,14 @@ class TestCoefficients:
                 assert got == pytest.approx(want, abs=1e-12)
                 assert _bessel_j(n, z) == pytest.approx(want, abs=1e-12)
 
+    def test_bessel_j_bounds_its_nodes(self):
+        """The node count grows with max|z| + |n|, so a reach beyond
+        BESSEL_REACH is refused before any node array is formed."""
+        assert _bessel_j(0, np.array([BESSEL_REACH - 1.0])).shape == (1,)
+        for n, z in ((0, [1.0, 4e7]), (-10**30, [1.0]), (0, [np.inf]), (1, [np.nan])):
+            with pytest.raises(ValueError, match="too large against omega"):
+                _bessel_j(n, np.array(z))
+
 
 class TestValidity:
     def test_warns_outside_window(self):
@@ -151,7 +168,7 @@ class TestSpectrum:
         nk = 64
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ks, ep, em, verdict = effective_spectrum(PA, nk=nk, alpha=0, beta=-2)
+            ep, em, _, verdict = effective_spectrum(PA, nk=nk, alpha=0, beta=-2)
         assert verdict == "Stable"
         _, (eps,), _, _, _ = kgrid_solve([PA], nk, steps=1024)
         half = PA.omega / 2.0
@@ -162,6 +179,6 @@ class TestSpectrum:
     def test_unstable_point_goes_complex(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, ep, em, verdict = effective_spectrum(PB, nk=64, alpha=0, beta=-2)
+            ep, em, _, verdict = effective_spectrum(PB, nk=64, alpha=0, beta=-2)
         assert verdict == "Unstable"
         assert max(np.abs(ep.imag).max(), np.abs(em.imag).max()) > 0.1

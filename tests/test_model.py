@@ -36,6 +36,12 @@ def chain_at(p: ModelParams, cells: int, t: float = 0.0) -> np.ndarray:
     return h0 + h1 * math.cos(p.omega * t)
 
 
+def hoppings(p: ModelParams, t: float) -> tuple[float, float]:
+    """Intra- and inter-cell hoppings nu(t) = nu0 + nu1 cos(omega t) and nu'(t)."""
+    c = math.cos(p.omega * t)
+    return p.nu0 + p.nu1 * c, p.nu0p + p.nu1p * c
+
+
 def hermiticity(h: np.ndarray) -> float:
     return float(np.abs(h - h.conj().T).max())
 
@@ -58,11 +64,13 @@ class TestModelParams:
         assert p.period == pytest.approx(2 * math.pi / 5.2, rel=1e-15)
 
     def test_instantaneous_couplings(self):
+        """The chain's intra- and inter-cell bonds carry -nu(t) and -nu'(t)."""
         p = ModelParams(**PA)
-        assert p.nu(0.0) == pytest.approx(4.5)
-        assert p.nup(0.0) == pytest.approx(11.0)
-        quarter = p.period / 4
-        assert p.nu(quarter) == pytest.approx(1.5, abs=1e-12)
+        h = chain_at(p, 2)
+        assert -h[0, 1].real == pytest.approx(4.5)
+        assert -h[1, 2].real == pytest.approx(11.0)
+        quarter = chain_at(p, 2, p.period / 4)
+        assert -quarter[0, 1].real == pytest.approx(1.5, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [dict(omega=0.0), dict(omega=-1.0), dict(g=-0.1),
                                      dict(mu=float("nan")), dict(nu1=float("inf"))])
@@ -96,8 +104,9 @@ class TestDriveFields:
         p = ModelParams(**PA)
         (hx0, hy0), (hx1, hy1) = static_fields(p, k), drive_amplitudes(p, k)
         c = math.cos(p.omega * t)
-        assert hx0 + hx1 * c == pytest.approx(-p.nu(t) - p.nup(t) * math.cos(k), abs=1e-12)
-        assert hy0 + hy1 * c == pytest.approx(-p.nup(t) * math.sin(k), abs=1e-12)
+        nu, nup = hoppings(p, t)
+        assert hx0 + hx1 * c == pytest.approx(-nu - nup * math.cos(k), abs=1e-12)
+        assert hy0 + hy1 * c == pytest.approx(-nup * math.sin(k), abs=1e-12)
 
     def test_drive_circle(self):
         """(hx1, hy1) over the zone is a circle of radius |nu1p| at (-nu1, 0)."""
@@ -150,8 +159,9 @@ class TestBlochHamiltonian:
         """H0 + H1 cos(omega t) is the closed form of the module docstring."""
         p = ModelParams(**PA)
         k, t = 0.9, 0.37
-        hx = -p.nu(t) - p.nup(t) * math.cos(k)
-        hy = -p.nup(t) * math.sin(k)
+        nu, nup = hoppings(p, t)
+        hx = -nu - nup * math.cos(k)
+        hy = -nup * math.sin(k)
         full = np.kron(I2, hx * SX + hy * SY) - p.mu * np.eye(4) + p.g * np.kron(SX, I2)
         assert np.abs(bloch_at(p, k, t) - full).max() < 1e-14
 

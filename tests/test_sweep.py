@@ -528,6 +528,6 @@ class TestEffectiveOverlay:
             overlay = effective_phase_overlay(BASE, *row, nk=64)
             for cell in overlay:
                 p = replace(BASE, nu1p=cell.nu1p, mu=cell.mu)
-                _, ep, em, verdict = effective_spectrum(p, 64, 0, -2)
+                ep, em, _, verdict = effective_spectrum(p, 64, 0, -2)
                 max_im = max(np.abs(ep.imag).max(), np.abs(em.imag).max())
                 assert (cell.verdict, cell.max_im) == (verdict, max_im)
