@@ -31,16 +31,8 @@ import numpy as np
 
 from floqbog.dynamics import (_chain_propagation, _sector_residual, chain_spectrum,
                               detect_midgap, evolve_vacuum, growth_rate_fit)
-from floqbog.floquet import (
-    TOL_IM,
-    check_cells,
-    classify_arrays,
-    eig_branches,
-    fold,
-    kgrid,
-    solve_cells,
-    sympl_residual,
-)
+from floqbog.floquet import (TOL_IM, check_cells, classify_arrays, eig_branches, fold, kgrid,
+                             solve_cells, step_norm, step_weights, sympl_residual)
 from floqbog.model import ModelParams, bloch_blocks, chain_blocks, field_matrix, static_block
 from floqbog.topology import symplectic_winding
 
@@ -77,8 +69,8 @@ def oracle_branches(oracle, h0, h1, omega: float, idx):
 
 
 def solve_batch(h0, h1, omega: float, steps: int):
-    """eps, cnorm, pseudo-unitarity residual and step norm h (|H0| + |H1|) of
-    every propagator of a batch, integrated and solved chunk by chunk
+    """eps, cnorm, pseudo-unitarity residual and ``step_norm`` of every
+    propagator of a batch, integrated and solved chunk by chunk
     (``solve_cells``, one propagator per cell)."""
     h0, h1 = np.broadcast_arrays(h0, h1)
     shape = h0.shape
@@ -92,8 +84,7 @@ def solve_batch(h0, h1, omega: float, steps: int):
 
     check_cells(solve_cells(lambda cells: (h0[cells], h1[cells]), shape[:-2], omega, steps,
                             "convergence", record))
-    norms = [np.abs(np.asarray(h, dtype=complex)).sum(axis=-1).max(axis=-1) for h in (h0, h1)]
-    return eps, cnorm, residual, 2.0 * math.pi / omega / steps * (norms[0] + norms[1])
+    return eps, cnorm, residual, step_norm(step_weights(omega, steps)[0], h0, h1)
 
 
 def bulk(name: str, oracle, steps_list) -> list[dict]:

@@ -23,8 +23,10 @@ steps, digested over U(T) and every snapshot:
   k-grid at nk 64, 128 and 256;
 - ``kgrid-297``, ``kgrid-528``: 9 and 16 fig1b points of 33 momenta each
   (a 3x3 phase diagram and a 16-point scan path at nk 64);
-- ``chain-2x40x40``: the two parity sectors of the 20-cell fig3a chain, with
-  a snapshot every 8 steps.
+- ``chain-2x40x40``: ``dynamics._chain_propagation`` of the 20-cell fig3a
+  chain, with a snapshot every 8 steps: its two parity sectors, built by the
+  split ``chain`` and ``evolve`` use (the call includes that split and the
+  cell check).
 
 The vacuum-evolution row ``evolve-fig3b`` calls ``evolve_vacuum`` at the fig3b
 recipe (its chain propagation included), digested over the trace's times,
@@ -42,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
@@ -57,41 +60,32 @@ COMPARED = ("u", "snapshots", "occupations", "sympl_residual")
 
 
 def blocks(shape: str):
-    """(h0, h1, snapshots) of one named shape, built by the tree on the path."""
-    from floqbog.dynamics import _mirror_halves
+    """(h0, h1) of one named 4x4 shape, built by the tree on the path."""
     from floqbog.floquet import kgrid, mirror_half
-    from floqbog.model import ModelParams, bloch_blocks, chain_blocks, field_matrix, static_block
+    from floqbog.model import ModelParams, bloch_blocks, field_matrix, static_block
 
     p = ModelParams(**MODEL)
     if shape == "plane-41x41":
         (xlo, xhi), (ylo, yhi), points = PLANE
         hx1, hy1 = np.linspace(xlo, xhi, points), np.linspace(ylo, yhi, points)
         x, y = np.meshgrid(hx1[mirror_half(hx1)[0]], hy1[mirror_half(hy1)[0]])
-        return static_block(-p.nu0, 0.0, p.mu, p.g), field_matrix(x.ravel(), y.ravel()), ()
-    if shape == "chain-2x40x40":
-        h0, h1 = chain_blocks(p, 20)
-        near, far = _mirror_halves(h0.shape[0] // 2)
-
-        def sectors(h):
-            a, b = h[np.ix_(near, near)], h[np.ix_(near, far)]
-            return np.stack([a + b, a - b])
-
-        return sectors(h0), sectors(h1), range(0, STEPS + 1, 8)
+        return static_block(-p.nu0, 0.0, p.mu, p.g), field_matrix(x.ravel(), y.ravel())
     count = int(shape.split("-")[1])
     nk, points = {33: (64, 1), 65: (128, 1), 129: (256, 1), 297: (64, 9), 528: (64, 16)}[count]
     ks = kgrid(nk)[mirror_half(kgrid(nk))[0]]
     pairs = [bloch_blocks(ModelParams(**{**MODEL, "nu1p": MODEL["nu1p"] - 0.1 * i}), ks)
              for i in range(points)]
-    return np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs]), ()
+    return np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs])
 
 
 def call(row: str):
     """(size, f): the row's size entry and its call, which returns the named arrays to
     digest, as (name, array) pairs."""
+    from floqbog.model import ModelParams
+
     if row == "evolve-fig3b":
         from floqbog.cli import load_recipe
         from floqbog.dynamics import evolve_vacuum
-        from floqbog.model import ModelParams
 
         recipe = load_recipe("fig3b")
         task = recipe["task"]
@@ -105,15 +99,23 @@ def call(row: str):
                     ("truncated", np.array(trace.truncated))]
 
         return {"samples": task["samples"]}, evolve
-    from floqbog.floquet import propagate
+    if row == "chain-2x40x40":
+        from floqbog.dynamics import _chain_propagation
 
-    h0, h1, marks = blocks(row)
+        run = partial(_chain_propagation, ModelParams(**MODEL), 20, STEPS, range(0, STEPS + 1, 8))
+        matrices = 2
+    else:
+        from floqbog.floquet import propagate
+
+        h0, h1 = blocks(row)
+        run = partial(propagate, h0, h1, MODEL["omega"], STEPS)
+        matrices = int(np.prod(np.broadcast_shapes(h0.shape, h1.shape)[:-2]))
 
     def integrate():
-        prop = propagate(h0, h1, MODEL["omega"], STEPS, marks)
+        prop = run()
         return [("u", prop.u), *(("snapshots", prop.snapshots[s]) for s in sorted(prop.snapshots))]
 
-    return {"matrices": int(np.prod(np.broadcast_shapes(h0.shape, h1.shape)[:-2]))}, integrate
+    return {"matrices": matrices}, integrate
 
 
 def child(repeats: int, dump: str | None) -> None:

@@ -119,7 +119,7 @@ def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()
 
     def sectors(h):
         a, b = h[np.ix_(near, near)], h[np.ix_(near, far)]
-        return np.stack([a + b, a - b])
+        return np.stack([a + b, a - b]).real  # real blocks, so C = 1 at every size
 
     prop = propagate(sectors(h0), sectors(h1), params.omega, steps, snapshots)
     check_cells(_cell_errors(prop, "chain monodromy", 0))

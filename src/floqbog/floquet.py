@@ -124,25 +124,11 @@ def _invariant(h0: np.ndarray, h1: np.ndarray, p: np.ndarray, op=np.asarray) -> 
     )
 
 
-def _conjugation(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
-    """Index permutation p of the batch's conjugation symmetry C, C H* C = H.
-
-    C is a real permutation with C^2 = 1 that commutes with Sigma_z, applied
-    as (C X C)[i, j] = X[p[i], p[j]]: the sublattice exchange CONJUGATION for
-    4x4 blocks, which every Bloch block has, and otherwise the identity for
-    real blocks (the open chain).  CONJUGATION is tried first, so a real
-    Bloch block gets the same C alone as in a batch with complex ones.
-    Raises ValueError when neither holds for both blocks.
-    """
-    d = h0.shape[-1]
-    candidates = [_BLOCH_C, np.arange(d)] if d == 4 else [np.arange(d)]
-    for p in candidates:
-        if _invariant(h0, h1, p, np.conj):
-            return p
-    raise ValueError(
-        "propagate needs C H* C = H for both blocks, with C = 1 (real blocks) "
-        "or C = 1 (x) sx (4x4 Bloch blocks)"
-    )
+def _conjugation(d: int, real: bool = False) -> np.ndarray:
+    """Permutation p, (C X C)[i, j] = X[p[i], p[j]], of the C in C H* C = H of d x d
+    blocks: 1 for real blocks (the chain's, 4x4 at two cells) and for d != 4, and
+    CONJUGATION for complex 4x4 (Bloch) blocks and, in ``real_form``, their monodromies."""
+    return _BLOCH_C if d == 4 and not real else np.arange(d)
 
 
 def _magnus_basis(m0: np.ndarray, m1: np.ndarray, shape) -> np.ndarray:
@@ -205,6 +191,14 @@ def step_weights(omega: float, steps: int) -> tuple[float, np.ndarray]:
         raise ValueError(f"integrator step weights are not finite for omega = {omega!r} "
                          f"and {steps} steps (step h = {h!r})")
     return h, weights
+
+
+def step_norm(h: float, h0, h1) -> np.ndarray:
+    """h (|H0| + |H1|) per propagator, h from ``step_weights`` and |X| the max-row-sum
+    norm (it bounds the spectral norm of a Hermitian X).  Above MAX_STEP_NORM the Magnus
+    series is too close to its radius pi: ``propagate`` leaves U = 1, ``_cell_errors`` fails it."""
+    norms = [np.abs(x).sum(axis=-1).max(axis=-1) for x in (h0, h1)]
+    return h * (norms[0] + norms[1])
 
 
 def _pade_increment(om: np.ndarray, om2: np.ndarray, r_om: np.ndarray) -> np.ndarray:
@@ -278,12 +272,10 @@ def propagate(
     (``_pade_increment``).  Larger blocks (the chain's parity sectors) carry
     the particle columns U[..., :d/2] alone, an LU solve for d/2 right-hand
     sides per step, and rebuild each full U from Q U* Q = U, Q = S C
-    (``real_form``), so U(T) and every snapshot are exactly Q-real.  Both need
-    S H S = H, S = sx (x) 1, for both blocks (anything else is a ValueError).
+    (``real_form``), so U(T) and every snapshot are exactly Q-real.
 
     Only the first half period is integrated.  H(T - t) = H(t), and the
-    blocks have a conjugation symmetry C H* C = H (C = 1 for real blocks,
-    1 (x) sx for the Bloch blocks; anything else is a ValueError), so
+    blocks have a conjugation symmetry C H* C = H (``_conjugation``), so
     C A* C = -A and the step maps of the second half are those of the
     first, reflected.  With U_a = U(floor(steps/2) h) and U_b = U_a, or the
     middle step applied to U_a when ``steps`` is odd, the period closes as
@@ -302,28 +294,30 @@ def propagate(
     changes no basis, so entries that vanish stay exactly zero and U(0) is
     exactly 1.
 
-    ``steps`` must be at least MIN_STEPS, and h and every step weight must be
-    finite (a ValueError names omega and steps otherwise).  ``snapshots``
-    lists step indices s in 0..steps at which U(s h) is recorded.
-    ``step_norm`` is h (|H0| + |H1|) per propagator, in the max-row-sum
-    norm, which bounds the spectral norm of a Hermitian matrix; above
-    MAX_STEP_NORM the Magnus series is too close to its convergence radius
-    pi and U, while pseudo-unitary, is not accurate.
+    Before any arithmetic, each failing with a ValueError in this order:
+    ``steps`` and omega must pass ``step_weights``; ``snapshots``, the step
+    indices s at which U(s h) is recorded, must lie in 0..steps; both blocks
+    need C H* C = H with the C of their size and type (``_conjugation``) and
+    S H S = H, S = sx (x) 1.  The returned ``step_norm`` is ``step_norm``'s; a
+    propagator above MAX_STEP_NORM is integrated as zero blocks, so its U and
+    snapshots are exactly 1, and no other propagator changes.
     """
     h, weights = step_weights(omega, steps)
     record = set(snapshots)
     if not all(0 <= s <= steps for s in record):
         raise ValueError(f"snapshot steps must lie in 0..{steps}, got {sorted(record)}")
-    h0 = np.asarray(h0, dtype=complex)
-    h1 = np.asarray(h1, dtype=complex)
-    perm = _conjugation(h0, h1)
+    real = not (np.iscomplexobj(h0) or np.iscomplexobj(h1))
+    h0, h1 = (np.asarray(x, dtype=complex) for x in (h0, h1))
     shape = np.broadcast_shapes(h0.shape, h1.shape)
     d = shape[-1]
-    sz = nambu_metric(d)[:, None]
-    swap = np.roll(np.arange(d), d // 2)
+    perm, swap = _conjugation(d, real), np.roll(np.arange(d), d // 2)
+    if not _invariant(h0, h1, perm, np.conj):
+        raise ValueError("propagate needs C H* C = H for both blocks, with C = 1 (real blocks) "
+                         "or C = 1 (x) sx (4x4 Bloch blocks)")
     if not _invariant(h0, h1, swap):
         raise ValueError("propagate needs the Nambu swap symmetry S H S = H, S = sx (x) 1, of both "
                          "blocks: the Pade step and the particle-column step hold only for them")
+    sz = nambu_metric(d)[:, None]
     q, w = perm[swap], (d if d == 4 else d // 2)  # Q = S C, and the columns carried
 
     def full(x):  # U from U[..., :w] by Q U* Q = U
@@ -333,13 +327,14 @@ def propagate(
         u[..., :w], u[..., q[:w]] = x, x[..., q, :].conj()
         return u
 
-    norms = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
+    norm = np.broadcast_to(step_norm(h, h0, h1), shape[:-2])
+    n = math.prod(shape[:-2])
+    coarse = (norm > MAX_STEP_NORM).reshape(n, 1, 1)  # integrated as zero blocks: U = 1
+    h0, h1 = (np.where(coarse, 0.0, np.broadcast_to(x, shape).reshape(n, d, d)) for x in (h0, h1))
     half = steps // 2
     forward = steps - half
     direct = {s if s <= forward else steps - s for s in record}
     rows, cols = perm[:, None], perm
-    n = math.prod(shape[:-2])
-    h0, h1 = (np.broadcast_to(x, shape).reshape(n, d, d) for x in (h0, h1))
     basis = _magnus_basis(-1j * sz * h0, -1j * sz * h1, (n, d, d)).view(float).reshape(8, -1)
     powers = np.empty((4, n, d, d), dtype=complex)  # Omega, Omega^2, Omega^3, 1
     powers[3] = np.eye(d)
@@ -373,8 +368,7 @@ def propagate(
     snaps = {s: full(seen[s] if s <= forward else full(seen[steps - s])[..., rows, cols].conj() @ u)
              for s in record}
     u = full(u)
-    return Propagation(u.reshape(shape), {s: x.reshape(shape) for s, x in snaps.items()},
-                       np.broadcast_to(h * norms, shape[:-2]))
+    return Propagation(u.reshape(shape), {s: x.reshape(shape) for s, x in snaps.items()}, norm)
 
 
 def sympl_residual(u) -> np.ndarray:
@@ -388,8 +382,9 @@ def _cell_errors(prop: Propagation, what: str, cell_axes: int) -> np.ndarray:
     """Failure message, starting with ``what``, of each cell of a batch, or None.
 
     The first ``cell_axes`` batch axes index the cells.  The propagators along
-    the others (a k-grid point's momenta) fail together, on their largest step
-    norm, any non-finite entry or their largest pseudo-unitarity residual.
+    the others (a k-grid point's momenta) fail together: as too coarse if their largest
+    ``step_norm`` is above MAX_STEP_NORM (``propagate`` left them at U = 1), else on any
+    non-finite entry or on their largest pseudo-unitarity residual.
     """
     members = tuple(range(cell_axes, prop.step_norm.ndim))
     coarse = prop.step_norm.max(axis=members)
@@ -474,22 +469,22 @@ def real_form(u):
     """(Re(V+ U V), V): a real matrix similar to each monodromy U of a batch, and V.
 
     H commutes with the Nambu swap S (pairing g 1, equal particle and hole
-    blocks), so with C of ``_conjugation``, Q = S C gives Q U* Q = U, (QK)^2 = 1
-    (Colpa, Physica A 93, 327 (1978)), and V+ U V is real for V with columns
-    (e_i + e_Q(i))/sqrt2 and i (e_i - e_Q(i))/sqrt2 over the particles i.  Q is
-    S C (C = CONJUGATION, 4x4) or S; LinAlgError if |Im(V+ U V)| > 1e-10 max |U| for both."""
+    blocks), so with C of its size (``_conjugation``; a 4x4 U is a Bloch monodromy, the
+    chain's sectors are at least 16x16), Q = S C gives Q U* Q = U, (QK)^2 = 1 (Colpa,
+    Physica A 93, 327 (1978)), and V+ U V is real for V with columns (e_i + e_Q(i))/sqrt2
+    and i (e_i - e_Q(i))/sqrt2 over the particles i.  LinAlgError if
+    |Im(V+ U V)| > 1e-10 max |U|: U is not Q-real, and Re would be another matrix."""
     u = np.ascontiguousarray(u, dtype=complex)
     n = u.shape[-1] // 2
-    swap = np.roll(np.arange(2 * n), n)
+    q = _conjugation(2 * n)[np.roll(np.arange(2 * n), n)]
+    v = np.kron([[1, 1j], [1, -1j]], np.eye(n) / math.sqrt(2.0))[np.argsort(np.r_[:n, q[:n]])]
+    x = u.view(float) @ np.stack([v, 1j * v], 1).view(float).reshape(4 * n, -1)  # U V
+    s, t = ((x[..., :n, :] + sign * x[..., q[:n], :]) / math.sqrt(2.0) for sign in (1, -1))
     tol = 1e-10 * np.abs(u).max(initial=0.0)
-    for q in [_BLOCH_C[swap], swap] if n == 2 else [swap]:
-        v = np.kron([[1, 1j], [1, -1j]], np.eye(n) / math.sqrt(2.0))[np.argsort(np.r_[:n, q[:n]])]
-        x = u.view(float) @ np.stack([v, 1j * v], 1).view(float).reshape(4 * n, -1)  # U V
-        s, t = ((x[..., :n, :] + sign * x[..., q[:n], :]) / math.sqrt(2.0) for sign in (1, -1))
-        if max(np.abs(a).max(initial=0.0) for a in (s[..., 1::2], t[..., ::2])) <= tol:
-            return np.concatenate([s[..., ::2], t[..., 1::2]], axis=-2), v  # V+ U V = [s; -i t]
-    raise np.linalg.LinAlgError(
-        "no real form: Q U* Q != U for Q = S C (C = 1 (x) sx for 4x4) and Q = S")
+    if not max(np.abs(a).max(initial=0.0) for a in (s[..., 1::2], t[..., ::2])) <= tol:
+        raise np.linalg.LinAlgError(
+            "no real form: Q U* Q != U for Q = S C (C = 1 (x) sx for 4x4, 1 otherwise)")
+    return np.concatenate([s[..., ::2], t[..., 1::2]], axis=-2), v  # V+ U V = [s; -i t]
 
 
 def quasienergies(u, omega: float) -> np.ndarray:
@@ -602,8 +597,8 @@ def kgrid_solve(points, nk: int, steps: int = DEFAULT_STEPS):
     (P, nk, 4, 4) and (P,), branch vectors along the last axis.  Each point is
     one cell of ``solve_cells`` (NaN eps and states if it fails); points sharing
     omega share one ``solve_cells`` loop.  Only k >= 0 is integrated: H_{-k} =
-    C H_k C with C = CONJUGATION for every parameter set, so U_{-k} = C U_k C,
-    and -k takes the eps and cnorm of k and C times its states.
+    C H_k C with the C of 4x4 blocks (``_conjugation``) for every parameter set,
+    so U_{-k} = C U_k C, and -k takes the eps and cnorm of k and C times its states.
     """
     ks = kgrid(nk)
     half, take = mirror_half(ks)
@@ -620,6 +615,6 @@ def kgrid_solve(points, nk: int, steps: int = DEFAULT_STEPS):
         error[group] = solve_cells(
             lambda c: map(np.stack, zip(*(bloch_blocks(points[i], ks[half]) for i in group[c]))),
             (group.size, half.size), omega, steps, "k-grid", solve)
-    comps = np.where((half[take] != np.arange(nk))[:, None], _BLOCH_C, np.arange(4))  # C at -k
+    comps = np.where((half[take] != np.arange(nk))[:, None], _conjugation(4), np.arange(4))
     states = states[:, take[:, None, None], np.arange(4)[:, None], comps[:, None, :]]
     return ks, eps[:, take], cnorm[:, take], states, error

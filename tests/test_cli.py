@@ -423,6 +423,17 @@ class TestGrids:
         assert meta["result"]["static_field"] == [-1.5, 0.0]
         assert meta["result"]["total_cells"] == 9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coarse_cells_not_integrated(self):
+        """At mu = 1e300 every cell is over the step guard: none is integrated,
+        so no numpy warning is raised, and each fails as too coarse."""
+        assert entry(["stability-grid", "--recipe", "fig2b", "--set", "model.mu=1e300",
+                      "--set", "task.hx1.points=3", "--set", "task.hy1.points=3",
+                      "--output", "out"]) == 0
+        errors = [row[-1] for row in read_csv("out.csv")[1:]]
+        assert len(errors) == 9
+        assert all(e.startswith("drive plane: integrator step too coarse") for e in errors)
+
     def test_stability_grid_requires_field_when_k_dependent(self, capsys):
         cfg = write_cfg({
             "model": {**MODEL_A, "nu0p": 0.5},

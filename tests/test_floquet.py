@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floqbog import floquet
+from floqbog import dynamics, floquet
 from floqbog.dynamics import _chain_propagation, _mirror_halves, evolve_vacuum
 from floqbog.floquet import (
     DEFAULT_STEPS,
@@ -30,6 +30,7 @@ from floqbog.floquet import (
 )
 from floqbog.model import (
     CONJUGATION,
+    HERMITICITY_TOL,
     I2,
     SX,
     ModelParams,
@@ -382,15 +383,32 @@ class TestIntegrators:
         particle_drive = h1.copy()
         particle_drive[..., 2:, 2:] = 0.0
         for a, b in ((hole_mu, h1), (h0, particle_drive)):
-            assert (floquet._conjugation(a, b) == floquet._BLOCH_C).all()
+            assert floquet._invariant(a, b, floquet._conjugation(4), np.conj)
             with pytest.raises(ValueError, match="Nambu swap symmetry S H S = H"):
                 propagate(a, b, PA.omega, 64)
         c0, c1 = chain_blocks(PA, 2)
         propagate(c0, c1, PA.omega, 64)
         c0[[4, 5, 6, 7], [4, 5, 6, 7]] += 0.3
-        assert (floquet._conjugation(c0, c1) == np.arange(8)).all()
+        assert floquet._invariant(c0, c1, floquet._conjugation(8), np.conj)
         with pytest.raises(ValueError, match="Nambu swap symmetry S H S = H"):
             propagate(c0, c1, PA.omega, 64)
+
+    def test_coarse_propagator_not_integrated(self):
+        """A propagator over the step guard is integrated as zero blocks: its U
+        and snapshots are exactly 1, and every other row of the batch is
+        bitwise the same row integrated alone."""
+        h0, h1 = bloch_blocks(PN, np.linspace(0.0, math.pi, 5))
+        h1[2] *= 1e3
+        marks = (0, 20, 33, 65)
+        prop = propagate(h0, h1, PA.omega, 65, marks)
+        assert prop.step_norm[2] > MAX_STEP_NORM > prop.step_norm[[0, 1, 3, 4]].max()
+        for u in (prop.u, *prop.snapshots.values()):
+            assert (u[2] == np.eye(4)).all()
+        for i in (0, 1, 3, 4):
+            alone = propagate(h0[i], h1[i], PA.omega, 65, marks)
+            assert prop.u[i].tobytes() == alone.u.tobytes()
+            for s in marks:
+                assert prop.snapshots[s][i].tobytes() == alone.snapshots[s].tobytes()
 
     def test_coarse_step_flagged(self):
         """Far past the Magnus radius the Pade map stays finite, so the guard must flag."""
@@ -403,6 +421,55 @@ class TestIntegrators:
             check_cells(floquet._cell_errors(prop, "test", 0))
         check_cells(floquet._cell_errors(
             prop._replace(u=prop.u[:1], step_norm=prop.step_norm[:1]), "test", 0))
+
+
+def assert_block_rule(*blocks):
+    """C H* C = H with C by block size and type (1 (x) sx for complex 4x4 blocks,
+    1 otherwise) and S H S = H, S = sx (x) 1, for every (..., d, d) block, to
+    HERMITICITY_TOL."""
+    for h in blocks:
+        d = h.shape[-1]
+        c = CONJUGATION if d == 4 and np.iscomplexobj(h) else np.eye(d)
+        s = np.kron(SX, np.eye(d // 2))
+        tol = HERMITICITY_TOL * (1.0 + np.abs(h).max())
+        assert np.abs(c @ h.conj() @ c - h).max() <= tol
+        assert np.abs(s @ h @ s - h).max() <= tol
+
+
+class TestBlockRule:
+    """Every block the model builds has the symmetries ``propagate`` checks,
+    with C fixed by the block size and type."""
+
+    def test_bloch_blocks(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            hop = rng.uniform(-20.0, 20.0, 5)
+            p = ModelParams(nu0=hop[0], nu0p=hop[1], nu1=hop[2], nu1p=hop[3], mu=hop[4],
+                            omega=rng.uniform(0.5, 10.0), g=rng.uniform(0.0, 3.0))
+            assert_block_rule(*bloch_blocks(p, rng.uniform(-math.pi, math.pi, 9)))
+
+    def test_drive_plane_cells(self):
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(-60.0, 60.0, (2, 30))
+        assert_block_rule(static_block(-1.5, 0.0, -5.0, 1.0), static_block(*rng.normal(size=4)),
+                          field_matrix(x, y))
+
+    @pytest.mark.parametrize("cells", [2, 9, 20])
+    def test_chain_parity_sectors(self, monkeypatch, cells):
+        """Both sectors, as ``_chain_propagation`` hands them to ``propagate``:
+        real, so C = 1 also for the 4x4 sectors of two cells."""
+        seen = []
+
+        def record(h0, h1, *args):
+            seen.append((h0, h1))
+            return propagate(h0, h1, *args)
+
+        monkeypatch.setattr(dynamics, "propagate", record)
+        _chain_propagation(PB, cells, 64)
+        (h0, h1), = seen
+        assert h0.shape == h1.shape == (2, 2 * cells, 2 * cells)
+        assert h0.dtype == h1.dtype == float
+        assert_block_rule(h0, h1)
 
 
 def pade_increment(om: np.ndarray) -> np.ndarray:
@@ -438,7 +505,7 @@ class TestPadeIncrement:
         h0, h1 = symmetric_blocks(rng, 200), symmetric_blocks(rng, 200)
         sz = nambu_metric(4)[:, None]
         a0, a1 = -1j * sz * h0, -1j * sz * h1
-        norm = np.abs(h0).sum(axis=-1).max(axis=-1) + np.abs(h1).sum(axis=-1).max(axis=-1)
+        norm = floquet.step_norm(1.0, h0, h1)
         h = (np.geomspace(1e-4, 1.0, 200) * MAX_STEP_NORM / norm)[:, None, None]
         om = h * (a0 + 0.5 * a1) + h * h / 12.0 * (a0 @ a1 - a1 @ a0)
         ref = solved_increment(om)
