@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time of ``floquet.propagate`` and ``dynamics.evolve_vacuum`` under two source trees.
+"""Time of the integrator, vacuum evolution, W^S and overlay layers under two source trees.
 
 Each run is one fresh child process with the given ``src`` directory first on
 PYTHONPATH; it builds the inputs of every row with that tree's ``model`` (and
@@ -12,7 +12,8 @@ host the minima spread less) and whether both sides gave bitwise the same
 result.  Where they did not, ``max_rel_diff`` gives, per compared part, the
 largest |a - b| / max |a| between the sides' first runs (a from the first
 side): U(T) and the snapshots of a ``propagate`` row, the occupations and
-residuals of the evolve row.
+residuals of the evolve row.  Both sides may name the same tree, which
+checks that every row's result is reproducible.
 
 The ``propagate`` rows are the batch shapes the benchmark integrates at 64
 steps, digested over U(T) and every snapshot:
@@ -32,7 +33,18 @@ The vacuum-evolution row ``evolve-fig3b`` calls ``evolve_vacuum`` at the fig3b
 recipe (its chain propagation included), digested over the trace's times,
 occupations, residuals, marks and truncation flag.
 
+Three rows time what follows integration on the bulk-topology points of
+seed 0, at nk 64 and the CLI's default 64 steps:
+
+- ``evaluate-scan-16`` and ``evaluate-phase-3x3``: ``topology.evaluate_points``
+  on the 16-point scan from the fig1b point to nu1p = 0 and on the 3x3 grid
+  nu1p in [9, 11] x mu in [-5.05, -4.95] (its integration included), digested
+  over stable, max_im, ws and error;
+- ``overlay-3x3``: ``sweep.effective_phase_overlay`` of that grid, digested
+  over verdict and max_im.
+
     python3 scripts/layer_time.py --src old/src src --runs 5 --repeats 20
+    python3 scripts/layer_time.py --src src src --runs 1 --repeats 1
 """
 
 import argparse
@@ -44,6 +56,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from functools import partial
 
 import numpy as np
@@ -54,9 +67,11 @@ MODEL = {"nu0": 1.5, "nu0p": 0.0, "nu1": 3.0, "nu1p": 11.0, "mu": -5.0, "omega":
 PLANE = ((-15.0, 9.0), (-12.0, 12.0), 41)
 SHAPES = ("plane-41x41", "kgrid-33", "kgrid-65", "kgrid-129", "kgrid-297", "kgrid-528",
           "chain-2x40x40")
-ROWS = (*SHAPES, "evolve-fig3b")
+ROWS = (*SHAPES, "evolve-fig3b", "evaluate-scan-16", "evaluate-phase-3x3", "overlay-3x3")
+#: the bulk-topology phase-diagram axes and the k-grid size of its scan and grid
+PHASE_AXES, NK = (("nu1p", (9.0, 11.0)), ("mu", (-5.05, -4.95))), 64
 #: parts whose largest relative difference is reported for rows that are not bitwise equal
-COMPARED = ("u", "snapshots", "occupations", "sympl_residual")
+COMPARED = ("u", "snapshots", "occupations", "sympl_residual", "max_im")
 
 
 def blocks(shape: str):
@@ -78,11 +93,42 @@ def blocks(shape: str):
     return np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs])
 
 
+def topology_call(row: str):
+    """(size, f) of a W^S or overlay row; object columns are digested as their text."""
+    from dataclasses import replace
+
+    from floqbog.model import ModelParams
+    from floqbog.sweep import effective_phase_overlay
+    from floqbog.topology import evaluate_points, interpolate
+
+    p = ModelParams(**MODEL)
+    axes = [(name, np.linspace(lo, hi, 3)) for name, (lo, hi) in PHASE_AXES]
+    if row == "overlay-3x3":
+        def overlay():
+            table = effective_phase_overlay(p, *axes, nk=NK)
+            return [("verdict", table.verdict.astype(str)), ("max_im", table.max_im)]
+
+        return {"points": 9}, overlay
+    if row == "evaluate-scan-16":
+        points = [interpolate(p, replace(p, nu1p=0.0), float(f)) for f in np.linspace(0, 1, 16)]
+    else:
+        points = [replace(p, nu1p=float(a), mu=float(b)) for b in axes[1][1] for a in axes[0][1]]
+
+    def evaluate():
+        columns = evaluate_points(points, NK, STEPS)
+        return [(name, np.array(list(map(str, c))) if c.dtype == object else c)
+                for name, c in zip(("stable", "max_im", "ws", "error"), columns)]
+
+    return {"points": len(points)}, evaluate
+
+
 def call(row: str):
     """(size, f): the row's size entry and its call, which returns the named arrays to
     digest, as (name, array) pairs."""
     from floqbog.model import ModelParams
 
+    if row.startswith(("evaluate", "overlay")):
+        return topology_call(row)
     if row == "evolve-fig3b":
         from floqbog.cli import load_recipe
         from floqbog.dynamics import evolve_vacuum
@@ -121,6 +167,7 @@ def call(row: str):
 def child(repeats: int, dump: str | None) -> None:
     """Time every row with the tree on the path; print one JSON line, and save
     every row's result to the .npz file ``dump`` if given."""
+    warnings.simplefilter("ignore")  # the overlay's validity warning
     out, saved = {}, {}
     for row in ROWS:
         size, f = call(row)
@@ -175,30 +222,32 @@ def main() -> None:
     if args.child is not None:
         child(args.child, args.dump)
         return
-    if args.src is None or args.src[0] == args.src[1]:
-        parser.error("--src needs two different directories")
+    if args.src is None:
+        parser.error("--src needs two directories")
     if args.runs < 1 or args.repeats < 1:
         parser.error("--runs and --repeats must be at least 1")
-    runs = {src: [] for src in args.src}
+    # sides are keyed by position, so both may name one tree; a repeated name gets "#2"
+    names = args.src if args.src[0] != args.src[1] else [args.src[0], args.src[1] + "#2"]
+    runs = [[], []]
     with tempfile.TemporaryDirectory() as tmp:
         dumps = [os.path.join(tmp, f"side{j}.npz") for j in range(2)]
         for i in range(args.runs):
-            for src in args.src if i % 2 == 0 else args.src[::-1]:
-                dump = dumps[args.src.index(src)] if i == 0 else None
-                runs[src].append(run_once(src, args.repeats, dump))
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                dump = dumps[side] if i == 0 else None
+                runs[side].append(run_once(args.src[side], args.repeats, dump))
         results = [dict(np.load(dump)) for dump in dumps]
     table = {}
     for row in ROWS:
-        sides = {src: [r[row]["ms"] for r in runs[src]] for src in args.src}
-        medians = [statistics.median(sides[src]) for src in args.src]
-        minima = [min(sides[src]) for src in args.src]
-        digests = {r[row]["digest"] for src in args.src for r in runs[src]}
-        first = runs[args.src[0]][0][row]
+        sides = [[r[row]["ms"] for r in side] for side in runs]
+        medians = [statistics.median(ms) for ms in sides]
+        minima = [min(ms) for ms in sides]
+        digests = {r[row]["digest"] for side in runs for r in side}
+        first = runs[0][0][row]
         table[row] = {
-            **{k: first[k] for k in ("matrices", "samples") if k in first},
-            "ms": sides,
-            "median_ms": dict(zip(args.src, medians)),
-            "min_ms": dict(zip(args.src, minima)),
+            **{k: first[k] for k in ("matrices", "samples", "points") if k in first},
+            "ms": dict(zip(names, sides)),
+            "median_ms": dict(zip(names, medians)),
+            "min_ms": dict(zip(names, minima)),
             "ratio": medians[1] / medians[0],
             "ratio_min": minima[1] / minima[0],
             "bitwise_equal": len(digests) == 1,

@@ -25,6 +25,11 @@ AMP_TOL = 1e-12
 CHOOSE_NK, ALPHA_RANGE = 128, 6
 #: largest max|z| + |n| of ``_bessel_j``, whose node count (and memory) grows with it
 BESSEL_REACH = 1e4
+#: most (argument, node) terms ``_bessel_j`` forms at once
+BESSEL_BLOCK = 2**17
+#: largest |h_eff|, |G|, |mueff|, |geff| ``effective_quasienergies`` squares: all <= c give
+#: A <= |G h|^2 + |g mu G h| + (|g G| + |h mu|)^2 <= 6 c^4, finite for c < (1.8e308/6)^0.25 = 7.4e76
+EFFECTIVE_REACH = 1e76
 
 
 def _bessel_j(n: int, z) -> np.ndarray:
@@ -36,23 +41,30 @@ def _bessel_j(n: int, z) -> np.ndarray:
     rule, whose result is exactly sum_k (-1)^k J_{n + 2kN}(z) (Trefethen &
     Weideman, SIAM Rev. 56, 385 (2014)).  With N = 32 + ceil(max|z| + |n|)
     every alias has order above 2 max|z| + 64, where |J_nu(z)| <=
-    (|z|/2)^nu / nu! lies far below round-off.
+    (|z|/2)^nu / nu! lies far below round-off.  N is taken per row (last axis
+    of ``z``) and rows of equal N are evaluated together, so none changes bits.
     """
     z = np.asarray(z, dtype=float)
-    reach = float(np.abs(z).max(initial=0.0)) + abs(n)
-    if not reach <= BESSEL_REACH:
-        raise ValueError(f"Bessel order plus argument {reach:.3g} exceeds {BESSEL_REACH:g}: "
+    rows = z.reshape(math.prod(z.shape[:-1]), -1)
+    reach = np.abs(rows).max(axis=-1, initial=0.0) + abs(n)
+    if not (reach <= BESSEL_REACH).all():
+        raise ValueError(f"Bessel order plus argument {reach.max():.3g} exceeds {BESSEL_REACH:g}: "
                          f"the drive or mu is too large against omega for the effective model")
-    nodes = 32 + math.ceil(reach)
-    tau = (np.arange(nodes) + 0.5) * (math.pi / nodes)
-    return np.cos(n * tau - z[..., None] * np.sin(tau)).mean(axis=-1)
+    nodes = 32 + np.ceil(reach).astype(int)
+    out = np.empty(rows.shape)
+    for count in np.unique(nodes):
+        tau = (np.arange(count) + 0.5) * (math.pi / count)
+        at = np.flatnonzero(nodes == count)
+        for part in np.array_split(at, -(-at.size * rows.shape[1] * count // BESSEL_BLOCK)):
+            out[part] = np.cos(n * tau - rows[part, :, None] * np.sin(tau)).mean(axis=-1)
+    return out.reshape(z.shape)
 
 
 @dataclass(frozen=True)
 class EffectiveCoefficients:
     """Coefficients of the effective Hamiltonian on a set of momenta.
 
-    ``mueff`` is scalar; the remaining fields are arrays over k.
+    ``mueff`` is scalar and the rest arrays over k; (P, 1) and (P, nk) for P points.
     """
 
     heffx: np.ndarray
@@ -92,13 +104,10 @@ def choose_indices(params: ModelParams) -> tuple[int, int]:
     hx0, hy0, amp, cp, sp = _frame(params, kgrid(CHOOSE_NK))
     if amp.max() < AMP_TOL:
         return 0, int(beta)
-
-    def worst(a: int) -> float:
-        hax = hx0 - a * half * cp
-        hay = hy0 - a * half * sp
-        return float(np.maximum(np.abs(hax), np.abs(hay)).max())
-
-    alpha = min(range(-ALPHA_RANGE, ALPHA_RANGE + 1), key=lambda a: (worst(a), abs(a)))
+    a = np.arange(-ALPHA_RANGE, ALPHA_RANGE + 1)
+    shift = a[:, None] * half
+    worst = np.maximum(np.abs(hx0 - shift * cp), np.abs(hy0 - shift * sp)).max(axis=1)
+    alpha = min(a.tolist(), key=lambda i: (worst[i + ALPHA_RANGE], abs(i)))
     return int(alpha), int(beta)
 
 
@@ -120,7 +129,8 @@ def effective_coefficients(params: ModelParams, k, alpha: int, beta: int) -> Eff
     (suppressed by J_alpha(z)); the pairing picks up J_{-beta-alpha} and
     J_{beta-alpha} combinations, with the anomalous vector G along the
     drive direction.  This is the f^+- form multiplied through, which
-    avoids the spurious divisions at h^alpha_x = 0 or h^alpha_y = 0.
+    avoids the spurious divisions at h^alpha_x = 0 or h^alpha_y = 0.  With
+    (P, 1) fields, one validity warning names the first point out of window.
     """
     hx0, hy0, amp, cp, sp = _frame(params, np.asarray(k, dtype=float))
     z = 2.0 * amp / params.omega
@@ -142,16 +152,13 @@ def effective_coefficients(params: ModelParams, k, alpha: int, beta: int) -> Eff
     gx = 0.5 * params.g * jdiff * cp
     gy = 0.5 * params.g * jdiff * sp
 
-    worst = max(
-        float(np.abs(hax).max()), float(np.abs(hay).max()), abs(mueff), params.g
-    )
-    if worst > params.omega / 4.0:
-        warnings.warn(
-            f"effective Hamiltonian outside its validity window "
-            f"(largest coefficient {worst:.3g} > omega/4 = {params.omega / 4.0:.3g})",
-            stacklevel=2,
-        )
-    return EffectiveCoefficients(heffx, heffy, float(mueff), geff, gx, gy)
+    worst = np.maximum(np.maximum(np.abs(hax), np.abs(hay)), np.maximum(np.abs(mueff), params.g))
+    worst = worst.max(axis=-1, keepdims=True)
+    quarter = np.broadcast_to(params.omega / 4.0, worst.shape)
+    for i in np.flatnonzero(worst > quarter)[:1]:
+        warnings.warn(f"effective Hamiltonian outside its validity window (largest coefficient "
+                      f"{worst.flat[i]:.3g} > omega/4 = {quarter.flat[i]:.3g})", stacklevel=2)
+    return EffectiveCoefficients(heffx, heffy, mueff, geff, gx, gy)
 
 
 def effective_quasienergies(coeffs: EffectiveCoefficients) -> tuple[np.ndarray, np.ndarray]:
@@ -160,9 +167,14 @@ def effective_quasienergies(coeffs: EffectiveCoefficients) -> tuple[np.ndarray, 
     eps_pm = +-sqrt(|h_eff|^2 + mueff^2 - geff^2 - |G|^2 +- 2 sqrt(A)) on
     the principal branch; a complex value estimates an instability.
     delta-phi is the angle between G and h_eff (zero when either vanishes).
+    ValueError if a coefficient exceeds EFFECTIVE_REACH, where A overflows.
     """
     habs = np.hypot(coeffs.heffx, coeffs.heffy)
     gabs = np.hypot(coeffs.Gx, coeffs.Gy)
+    largest = np.max([np.max(np.abs(x)) for x in (habs, gabs, coeffs.mueff, coeffs.geff)])
+    if not largest <= EFFECTIVE_REACH:
+        raise ValueError(f"effective coefficient {largest:.3g} exceeds {EFFECTIVE_REACH:g}: "
+                         f"the model is too large for the closed-form effective spectrum")
     both = (habs > 1e-15) & (gabs > 1e-15)
     dphi = np.where(
         both,
@@ -186,8 +198,9 @@ def effective_spectrum(params: ModelParams, nk: int, alpha: int, beta: int, tol_
 
     Returns (eps_plus, eps_minus, max_im, verdict) on ``kgrid(nk)``: the system
     is estimated stable iff max_im, the largest |Im eps| of both branches, is <= tol_im.
+    For (P, 1) fields of ``params`` (points), every result has a leading P axis.
     """
     coeffs = effective_coefficients(params, kgrid(nk), alpha, beta)
     eps_plus, eps_minus = effective_quasienergies(coeffs)
-    max_im = max(float(np.abs(eps_plus.imag).max()), float(np.abs(eps_minus.imag).max()))
-    return eps_plus, eps_minus, max_im, "Stable" if max_im <= tol_im else "Unstable"
+    max_im = np.maximum(np.abs(eps_plus.imag).max(axis=-1), np.abs(eps_minus.imag).max(axis=-1))
+    return eps_plus, eps_minus, max_im, np.where(max_im <= tol_im, "Stable", "Unstable")[()]

@@ -450,13 +450,17 @@ def branch_order(eps, cnorm, omega: float) -> np.ndarray:
 
     Branches whose Re eps agree to TIE_WINDOW * omega (chained) share a rank
     and are ordered by Im if zero-norm and then by cnorm; branches equal in
-    all three keep their input order.
+    all three keep their input order.  Only rows with a tie are lexsorted; the
+    others keep the stable argsort by Re, which is what the lexsort gives them.
     """
     by_re = np.argsort(eps.real, axis=-1, kind="stable")
     gaps = np.diff(np.take_along_axis(eps.real, by_re, -1), axis=-1) > TIE_WINDOW * omega
-    rank = np.zeros(eps.shape, dtype=int)
-    np.put_along_axis(rank, by_re[..., 1:], np.cumsum(gaps, axis=-1), axis=-1)
-    return np.lexsort((cnorm, np.where(cnorm == 0, eps.imag, 0.0), rank), axis=-1)
+    tie = ~gaps.all(axis=-1)
+    c = cnorm[tie]
+    rank = np.zeros(c.shape, dtype=int)
+    np.put_along_axis(rank, by_re[tie][..., 1:], np.cumsum(gaps[tie], axis=-1), axis=-1)
+    by_re[tie] = np.lexsort((c, np.where(c == 0, eps[tie].imag, 0.0), rank), axis=-1)
+    return by_re
 
 
 def _log_eps(lam, omega: float) -> np.ndarray:
@@ -493,28 +497,18 @@ def quasienergies(u, omega: float) -> np.ndarray:
 
 
 def eig_branches(u, omega: float):
-    """Eigendecompose batched monodromy matrices into quasienergy data.
+    """Eigendecompose (..., d, d) pseudo-unitary monodromies, in their ``real_form``.
 
-    Parameters
-    ----------
-    u : (..., d, d) complex
-        Pseudo-unitary propagators, eigensolved in their ``real_form``.
-    omega : drive frequency used for the folding window.
-
-    Returns
-    -------
-    eps : (..., d) complex, sorted by Re per batch entry, with Re eps folded
-        into (-omega/2, omega/2]; Im eps > 0 marks a growing mode.  Zero-norm
-        branches come as exact conjugate pairs (``_pair_conjugates``).
-        Ties in Re are broken by ``branch_order``, so neither a pair nor two
-        pairs at the same Re (the midgap modes of a chain) are ordered by
-        round-off in Re
-    cnorm : (..., d) int in {-1, 0, +1}, the symplectic norm sign, 0 when the
-        branch is not normalizable in the Sigma_z metric
-    states : (..., d, d) complex, states[..., i, :] is the branch-i vector,
-        normalized to <psi|Sigma_z|psi> = cnorm when cnorm != 0, else to unit
-        Euclidean norm
-    defective : (..., d) bool, True where eigenvectors nearly coalesce
+    Returns (eps, cnorm, states, defective), each batch entry as if alone.
+    ``eps`` (..., d) is sorted by Re per entry, Re folded into (-omega/2,
+    omega/2]; Im eps > 0 marks a growing mode.  Zero-norm branches come as
+    exact conjugate pairs (``_pair_conjugates``, run on the entries holding
+    one), and ``branch_order`` breaks ties in Re, so neither a pair nor two
+    pairs at one Re (a chain's midgap modes) are ordered by round-off.
+    ``cnorm`` (..., d) is the symplectic norm sign, 0 where a branch is not
+    normalizable in the Sigma_z metric; ``states`` (..., d, d) holds branch i
+    in states[..., i, :], normalized to <psi|Sigma_z|psi> = cnorm, or to unit
+    norm where cnorm = 0; ``defective`` (..., d) marks nearly coalescing vectors.
     """
     form, v = real_form(u)
     lam, vec = np.linalg.eig(form)
@@ -533,7 +527,8 @@ def eig_branches(u, omega: float):
     scale = np.where(normalizable, np.sqrt(np.abs(q)), 1.0)
     vec = vec / scale[..., None, :]
     cnorm = np.where(normalizable, np.sign(q).astype(int), 0).astype(int)
-    eps = _pair_conjugates(eps, cnorm == 0, omega)
+    paired = (cnorm == 0).any(axis=-1)
+    eps[paired] = _pair_conjugates(eps[paired], cnorm[paired] == 0, omega)
 
     order = branch_order(eps, cnorm, omega)
     eps = np.take_along_axis(eps, order, axis=-1)
@@ -543,17 +538,19 @@ def eig_branches(u, omega: float):
     return eps, cnorm, states, defective
 
 
-def classify_arrays(eps, cnorm, omega: float, tol_im: float):
+def classify_arrays(eps, cnorm, omega, tol_im: float):
     """Vectorized verdict codes 0/1/2 = strong/marginal/unstable over batches.
 
-    The last axis holds the branches of one momentum (or one chain).  Unstable
-    if any |Im eps| > tol_im.  Otherwise marginally stable if any pair of
-    opposite symplectic norm has Re eps closer than RESONANCE_WINDOW * omega
-    on the quasienergy circle (covering degeneracies at Re eps near 0 and omega/2),
-    or if any branch is non-normalizable.  Strongly stable otherwise.
+    The last axis holds the branches of one momentum (or one chain), and
+    ``omega`` broadcasts against the others.  Unstable if any |Im eps| > tol_im.
+    Otherwise marginally stable if any pair of opposite symplectic norm has
+    Re eps closer than RESONANCE_WINDOW * omega on the quasienergy circle
+    (covering degeneracies at Re eps near 0 and omega/2), or if any branch is
+    non-normalizable.  Strongly stable otherwise.
     """
     eps = np.asarray(eps)
     cnorm = np.asarray(cnorm)
+    omega = np.asarray(omega)[..., None, None]
     unstable = (np.abs(eps.imag) > tol_im).any(axis=-1)
     dist = np.abs(eps.real[..., :, None] - eps.real[..., None, :]) % omega
     dist = np.minimum(dist, omega - dist)

@@ -13,7 +13,8 @@ cell in row-major order (x fastest), whose field names are the CSV header.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -126,14 +127,16 @@ def effective_phase_overlay(
     """Fast effective-Hamiltonian stability verdicts over the same grid.
 
     The indices are chosen once at the grid center (``choose_indices``), so
-    the overlay uses a single rotating frame throughout.  The table's fields
-    are the two axis names, verdict and max_im.
+    the overlay uses a single rotating frame throughout, and one
+    ``effective_spectrum`` call evaluates every point, each with the bits it
+    has alone.  The table's fields are the two axis names, verdict and max_im.
     """
-    x, y, points = _plane(base, axis1, axis2)
+    x, y, _ = _plane(base, axis1, axis2)
     center = {name: float(values[len(values) // 2]) for name, values in (axis1, axis2)}
     alpha, beta = choose_indices(replace(base, **center))
-    max_im, verdict = zip(*(effective_spectrum(p, nk, alpha, beta, tol_im)[2:] for p in points))
+    points = SimpleNamespace(**{**asdict(base), axis1[0]: x[:, None], axis2[0]: y[:, None]})
+    _, _, max_im, verdict = effective_spectrum(points, nk, alpha, beta, tol_im)
     return np.rec.fromarrays(
-        [x, y, np.array(verdict), np.array(max_im)],
+        [x, y, verdict, max_im],
         names=[axis1[0], axis2[0], "verdict", "max_im"],
     )

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from itertools import permutations
-from operator import itemgetter
 
 import numpy as np
 
-from .floquet import DEFAULT_STEPS, TOL_IM, check_cells, classify_arrays, kgrid, kgrid_solve
+from .floquet import (CHUNK, DEFAULT_STEPS, TOL_IM, check_cells, classify_arrays, kgrid,
+                      kgrid_solve)
 from .model import ModelParams, nambu_metric, static_fields
 
 #: matched-overlap magnitude below which a tracking is rejected
@@ -30,6 +30,8 @@ AMBIGUITY_GAP = 1e-3
 MAX_LINK_PHASE = 2.5
 #: the 4! assignments of the four Bloch bands, searched exhaustively by _best_matching
 PERMS = np.array(list(permutations(range(4))))
+#: the error of a point that is not strongly stable, where W^S is undefined
+UNDEFINED = "not strongly stable: W^S undefined"
 
 
 class TrackingError(RuntimeError):
@@ -47,7 +49,7 @@ class TrackedBands:
     ``eps``, ``cnorm`` have shape (nk, nbands); ``states`` is
     (nk, nbands, dim) with symplectically normalized vectors; ``closure``
     holds the |Sigma_z overlap| between the last and first grid point per
-    band.
+    band.  In the batched W^S path every field has a leading point axis.
     """
 
     eps: np.ndarray
@@ -95,47 +97,38 @@ def _best_matching(ov: np.ndarray) -> np.ndarray:
     return PERMS[ov[..., np.arange(4), PERMS].sum(axis=-1).argmax(axis=-1)]
 
 
-def _track(ks, eps, cnorm, states, omega: float, tol_im: float) -> TrackedBands:
-    """Match one point's bands across its k-grid; refuse a point that is not
-    strongly stable, where W^S is undefined.
+def _track(ks, eps, cnorm, states, omega) -> tuple[TrackedBands, np.ndarray]:
+    """Match the bands of P strongly stable points across the k-grid at once.
 
-    The |Sigma_z overlaps| of every pair of neighbouring raw states are
-    matched at once.  Where every pair passes the overlap and ambiguity
-    checks, each row's match beats its runner-up by AMBIGUITY_GAP, so the
-    matching is unique and composing the pairs' permutations gives the bands'
-    order at every k.  The first failing pair raises, a lost overlap before
-    an ambiguity.
+    ``eps``, ``cnorm`` are (P, nk, nb), ``states`` (P, nk, nb, dim), ``omega`` (P,).
+    The |Sigma_z overlaps| of all neighbouring raw states are matched at once.
+    Where every pair of a point passes the overlap and ambiguity checks, each
+    row's match beats its runner-up by AMBIGUITY_GAP, so the matching is unique
+    and composing the pairs' permutations (a doubling scan) orders the bands at
+    every k.  Returns the tracked bands and, per point, None or the message of
+    its first failing pair, a lost overlap before an ambiguity.
     """
-    if (classify_arrays(eps, cnorm, omega, tol_im) != 0).any():
-        raise InvariantUndefinedError("not strongly stable: W^S undefined")
-    nb = eps.shape[1]
     sz = nambu_metric(states.shape[-1])
-    ov = np.abs(np.einsum("jim,m,jnm->jin", states[:-1].conj(), sz, states[1:]))
+    ov = np.abs(np.einsum("pjim,m,pjnm->pjin", states[:, :-1].conj(), sz, states[:, 1:]))
     cols = _best_matching(ov)
     best = np.take_along_axis(ov, cols[..., None], axis=-1)[..., 0]
     matched = best.min(axis=-1)
     lost = matched <= MIN_TRACK_OVERLAP
     failed = lost | ((best - np.sort(ov, axis=-1)[..., -2]).min(axis=-1) < AMBIGUITY_GAP)
-    if failed.any():
-        j = int(failed.argmax())
-        if lost[j]:
-            raise TrackingError(
-                f"band continuation lost at k={ks[j + 1]:+.4f} "
-                f"(overlap {matched[j]:.3f} <= {MIN_TRACK_OVERLAP}); increase Nk"
-            )
-        raise TrackingError(
-            f"ambiguous band matching at k={ks[j + 1]:+.4f} "
-            f"(two overlaps within {AMBIGUITY_GAP}); increase Nk"
-        )
-    perm = [tuple(range(nb))]
-    for col in cols.tolist():
-        perm.append(itemgetter(*perm[-1])(col))
-    perm = np.array(perm)
-    eps_t = np.take_along_axis(eps, perm, axis=1)
-    cn_t = np.take_along_axis(cnorm, perm, axis=1)
-    st_t = np.take_along_axis(states, perm[:, :, None], axis=1)
-    closure = np.abs(np.einsum("im,m,im->i", st_t[-1].conj(), sz, st_t[0]))
-    return TrackedBands(eps_t, cn_t, st_t, closure, omega)
+    error = np.full(len(eps), None, dtype=object)
+    for p in np.flatnonzero(failed.any(axis=1)):
+        j = failed[p].argmax()
+        error[p] = (f"band continuation lost at k={ks[j + 1]:+.4f} "
+                    f"(overlap {matched[p, j]:.3f} <= {MIN_TRACK_OVERLAP}); increase Nk"
+                    if lost[p, j] else f"ambiguous band matching at k={ks[j + 1]:+.4f} "
+                    f"(two overlaps within {AMBIGUITY_GAP}); increase Nk")
+    perm = np.concatenate([np.broadcast_to(np.arange(eps.shape[-1]), cols[:, :1].shape), cols], 1)
+    for shift in 2 ** np.arange((perm.shape[1] - 1).bit_length()):  # the doubling scan
+        perm[:, shift:] = np.take_along_axis(perm[:, shift:], perm[:, :-shift], axis=-1)
+    st_t = np.take_along_axis(states, perm[..., None], axis=-2)
+    closure = np.abs(np.einsum("pim,m,pim->pi", st_t[:, -1].conj(), sz, st_t[:, 0]))
+    return TrackedBands(np.take_along_axis(eps, perm, axis=-1),
+                        np.take_along_axis(cnorm, perm, axis=-1), st_t, closure, omega), error
 
 
 def track_bands(
@@ -143,27 +136,31 @@ def track_bands(
 ) -> TrackedBands:
     """Match quasienergy branches continuously across the momentum grid.
 
-    Every pair of adjacent grid points is matched at once by maximal
-    |Sigma_z overlap| (each pair globally, as an assignment problem solved by
-    exhaustive search over the 4! matchings), and the pairs' permutations are
-    composed along the grid (``_track``); requires a globally strongly
-    stable system.
+    Every pair of adjacent grid points is matched by maximal |Sigma_z overlap|
+    over all 4! assignments, and the pairs' permutations are composed along
+    the grid (``_track``, P = 1); requires a globally strongly stable system.
     """
-    ks, (eps,), (cnorm,), (states,), error = kgrid_solve([params], nk, steps)
+    ks, eps, cnorm, states, error = kgrid_solve([params], nk, steps)
     check_cells(error)
-    return _track(ks, eps, cnorm, states, params.omega, tol_im)
+    if (classify_arrays(eps, cnorm, params.omega, tol_im) != 0).any():
+        raise InvariantUndefinedError(UNDEFINED)
+    t, (message,) = _track(ks, eps, cnorm, states, np.array([params.omega]))
+    if message is not None:
+        raise TrackingError(message)
+    return TrackedBands(t.eps[0], t.cnorm[0], t.states[0], t.closure[0], params.omega)
 
 
 def select_band_set(tracked: TrackedBands) -> list[int]:
-    """Bands with 0 < Re eps < omega/2 and symplectic norm +1 at every k."""
+    """Bands with 0 < Re eps < omega/2 and symplectic norm +1 at every k; with a
+    leading point axis, the flat indices p nbands + b of the (point, band) pairs."""
     re = tracked.eps.real
-    inside = (re > 0).all(axis=0) & (re < tracked.omega / 2.0).all(axis=0)
-    positive = (tracked.cnorm == 1).all(axis=0)
-    return [int(i) for i in np.nonzero(inside & positive)[0]]
+    half = np.asarray(tracked.omega)[..., None, None] / 2.0
+    return np.flatnonzero(((re > 0) & (re < half) & (tracked.cnorm == 1)).all(axis=-2)).tolist()
 
 
-def _band_phase(states: np.ndarray) -> float:
-    """Unwrapped Wilson-loop phase of one band, in a canonical gauge.
+def _band_phase(states: np.ndarray):
+    """Unwrapped Wilson-loop phases of (..., nk, dim) bands: (phase, error), error
+    None or the message of a band whose loop fails (its phase is then not read).
 
     The gauge makes the particle component on the first sublattice real and
     positive at every k.  That removes any per-k phase of the input exactly
@@ -173,29 +170,34 @@ def _band_phase(states: np.ndarray) -> float:
     magnitude, and anchoring the other sublattice flips the sign of the
     winding (the usual sublattice convention of winding numbers).
     """
-    amp = states[:, 0]
-    if np.abs(amp).min() < 1e-3:
-        raise TrackingError(
-            "gauge anchor component of the band passes through zero; cannot fix "
-            "a smooth gauge for the Wilson loop"
-        )
-    section = states / (amp / np.abs(amp))[:, None]
+    lost = np.abs(states[..., 0]).min(axis=-1) < 1e-3
+    amp = np.where(lost[..., None], 1.0, states[..., 0])
+    section = states / (amp / np.abs(amp))[..., None]
     sz = nambu_metric(states.shape[-1])
-    links = np.einsum("jm,m,jm->j", section.conj(), sz, np.roll(section, -1, axis=0))
-    args = np.angle(links)
-    if np.abs(args).max() > MAX_LINK_PHASE:
-        raise TrackingError(
-            f"Wilson link phase {np.abs(args).max():.2f} too large to unwrap; increase Nk"
-        )
-    return float(args.sum())
+    args = np.angle(np.einsum("...jm,m,...jm->...j", section.conj(), sz, np.roll(section, -1, -2)))
+    largest = np.abs(args).max(axis=-1)
+    error = np.full(lost.shape, None, dtype=object)
+    for i in map(tuple, np.argwhere(~lost & (largest > MAX_LINK_PHASE))):
+        error[i] = f"Wilson link phase {largest[i]:.2f} too large to unwrap; increase Nk"
+    error[lost] = ("gauge anchor component of the band passes through zero; cannot fix "
+                   "a smooth gauge for the Wilson loop")
+    return args.sum(axis=-1), error
 
 
-def _winding_from_tracked(tracked: TrackedBands) -> InvariantResult:
-    bands = select_band_set(tracked)
-    total = sum(_band_phase(tracked.states[:, i]) for i in bands)
-    raw = total / math.pi
-    ws = round(raw)
-    return InvariantResult(int(ws), raw, abs(raw - ws), len(bands))
+def _winding_from_tracked(tracked: TrackedBands):
+    """W^S of tracked points: (results, error), per point an InvariantResult and None
+    or the message of its first band in S whose Wilson loop fails.  S is a (points,
+    bands) mask; all its phases come from one ``_band_phase`` and add up band by band."""
+    nb = tracked.eps.shape[-1]
+    states = np.swapaxes(tracked.states, -2, -3).reshape(-1, nb, *tracked.states.shape[-3::2])
+    bands = np.zeros(states.shape[:2], dtype=bool)
+    bands.flat[select_band_set(tracked)] = True
+    phase, failed = np.zeros(bands.shape), np.full(bands.shape, None, dtype=object)
+    phase[bands], failed[bands] = _band_phase(states[bands])
+    raw = sum(phase.T, 0.0) / math.pi
+    error = [next((m for m in row if m is not None), None) for row in failed]
+    return [InvariantResult(int(w), r, abs(r - w), int(n))
+            for r, w, n in zip(raw.tolist(), np.round(raw).tolist(), bands.sum(axis=1))], error
 
 
 def symplectic_winding(
@@ -208,7 +210,10 @@ def symplectic_winding(
     and divided by pi.  Refuses when the system is not globally strongly
     stable.
     """
-    return _winding_from_tracked(track_bands(params, nk, steps, tol_im))
+    (result,), (message,) = _winding_from_tracked(track_bands(params, nk, steps, tol_im))
+    if message is not None:
+        raise TrackingError(message)
+    return result
 
 
 def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelParams:
@@ -224,26 +229,30 @@ def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelP
 def evaluate_points(points, nk: int = 128, steps: int = DEFAULT_STEPS, tol_im: float = TOL_IM):
     """Columns stable, max_im, ws and error (None where undefined) of a sequence of points.
 
-    All points solve in one ``kgrid_solve``; tracking and the Wilson loop run
-    per point.  A point that fails there, or whose W^S is undefined or fails,
-    carries the message in its error (unstable with NaN max_im if it failed
-    to solve), so grid and path drivers complete; any other exception
+    One ``kgrid_solve`` serves all points; one ``classify_arrays``, ``_track`` and
+    ``_winding_from_tracked`` serve each pass over CHUNK // nk of them, which bounds
+    the temporaries.  A point that fails to solve is unstable with NaN max_im; one
+    that fails later, or whose W^S is undefined, carries the message it raises
+    alone in its error, so grid and path drivers complete; any other exception
     propagates.
     """
     ks, eps, cnorm, states, error = kgrid_solve(points, nk, steps)
-    max_im = eps.imag.max(axis=(1, 2))
+    omega = np.array([p.omega for p in points])
     stable = np.zeros(len(points), dtype=bool)
     ws = np.full(len(points), None, dtype=object)
-    for i in np.flatnonzero(np.equal(error, None)):
-        omega = points[i].omega
-        stable[i] = (classify_arrays(eps[i], cnorm[i], omega, tol_im) != 2).all()
-        if stable[i]:
-            try:
-                tracked = _track(ks, eps[i], cnorm[i], states[i], omega, tol_im)
-                ws[i] = _winding_from_tracked(tracked).ws
-            except (TrackingError, InvariantUndefinedError) as exc:
-                error[i] = str(exc)
-    return stable, max_im, ws, error
+    size = max(1, CHUNK // nk)
+    for at in (slice(i, i + size) for i in range(0, len(points), size)):
+        code = classify_arrays(eps[at], cnorm[at], omega[at, None], tol_im)
+        code[~np.equal(error[at], None)] = 2  # NaN branches
+        stable[at] = (code != 2).all(axis=1)
+        error[at][stable[at]] = UNDEFINED
+        strong = at.start + np.flatnonzero((code == 0).all(axis=1))
+        if strong.size:
+            tracked, error[strong] = _track(ks, *(x[strong] for x in (eps, cnorm, states, omega)))
+            for i, result, message in zip(strong, *_winding_from_tracked(tracked)):
+                error[i] = error[i] or message
+                ws[i] = None if error[i] else result.ws
+    return stable, eps.imag.max(axis=(1, 2)), ws, error
 
 
 def scan_path(

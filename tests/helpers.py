@@ -9,7 +9,8 @@ runs complex LAPACK on the monodromy itself, the static spectrum is the
 closed form of the 4x4 Bogoliubov problem, the chiral residual checks the
 model's symmetry from its closed form, the open chain's site matrices are
 rebuilt from its parity sectors entry by entry, band tracking matches one
-momentum at a time against the already-tracked states, the vacuum
+momentum at a time against the already-tracked states, the Wilson loop
+takes one band of one point at a time, the vacuum
 evolution forms the whole U(tau) U(T)^n of every sample on its own, the
 CSV writer formats every cell of every row on its own, and Bessel values
 come from mpmath's arbitrary precision series.
@@ -27,7 +28,7 @@ from scipy.linalg import expm
 
 from floqbog.dynamics import OVERFLOW_OCC, EvolutionTrace, _chain_propagation, _sector_residual
 from floqbog.model import I2, SX, nambu_metric
-from floqbog.topology import AMBIGUITY_GAP, MIN_TRACK_OVERLAP, TrackingError
+from floqbog.topology import AMBIGUITY_GAP, MAX_LINK_PHASE, MIN_TRACK_OVERLAP, TrackingError
 
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: generalized chiral operator sz (x) sz, anticommutes with the hopping part
@@ -281,6 +282,35 @@ def track_loop(ks, eps, cnorm, states):
     st_t = np.take_along_axis(states, perm[:, :, None], axis=1)
     closure = np.abs(np.einsum("im,m,im->i", st_t[-1].conj(), sz, st_t[0]))
     return eps_t, cn_t, st_t, closure
+
+
+def wilson_loop(eps, cnorm, states, omega: float) -> float:
+    """Pre-rounding W^S of one tracked point, one band at a time.
+
+    Over the bands with 0 < Re eps < omega/2 and cnorm +1 at every k, in
+    index order, each band's Sigma_z Wilson-loop phase in the gauge with a
+    real positive first component is summed; raises the library's
+    TrackingError messages for the first band that fails.
+    """
+    re = eps.real
+    total = 0
+    for band in np.flatnonzero(((re > 0) & (re < omega / 2.0) & (cnorm == 1)).all(axis=0)):
+        section = states[:, band]
+        amp = section[:, 0]
+        if np.abs(amp).min() < 1e-3:
+            raise TrackingError(
+                "gauge anchor component of the band passes through zero; cannot fix "
+                "a smooth gauge for the Wilson loop"
+            )
+        section = section / (amp / np.abs(amp))[:, None]
+        sz = nambu_metric(section.shape[-1])
+        args = np.angle(np.einsum("jm,m,jm->j", section.conj(), sz, np.roll(section, -1, 0)))
+        if np.abs(args).max() > MAX_LINK_PHASE:
+            raise TrackingError(
+                f"Wilson link phase {np.abs(args).max():.2f} too large to unwrap; increase Nk"
+            )
+        total += float(args.sum())
+    return total / math.pi
 
 
 def evolve_reference(params, cells: int, t_max: float, n_samples: int, steps: int):

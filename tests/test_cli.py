@@ -212,6 +212,21 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert err.startswith("config error: ") and f"omega = {omega} and 64 steps" in err
 
+    def test_effective_coefficient_bound_exits_2(self, capsys):
+        """An overlay cell at nu0p = -1e300 has effective coefficients near 1e300:
+        they are refused before they are squared, so no numpy warning is raised."""
+        argv = ["phase-diagram", "--recipe", "fig1b",
+                "--set", 'task.axis1={"name":"nu0p","min":-1e300,"max":1.0,"points":2}',
+                "--set", 'task.axis2={"name":"nu0","min":1.0,"max":2.0,"points":2}',
+                "--set", "task.overlay=true", "--set", "numerics.nk=64"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert entry(argv) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error: effective coefficient 1e+300 exceeds 1e+76")
+
     def test_unwritable_prefix_checked_before_compute(self, in_tmp, capsys, monkeypatch):
         import floqbog.cli as cli
 

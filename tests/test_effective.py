@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from floqbog import effective
 from floqbog.effective import (
     BESSEL_REACH,
+    EFFECTIVE_REACH,
+    EffectiveCoefficients,
     _bessel_j,
     choose_indices,
     effective_coefficients,
@@ -129,6 +132,22 @@ class TestCoefficients:
                 _bessel_j(n, np.array(z))
 
 
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_bessel_j_rows_keep_their_bits(self, monkeypatch, block):
+        """Rows of one batch with different reaches (so different node counts)
+        equal each row evaluated alone, bit for bit, also when the rows of a
+        node count are split into blocks."""
+        if block is not None:
+            monkeypatch.setattr(effective, "BESSEL_BLOCK", block)
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-1.0, 1.0, (6, 17)) * np.array([0.1, 3.0, 3.0, 40.0, 0.1, 12.0])[:, None]
+        for n in (-3, 0, 2):
+            batch = _bessel_j(n, z)
+            for row, got in zip(z, batch):
+                assert got.tobytes() == _bessel_j(n, row).tobytes()
+            assert batch.reshape(2, 3, 17).tobytes() == _bessel_j(n, z.reshape(2, 3, 17)).tobytes()
+
+
 class TestValidity:
     def test_warns_outside_window(self):
         with pytest.warns(UserWarning, match="validity window"):
@@ -139,6 +158,27 @@ class TestValidity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             effective_coefficients(p, kgrid(32), *choose_indices(p))
+
+
+class TestCoefficientBound:
+    @staticmethod
+    def coefficients(c):
+        """|h_eff| = |mueff| = geff = |G| = c, with G at right angles to h_eff."""
+        c, zero = np.array([c]), np.zeros(1)
+        return EffectiveCoefficients(c, zero, float(c[0]), c, zero, c)
+
+    def test_bound_derived_for_squaring(self):
+        """With every coefficient at EFFECTIVE_REACH, nothing overflows."""
+        with np.errstate(all="raise"):
+            ep, em = effective_quasienergies(self.coefficients(EFFECTIVE_REACH))
+        assert np.isfinite(ep).all() and np.isfinite(em).all()
+
+    @pytest.mark.parametrize("c", [1e77, 1e300, np.inf, np.nan])
+    def test_refused_beyond_bound(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds 1e\\+76"):
+                effective_quasienergies(self.coefficients(c))
 
 
 class TestSpectrum:

@@ -580,6 +580,29 @@ class TestQuasienergies:
         ks2, (eps2,), (cnorm2,), (states2,), _ = kgrid_solve([PA], 64, steps=512)
         assert np.array_equal(eps, eps2) and np.array_equal(states, states2)
 
+    @pytest.mark.parametrize("case", ["k-grids", "chain"])
+    def test_rows_equal_rows_solved_alone(self, case):
+        """Only the rows holding a zero-norm branch are paired and only those
+        holding a Re tie are lexsorted, and every row comes out bitwise as it
+        does alone: one batch of fig1b momenta (no zero-norm branch), fig1c
+        momenta (some paired) and the unstable scan point nu1p = 8.8 at nk 64,
+        and the chain's two parity sectors."""
+        if case == "chain":
+            u = _chain_propagation(PA, 20, DEFAULT_STEPS).u
+        else:
+            ks = kgrid(64)[mirror_half(kgrid(64))[0]]
+            blocks = [bloch_blocks(p, ks) for p in (PA, PB, replace(PA, nu1p=8.8))]
+            u = propagate(*map(np.concatenate, zip(*blocks)), PA.omega, DEFAULT_STEPS).u
+        batch = eig_branches(u, PA.omega)
+        paired = (batch[1] == 0).any(axis=-1)
+        if case == "k-grids":
+            assert not paired[:33].any() and paired[33:66].any() and not paired[33:66].all()
+            assert paired[66:].sum() == 6
+        for i in range(len(u)):
+            alone = eig_branches(u[i], PA.omega)
+            for a, b in zip(batch, alone):
+                assert a[i].dtype == b.dtype and a[i].tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("case", ["fig1c", "chain"])
     def test_pair_order_survives_similarity(self, case):
         """Unstable pairs are exact conjugates ordered by Im, so a matrix similar

@@ -1,4 +1,4 @@
-"""The tooling scripts under ``scripts/`` run: their help, and one two-tree comparison."""
+"""The tooling scripts under ``scripts/`` run: their help, and same-tree comparisons."""
 
 import json
 import os
@@ -40,3 +40,15 @@ def test_compare_outputs_same_tree():
         assert len(side["peak_mb"]) == len(side["wall_s"]) == 2
         assert all(mb > 0 for mb in side["peak_mb"]) and all(s > 0 for s in side["wall_s"])
         assert min(side["peak_mb"]) <= side["median_peak_mb"] <= max(side["peak_mb"])
+
+
+def test_layer_time_same_tree():
+    """Both sides on one tree, one run of one repeat: every row, the W^S and
+    overlay rows included, gives bitwise the same result on both sides."""
+    done = run_script(ROOT / "scripts" / "layer_time.py", "--src", "src", "src",
+                      "--runs", "1", "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)["rows"]
+    assert {"evaluate-scan-16", "evaluate-phase-3x3", "overlay-3x3"} <= set(rows)
+    assert {name: row["bitwise_equal"] for name, row in rows.items()} == dict.fromkeys(rows, True)
+    assert rows["evaluate-scan-16"]["points"] == 16 and rows["overlay-3x3"]["points"] == 9

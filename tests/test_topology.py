@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from floqbog.floquet import TOL_IM, IntegrationError, classify_arrays, kgrid, kg
 from floqbog.model import ModelParams
 from floqbog.topology import (
     InvariantUndefinedError,
+    TrackedBands,
     TrackingError,
     _band_phase,
     _best_matching,
     _track,
+    _winding_from_tracked,
     evaluate_points,
     interpolate,
     scan_path,
@@ -27,7 +30,7 @@ from floqbog.topology import (
     winding_undriven,
 )
 
-from helpers import track_loop
+from helpers import track_loop, wilson_loop
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PB = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=6.0, mu=-5.0, omega=5.2)
@@ -108,16 +111,25 @@ class TestBandTracking:
         tr = track_bands(PA, nk=128, steps=1024)
         (band,) = select_band_set(tr)
         states = tr.states[:, band]
-        base = _band_phase(states)
+        base = _band_phase(states)[0]
         rng = np.random.default_rng(42)
         for _ in range(5):
             phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=states.shape[0]))
-            assert _band_phase(states * phases[:, None]) == pytest.approx(base, abs=1e-9)
+            assert _band_phase(states * phases[:, None])[0] == pytest.approx(base, abs=1e-9)
+
+
+def track_one(ks, eps, cnorm, states, omega):
+    """``_track`` of one point (P = 1): its bands, or its message raised as TrackingError."""
+    tracked, (message,) = _track(ks, eps[None], cnorm[None], states[None], np.array([omega]))
+    if message is not None:
+        raise TrackingError(message)
+    return TrackedBands(tracked.eps[0], tracked.cnorm[0], tracked.states[0], tracked.closure[0],
+                        omega)
 
 
 def assert_tracks_like_oracle(ks, eps, cnorm, states, omega):
     """``_track`` gives the oracle's eps, cnorm, states and closure bitwise."""
-    tracked = _track(ks, eps, cnorm, states, omega, TOL_IM)
+    tracked = track_one(ks, eps, cnorm, states, omega)
     got = (tracked.eps, tracked.cnorm, tracked.states, tracked.closure)
     for a, b in zip(got, track_loop(ks, eps, cnorm, states)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -151,6 +163,28 @@ class TestTrackingOracle:
         for i in strong:
             assert_tracks_like_oracle(ks, eps[i], cnorm[i], states[i], points[i].omega)
 
+    def test_winding_like_band_loop(self):
+        """All strongly stable points of the scan and the 3x3 grid, tracked by
+        one ``_track`` and wound by one ``_winding_from_tracked``: each point's
+        raw W^S is bitwise that of the one-band-at-a-time loop."""
+        end = replace(PA, nu1p=0.0)
+        points = [interpolate(PA, end, float(f)) for f in np.linspace(0.0, 1.0, 16)]
+        points += [replace(PA, nu1p=a, mu=b) for a in np.linspace(9.0, 11.0, 3)
+                   for b in np.linspace(-5.05, -4.95, 3)]
+        ks, eps, cnorm, states, _ = kgrid_solve(points, 64)
+        omega = np.array([p.omega for p in points])
+        strong = np.flatnonzero((classify_arrays(eps, cnorm, omega[:, None], TOL_IM) == 0)
+                                .all(axis=1))
+        assert len(strong) >= 10
+        tracked, error = _track(ks, eps[strong], cnorm[strong], states[strong], omega[strong])
+        results, failed = _winding_from_tracked(tracked)
+        assert list(error) == failed == [None] * len(strong)
+        for i, result in enumerate(results):
+            raw = wilson_loop(tracked.eps[i], tracked.cnorm[i], tracked.states[i], omega[i])
+            assert result.raw == raw and result.ws == round(raw)
+            assert result.bandset_size == len(select_band_set(TrackedBands(
+                tracked.eps[i], tracked.cnorm[i], tracked.states[i], None, omega[i])))
+
     def failure(self, breaks):
         """(oracle, batched) TrackingError messages of a 12-point grid of unit
         states with states[j] replaced by m for each (j, m) in ``breaks``.
@@ -167,7 +201,7 @@ class TestTrackingOracle:
         with pytest.raises(TrackingError) as oracle:
             track_loop(ks, eps, cnorm, states)
         with pytest.raises(TrackingError) as batched:
-            _track(ks, eps, cnorm, states, PA.omega, TOL_IM)
+            track_one(ks, eps, cnorm, states, PA.omega)
         return str(oracle.value), str(batched.value), ks
 
     #: band 0 keeps only overlap 0.4, with no runner-up near it: lost
@@ -205,8 +239,8 @@ class TestTrackingOracle:
         shuffled = (np.take_along_axis(eps, order, 1), np.take_along_axis(cnorm, order, 1),
                     np.take_along_axis(states, order[..., None], 1))
         assert_tracks_like_oracle(ks, *shuffled, PA.omega)
-        tracked = _track(ks, *shuffled, PA.omega, TOL_IM)
-        sorted_ = _track(ks, eps, cnorm, states, PA.omega, TOL_IM)
+        tracked = track_one(ks, *shuffled, PA.omega)
+        sorted_ = track_one(ks, eps, cnorm, states, PA.omega)
         first = order[0]
         assert np.array_equal(tracked.eps, sorted_.eps[:, first])
         assert np.array_equal(tracked.states, sorted_.states[:, first])
@@ -287,23 +321,77 @@ class TestEvaluatePoint:
 
     @pytest.mark.parametrize("error", [IntegrationError, TrackingError, InvariantUndefinedError])
     def test_numerical_failure_is_recorded(self, monkeypatch, error):
+        """The point's message lands in its row only: the fig1b point after it
+        keeps its W^S.  The batched ``_track`` returns a tracking failure per
+        point; here it fails the first point it tracks."""
         if error is TrackingError:
+            track = topology._track
+
             def fail(*args):
-                raise TrackingError("boom")
+                tracked, messages = track(*args)
+                messages[0] = "boom"
+                return tracked, messages
 
             monkeypatch.setattr(topology, "_track", fail)
         point = {IntegrationError: self.COARSE, TrackingError: PA,
                  InvariantUndefinedError: self.MARGINAL}[error]
         with pytest.raises(error) as alone:
             symplectic_winding(point, nk=64)
-        stable, max_im, ws, err = (column[1] for column in evaluate_points([PB, point, PA], nk=64))
+        rows = list(zip(*evaluate_points([PB, point, PA], nk=64)))
+        stable, max_im, ws, err = rows[1]
         assert ws is None and err == str(alone.value)
+        assert rows[2][2:] == (2, None) and rows[0][0] == False  # noqa: E712
         if error is IntegrationError:
             assert not stable and math.isnan(max_im)
         elif error is TrackingError:
             assert stable and max_im < 1e-6 and err == "boom"
         else:
             assert stable and err == "not strongly stable: W^S undefined"
+
+    @pytest.mark.parametrize("passes", [1, 3])
+    def test_mixed_batch(self, monkeypatch, passes):
+        """One batch holds a lost match, an ambiguous match, a Wilson failure (a
+        band whose anchor component vanishes), a marginal point and good
+        points: every row equals the point evaluated alone, and carries the
+        oracles' message or W^S, also when CHUNK splits the points into passes."""
+        nk = 64
+        monkeypatch.setattr(topology, "CHUNK", 6 * nk // passes)
+        ks, eps, cnorm, states, error = kgrid_solve([PA, self.MARGINAL, replace(PA, mu=-4.96)], nk)
+        unit = np.tile(np.eye(4, dtype=complex), (nk, 1, 1))
+        synthetic = {"lost": unit.copy(), "ambiguous": unit.copy(), "anchor": unit}
+        synthetic["lost"][20] = TestTrackingOracle.LOST
+        synthetic["ambiguous"][40] = TestTrackingOracle.AMBIGUOUS
+        for x in synthetic.values():
+            eps = np.concatenate([eps, np.tile(TestTrackingOracle.EPS, (1, nk, 1))])
+            cnorm = np.concatenate([cnorm, np.tile(TestTrackingOracle.CNORM, (1, nk, 1))])
+            states = np.concatenate([states, x[None]])
+        error = np.concatenate([error, [None] * 3])
+        names = ["good", "marginal", "good", "lost", "ambiguous", "anchor"]
+        want = {0: symplectic_winding(PA, nk=nk).ws,
+                2: symplectic_winding(replace(PA, mu=-4.96), nk=nk).ws}
+
+        def solve(points, nk, steps):
+            rows = [p.row for p in points]
+            return ks, eps[rows], cnorm[rows], states[rows], error[rows].copy()
+
+        monkeypatch.setattr(topology, "kgrid_solve", solve)
+        points = [SimpleNamespace(row=i, omega=PA.omega) for i in (3, 0, 4, 1, 5, 2)]
+        batch = list(zip(*evaluate_points(points, nk)))
+        for point, row in zip(points, batch):
+            assert row == next(zip(*evaluate_points([point], nk)))
+            stable, _, ws, err = row
+            name, i = names[point.row], point.row
+            assert stable
+            if name == "good":
+                assert (ws, err) == (want[i], None)
+            elif name == "marginal":
+                assert (ws, err) == (None, "not strongly stable: W^S undefined")
+            else:
+                with pytest.raises(TrackingError) as oracle:
+                    wilson_loop(*track_loop(ks, eps[i], cnorm[i], states[i])[:3], PA.omega)
+                assert (ws, err) == (None, str(oracle.value))
+                assert err.startswith({"lost": "band continuation lost", "anchor": "gauge anchor",
+                                       "ambiguous": "ambiguous band matching"}[name])
 
     def test_defect_propagates(self, monkeypatch):
         """A programming error is not a cell error: it must surface."""
