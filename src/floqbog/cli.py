@@ -219,12 +219,15 @@ def _table(columns: dict) -> np.recarray:
 
 
 def _axis(task: dict, key: str) -> np.ndarray:
-    """Values of the grid axis block ``task[key]``."""
+    """Values of the grid axis block ``task[key]``: at least 2 points, min < max and a
+    finite span max - min, so every value and spacing of ``np.linspace`` is finite."""
     lo, hi, n = task[key]["min"], task[key]["max"], task[key]["points"]
     if n < 2:
         raise ConfigError(f"task.{key} needs at least 2 points, got {n}")
     if not lo < hi:
         raise ConfigError(f"task.{key} range must satisfy min < max, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"task.{key} span max - min overflows, got [{lo}, {hi}]")
     return np.linspace(lo, hi, n)
 
 
@@ -308,9 +311,10 @@ def cmd_stability_grid(params: ModelParams, cfg: dict):
         (hx0, hy0), params.omega, params.mu, params.g, _axis(task, "hx1"), _axis(task, "hy1"),
         steps=cfg["numerics"]["steps"], tol_im=cfg["numerics"]["tol_im"],
     )
-    unstable = int((table.verdict == "Unstable").sum())
-    meta = {"static_field": [hx0, hy0], "unstable_cells": unstable, "total_cells": len(table)}
-    return table, meta, f"stability-grid: {unstable}/{len(table)} unstable cells"
+    unstable, failed = (int((table.verdict == v).sum()) for v in ("Unstable", "Failed"))
+    meta = {"static_field": [hx0, hy0], "unstable_cells": unstable, "failed_cells": failed,
+            "total_cells": len(table)}
+    return table, meta, f"stability-grid: {unstable}/{len(table)} unstable cells, {failed} failed"
 
 
 def cmd_phase_diagram(params: ModelParams, cfg: dict):
@@ -322,9 +326,9 @@ def cmd_phase_diagram(params: ModelParams, cfg: dict):
                                           tol_im=cfg["numerics"]["tol_im"])
         columns = {name: table[name] for name in table.dtype.names}
         table = _table({**columns, "eff_verdict": overlay.verdict, "eff_max_im": overlay.max_im})
-    unstable = int((table.verdict == "Unstable").sum())
-    meta = {"unstable_cells": unstable, "total_cells": len(table)}
-    return table, meta, f"phase-diagram: {unstable}/{len(table)} unstable cells"
+    unstable, failed = (int((table.verdict == v).sum()) for v in ("Unstable", "Failed"))
+    meta = {"unstable_cells": unstable, "failed_cells": failed, "total_cells": len(table)}
+    return table, meta, f"phase-diagram: {unstable}/{len(table)} unstable cells, {failed} failed"
 
 
 def cmd_winding(params: ModelParams, cfg: dict):
@@ -373,9 +377,10 @@ def cmd_evolve(params: ModelParams, cfg: dict):
 def cmd_scan_path(params: ModelParams, cfg: dict):
     end = ModelParams(**cfg["task"]["end_model"])
     table = scan_path(params, end, cfg["task"].get("points", 17), **cfg["numerics"])
-    n_unstable = int((~table.stable).sum())
-    return (table, {"unstable_points": n_unstable},
-            f"scan-path: {n_unstable}/{len(table)} unstable points")
+    n_failed = int((~table.stable & ~np.equal(table.error, None)).sum())
+    n_unstable = int((~table.stable).sum()) - n_failed
+    return (table, {"unstable_points": n_unstable, "failed_points": n_failed},
+            f"scan-path: {n_unstable}/{len(table)} unstable points, {n_failed} failed")
 
 
 COMMANDS = {

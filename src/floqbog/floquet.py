@@ -85,12 +85,13 @@ def mirror_half(values) -> tuple[np.ndarray, np.ndarray]:
     the axis to that tolerance: a lone entry is computed itself, and every
     other negative entry is left to its mirror.  ``take[i]`` is the position
     in ``half`` of entry i, or of its mirror image when entry i is not
-    computed itself.
+    computed itself.  A sum x_i + x_j that overflows is no mirror, and warns not.
     """
     x = np.asarray(values, dtype=float)
     tol = 4.0 * np.spacing(np.abs(x).max(initial=0.0))
-    mirror = np.abs(x[:, None] + x).argmin(axis=1)
-    lone = np.abs(x + x[mirror]) > tol
+    with np.errstate(over="ignore"):
+        mirror = np.abs(x[:, None] + x).argmin(axis=1)
+        lone = np.abs(x + x[mirror]) > tol
     keep = (x > -tol) | lone
     half = np.flatnonzero(keep)
     return half, np.searchsorted(half, np.where(keep, np.arange(x.size), mirror))
@@ -150,55 +151,51 @@ def _magnus_basis(m0: np.ndarray, m1: np.ndarray, shape) -> np.ndarray:
     return basis
 
 
-def _magnus_coefficients(omega: float, h: float, steps: int) -> np.ndarray:
-    """(steps, 8) weights of the ``_magnus_basis`` rows in Omega of each step.
+def _magnus_coefficients(steps: int) -> np.ndarray:
+    """(steps, 8) weights of the ``_magnus_basis`` rows of h M0 and h M1 in Omega of each step.
 
-    With a_i = cos(omega (s + c_i) h) at the Gauss nodes c_i, the scheme's
-    alpha1 = h M0 + q1 M1, alpha2 = q2 M1 and alpha3 = q3 M1, where
-    q1 = h a2, q2 = (sqrt(15) h/3)(a3 - a1) and q3 = (10 h/3)(a3 - 2 a2 + a1).
+    With a_i = cos(2 pi (s + c_i)/steps) at the Gauss nodes c_i, the scheme's
+    alpha1 = h M0 + q1 h M1, alpha2 = q2 h M1 and alpha3 = q3 h M1, where
+    q1 = a2, q2 = (sqrt(15)/3)(a3 - a1) and q3 = (10/3)(a3 - 2 a2 + a1).
     Expanding its commutators in the basis gives these weights; the two
     terms [K, [M0, K]] and [K, [M1, K]] are O(h^7) and dropped, which keeps
     the order and the time symmetry of the step.
     """
-    a1, a2, a3 = np.cos(omega * h * (np.arange(steps)[:, None] + _NODES)).T
-    q1 = h * a2
-    q2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
-    q3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+    a1, q1, a3 = np.cos((2.0 * math.pi / steps) * (np.arange(steps)[:, None] + _NODES)).T
+    q2 = (math.sqrt(15.0) / 3.0) * (a3 - a1)
+    q3 = (10.0 / 3.0) * (a3 - 2.0 * q1 + a1)
     r = 20.0 * q1 + q3
     return np.stack([
-        np.full(steps, h),
+        np.ones(steps),
         q1 + q3 / 12.0,
-        -h * q2 / 12.0,
-        h * h * q3 / 360.0,
-        h * (r * q3 / 30.0 - q2 * q2) / 240.0,
-        h**3 * q2 / 720.0,
-        h * h * q2 * (2.0 * q1 / 3.0 + q3 / 60.0) / 240.0,
-        h * q1 * q2 * r / 14400.0,
+        -q2 / 12.0,
+        q3 / 360.0,
+        (r * q3 / 30.0 - q2 * q2) / 240.0,
+        q2 / 720.0,
+        q2 * (2.0 * q1 / 3.0 + q3 / 60.0) / 240.0,
+        q1 * q2 * r / 14400.0,
     ], axis=-1)
 
 
 def step_weights(omega: float, steps: int) -> tuple[float, np.ndarray]:
-    """h = T/steps and the first steps - steps // 2 weights, checked by ``propagate``'s rule."""
+    """h = T/steps and the step weights, ValueError unless steps >= MIN_STEPS and h is finite."""
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} integrator steps, got {steps}")
     h = 2.0 * math.pi / omega / steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            weights = _magnus_coefficients(omega, h, steps - steps // 2)
-        except OverflowError:  # h**3 of a float raises where an array gives inf
-            weights = np.array(math.inf)
-    if not np.isfinite(weights).all():  # h is weights[:, 0]
-        raise ValueError(f"integrator step weights are not finite for omega = {omega!r} "
+    if not math.isfinite(h):
+        raise ValueError(f"integrator step is not finite for omega = {omega!r} "
                          f"and {steps} steps (step h = {h!r})")
-    return h, weights
+    return h, _magnus_coefficients(steps)
 
 
 def step_norm(h: float, h0, h1) -> np.ndarray:
     """h (|H0| + |H1|) per propagator, h from ``step_weights`` and |X| the max-row-sum
-    norm (it bounds the spectral norm of a Hermitian X).  Above MAX_STEP_NORM the Magnus
-    series is too close to its radius pi: ``propagate`` leaves U = 1, ``_cell_errors`` fails it."""
-    norms = [np.abs(x).sum(axis=-1).max(axis=-1) for x in (h0, h1)]
-    return h * (norms[0] + norms[1])
+    norm (it bounds the spectral norm of a Hermitian X), inf where it overflows.  Above
+    MAX_STEP_NORM the Magnus series is too close to its radius pi: ``propagate`` leaves
+    U = 1, ``_cell_errors`` fails it."""
+    with np.errstate(over="ignore"):
+        norms = [np.abs(x).sum(axis=-1).max(axis=-1) for x in (h0, h1)]
+        return h * (norms[0] + norms[1])
 
 
 def _pade_increment(om: np.ndarray, om2: np.ndarray, r_om: np.ndarray) -> np.ndarray:
@@ -258,10 +255,12 @@ def propagate(
         C1 = [alpha1, alpha2],  C2 = -[alpha1, 2 alpha3 + C1]/60,
         Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
 
-    Since A(t) = M0 + cos(omega t) M1, Omega is a fixed combination of M0,
-    M1 and five nested commutators, formed once (``_magnus_basis``); each
-    step only weighs them.  Omega is mapped onto the group by the diagonal
-    (3,3) Pade approximant of exp, applied as the increment
+    Since A(t) = M0 + cos(omega t) M1, Omega is a fixed combination of h M0,
+    h M1 and five nested commutators, formed once (``_magnus_basis``); each step
+    only weighs them, by weights fixed by ``steps``.  As integrated blocks have
+    h (|H0| + |H1|) <= MAX_STEP_NORM, no finite scale of H overflows a commutator.
+    Omega is mapped onto the group by the diagonal (3,3) Pade approximant of
+    exp, applied as the increment
 
         U <- U + D^-1 (Omega + Omega^3/60) U,  D = 1 - Omega/2 + Omega^2/10 - Omega^3/120.
 
@@ -295,7 +294,7 @@ def propagate(
     exactly 1.
 
     Before any arithmetic, each failing with a ValueError in this order:
-    ``steps`` and omega must pass ``step_weights``; ``snapshots``, the step
+    ``steps`` and omega must pass ``step_weights`` (finite h); ``snapshots``, the step
     indices s at which U(s h) is recorded, must lie in 0..steps; both blocks
     need C H* C = H with the C of their size and type (``_conjugation``) and
     S H S = H, S = sx (x) 1.  The returned ``step_norm`` is ``step_norm``'s; a
@@ -335,7 +334,8 @@ def propagate(
     forward = steps - half
     direct = {s if s <= forward else steps - s for s in record}
     rows, cols = perm[:, None], perm
-    basis = _magnus_basis(-1j * sz * h0, -1j * sz * h1, (n, d, d)).view(float).reshape(8, -1)
+    basis = _magnus_basis(*(-1j * h * sz * x for x in (h0, h1)), (n, d, d)).view(float)
+    basis = basis.reshape(8, -1)
     powers = np.empty((4, n, d, d), dtype=complex)  # Omega, Omega^2, Omega^3, 1
     powers[3] = np.eye(d)
     pade = np.empty((2, n, d, d), dtype=complex)

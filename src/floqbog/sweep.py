@@ -5,7 +5,7 @@ field and treats the drive amplitudes (hx1, hy1) as free coordinates: each
 cell is a standalone driven 4x4 problem, and a momentum cut of the chain
 traces the closed curve gamma(k) = (-nu1 - nu1p cos k, -nu1p sin k)
 through that plane.  The phase diagram varies two model parameters with
-the rest fixed and labels each cell Unstable or (Stable, W^S = n).
+the rest fixed and labels each cell Unstable, (Stable, W^S = n) or Failed.
 
 Every grid comes back as a table: a numpy record array with one row per
 cell in row-major order (x fastest), whose field names are the CSV header.
@@ -43,7 +43,7 @@ def stability_grid(
     chunks (``solve_cells``) and only their eigenvalues are computed: a cell is
     Unstable when any |Im eps| exceeds ``tol_im``, and max_im is its largest
     Im eps (``quasienergies``, unpaired).  A cell that fails ``solve_cells``
-    is Unstable with NaN max_im and carries the message in its ``error``.
+    is Failed with NaN max_im and carries the message in its ``error``.
 
     With hy0 = 0 in ``static_field``, the plane has two mirror symmetries,
     and only one quadrant of it is integrated:
@@ -72,9 +72,9 @@ def stability_grid(
 
     error = solve_cells(lambda c: (static_block(*static_field, mu, g), field_matrix(x[c], y[c])),
                         x.shape, omega, steps, "drive plane", solve)
-    unstable = ~np.equal(error, None) | (np.abs(eps.imag) > tol_im).any(axis=-1)
+    unstable = np.where((np.abs(eps.imag) > tol_im).any(axis=-1), "Unstable", "Stable")
     fill = (fill_rows[:, None] * len(cols) + fill_cols).ravel()
-    verdict = np.where(unstable, "Unstable", "Stable")[fill]
+    verdict = np.where(np.equal(error, None), unstable, "Failed")[fill]
     x, y = np.meshgrid(hx1, hy1)  # (n2, n1)
     return np.rec.fromarrays(
         [a.ravel() for a in (x, y, verdict, eps.imag.max(axis=-1)[fill], error[fill])],
@@ -106,13 +106,15 @@ def phase_diagram(
 
     The other parameters come from ``base``.  Each cell reports Unstable or
     (Stable, W^S); cells where the invariant cannot be evaluated carry the
-    failure message instead of a guess.  The table's fields are the two
-    axis names, verdict, max_im, ws and error.
+    failure message instead of a guess, and a cell whose solve failed
+    (``evaluate_points``) is Failed with NaN max_im and its message.  The
+    table's fields are the two axis names, verdict, max_im, ws and error.
     """
     x, y, points = _plane(base, axis1, axis2)
     stable, max_im, ws, error = evaluate_points(points, nk, steps, tol_im)
+    verdict = np.where(stable, "Stable", np.where(np.equal(error, None), "Unstable", "Failed"))
     return np.rec.fromarrays(
-        [x, y, np.where(stable, "Stable", "Unstable"), max_im, ws, error],
+        [x, y, verdict, max_im, ws, error],
         names=[axis1[0], axis2[0], "verdict", "max_im", "ws", "error"],
     )
 

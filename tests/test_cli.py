@@ -150,6 +150,10 @@ BAD_VALUES = [
 ]
 
 
+#: commands, with a recipe each, that integrate through ``propagate``'s step checks
+STEP_RECIPES = [("spectrum", "fig1b"), ("chain", "fig3a"), ("evolve", "fig3b"), ("ws", "fig1b")]
+
+
 class TestErrorBoundary:
     @pytest.mark.parametrize("argv, named", BAD_VALUES, ids=[a[-1] for a, _ in BAD_VALUES])
     def test_bad_value_exits_2(self, argv, named, capsys):
@@ -197,20 +201,33 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert err.startswith("config error: ") and "task.overlay_nk" in err
 
-    @pytest.mark.parametrize("command, recipe",
-                             [("spectrum", "fig1b"), ("chain", "fig3a"), ("evolve", "fig3b")])
+    @pytest.mark.parametrize("command, recipe", STEP_RECIPES)
     def test_nonfinite_step_weight_exits_2(self, command, recipe, capsys):
-        """At omega = 1e-300 the step h is finite but h**3 is not; at 5e-324 the
-        period and h are infinite, and evolve refuses them before it forms its
-        sample times.  No case emits a RuntimeWarning."""
-        omega = "5e-324" if command == "evolve" else "1e-300"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert entry([command, "--recipe", recipe, "--set", f"model.omega={omega}"]) == 2
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        """At omega = 5e-324 the period and the step h are infinite: ``step_weights``
+        refuses them, and evolve does so before it forms its sample times.  No case
+        emits a RuntimeWarning."""
+        assert self._run_quietly([command, "--recipe", recipe, "--set", "model.omega=5e-324"]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.startswith("config error: ") and f"omega = {omega} and 64 steps" in err
+        assert err.startswith("config error: ") and "omega = 5e-324 and 64 steps" in err
+
+    @pytest.mark.parametrize("command, recipe", STEP_RECIPES)
+    def test_coarse_step_exits_3(self, command, recipe, capsys):
+        """At omega = 1e-300 h is finite and so is h (|H0| + |H1|) = 2.11e300: the
+        step guard refuses it as at any other too coarse step, with no RuntimeWarning."""
+        assert self._run_quietly([command, "--recipe", recipe, "--set", "model.omega=1e-300"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "integrator step too coarse" in err
+        assert "= 2.11e+300 > 1.0" in err
+
+    @staticmethod
+    def _run_quietly(argv) -> int:
+        """``entry(argv)``, asserting that it emits no RuntimeWarning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = entry(argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return code
 
     def test_effective_coefficient_bound_exits_2(self, capsys):
         """An overlay cell at nu0p = -1e300 has effective coefficients near 1e300:
@@ -449,6 +466,62 @@ class TestGrids:
         assert len(errors) == 9
         assert all(e.startswith("drive plane: integrator step too coarse") for e in errors)
 
+    def test_failed_cells_counted_apart(self, capsys):
+        """On the fig2b plane out to |hx1| = 60, 126 of 441 cells are too coarse:
+        they read Failed and are counted apart from the 10 unstable ones."""
+        assert entry(["stability-grid", "--recipe", "fig2b", "--set", "task.hx1.min=-60",
+                      "--set", "task.hx1.max=60", "--set", "task.hx1.points=21",
+                      "--set", "task.hy1.points=21", "--output", "out"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "stability-grid: 10/441 unstable cells, 126 failed -> ")
+        meta = json.loads(Path("out.meta.json").read_text())["result"]
+        assert (meta["unstable_cells"], meta["failed_cells"], meta["total_cells"]) == (10, 126, 441)
+        rows = read_csv("out.csv")[1:]
+        assert all((r[2] == "Failed") == ("too coarse" in r[-1]) for r in rows)
+        assert sum(r[2] == "Failed" for r in rows) == 126
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, key", [
+        (["stability-grid", "--recipe", "fig2b", "--set", "task.hx1.points=3",
+          "--set", "task.hy1.points=3", "--set", "task.hx1.min=-1.7e308",
+          "--set", "task.hx1.max=1.7e308"], "task.hx1"),
+        ([*PHASE, "--set", "task.axis1.min=-1.7e308", "--set", "task.axis1.max=1.7e308",
+          "--set", "task.axis1.points=3"], "task.axis1"),
+    ], ids=["stability-grid", "phase-diagram"])
+    def test_axis_span_overflow_exits_2(self, argv, key, capsys):
+        """An axis whose max - min overflows is refused before np.linspace, which
+        would give NaN values, with a message that names the axis."""
+        assert entry(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} span max - min overflows")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_axis_at_float_range_end(self, capsys):
+        """An axis on [1e308, 1.7e308] has a finite span, and ``mirror_half`` meets
+        sums that overflow: they mark no mirror, with no warning."""
+        assert entry(["stability-grid", "--recipe", "fig2b", "--set", "task.hx1.min=1e308",
+                      "--set", "task.hx1.max=1.7e308", "--set", "task.hx1.points=3",
+                      "--set", "task.hy1.points=3", "--output", "out"]) == 0
+        assert "0/9 unstable cells, 9 failed" in capsys.readouterr().out
+        assert [float(r[0]) for r in read_csv("out.csv")[1:4]] == [1e308, 1.35e308, 1.7e308]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_bad_omega_column(self):
+        """A phase diagram whose omega axis starts at 1e-300 completes: those two
+        cells fail alone, as too coarse, and the other rows are those of the grid
+        without that column."""
+        argv = ["phase-diagram", "--recipe", "fig1b", "--set", "numerics.nk=64",
+                "--set", 'task.axis2={"name": "mu", "min": -5.05, "max": -4.95, "points": 2}']
+        axis = '--set=task.axis1={"name": "omega", "min": %r, "max": 5.2, "points": %d}'
+        assert entry([*argv, axis % (1e-300, 3), "--output", "all"]) == 0
+        assert entry([*argv, axis % (2.6, 2), "--output", "rest"]) == 0
+        rows, rest = read_csv("all.csv")[1:], read_csv("rest.csv")[1:]
+        assert [r[0] for r in rows] == ["1e-300", "2.6", "5.2"] * 2
+        bad = rows[::3]
+        assert all(r[2] == "Failed" and r[3] == "nan" for r in bad)
+        assert all(r[-1].startswith("k-grid: integrator step too coarse") for r in bad)
+        assert [r for r in rows if r not in bad] == rest
+
     def test_stability_grid_requires_field_when_k_dependent(self, capsys):
         cfg = write_cfg({
             "model": {**MODEL_A, "nu0p": 0.5},
@@ -639,6 +712,24 @@ class TestScanPath:
         })
         assert entry(["scan-path", "--config", cfg]) == 2
 
+    def test_failed_points_counted_apart(self, capsys):
+        """A path out to nu1p = 100 leaves the step guard at 64 steps: the points
+        past it are counted as failed, not as unstable."""
+        cfg = write_cfg({
+            "model": MODEL_A,
+            "numerics": {"nk": 64, "steps": 64},
+            "task": {"end_model": {"nu1p": 100.0}, "points": 16},
+        })
+        assert entry(["scan-path", "--config", cfg]) == 0
+        rows = read_csv("scan_path.csv")[1:]
+        failed = sum(r[8] == "False" and r[-1] != "" for r in rows)
+        unstable = sum(r[8] == "False" and r[-1] == "" for r in rows)
+        assert all("too coarse" in r[-1] for r in rows if r[8] == "False" and r[-1])
+        assert failed > 0 and unstable > 0
+        meta = json.loads(Path("scan_path.meta.json").read_text())["result"]
+        assert (meta["unstable_points"], meta["failed_points"]) == (unstable, failed)
+        assert f"{unstable}/16 unstable points, {failed} failed" in capsys.readouterr().out
+
 
 #: model values of the fuzz: zero, the extremes of the float range and ordinary values
 FUZZ_VALUES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1e8, -1.0, 1.0, 3.0, 5.2, 11.0, -5.0)
@@ -692,11 +783,12 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:effective Hamiltonian")
+@pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:effective Hamiltonian")
 @pytest.mark.parametrize("seed", [0, 1])
 def test_entry_fuzz(seed):
-    """Random configs with extreme model values end in a documented exit code,
-    and a successful run writes strict JSON and, for evolve, finite occupations."""
+    """Random configs with extreme model values end in a documented exit code with
+    no RuntimeWarning, and a successful run writes strict JSON and, for evolve,
+    finite occupations."""
     rng = np.random.default_rng(seed)
     for _ in range(FUZZ_RUNS):
         argv = fuzz_argv(rng)

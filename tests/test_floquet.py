@@ -191,6 +191,26 @@ class TestIntegrators:
             single = propagate(*bloch_blocks(PA, np.asarray(k)), PA.omega, 256).u
             assert np.abs(batched[i] - single).max() < 1e-13
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["fig1b", "fig2b", "chain"])
+    def test_scale_free(self, monkeypatch, case):
+        """U(T) depends on h H alone: scaling H0, H1 and omega by s keeps it to
+        1e-14 from s = 1e-300 to 1e300, on the fig1b Bloch blocks at 64 momenta,
+        a 7x7 patch of the fig2b plane and the two 20-cell chain sectors."""
+        if case == "fig1b":
+            h0, h1 = bloch_blocks(PA, kgrid(64))
+        elif case == "fig2b":
+            x, y = np.meshgrid(np.linspace(-15.0, 9.0, 7), np.linspace(-12.0, 12.0, 7))
+            h0, h1 = static_block(-1.5, 0.0, -5.0, 1.0), field_matrix(x.ravel(), y.ravel())
+        else:
+            seen = []
+            monkeypatch.setattr(dynamics, "propagate", lambda *a: seen.append(a) or propagate(*a))
+            _chain_propagation(PA, 20, 64)
+            (h0, h1, *_), = seen
+        ref = propagate(h0, h1, PA.omega, 64).u
+        for s in (1e-300, 1e-100, 1e100, 1e300):
+            assert np.abs(propagate(s * h0, s * h1, s * PA.omega, 64).u - ref).max() < 1e-14
+
     def test_pseudo_unitary(self):
         for k in (0.0, 2.2):
             u = propagate(*bloch_blocks(PA, np.asarray(k)), PA.omega, 2048).u
