@@ -6,14 +6,16 @@ PYTHONPATH; it builds the inputs of every row with that tree's ``model`` (and
 recipe), makes the row's call once to warm up and then ``--repeats`` times, and
 reports the fastest call per row and a SHA-256 digest of its result.  The two
 sides alternate, the first side leading on even runs.  Prints one JSON object:
-per row and side, each run's fastest call (ms), their median and minimum, the
-ratios of the medians and of the minima (second side over first; on a shared
-host the minima spread less) and whether both sides gave bitwise the same
-result.  Where they did not, ``max_rel_diff`` gives, per compared part, the
-largest |a - b| / max |a| between the sides' first runs (a from the first
-side): U(T) and the snapshots of a ``propagate`` row, the occupations and
-residuals of the evolve row.  Both sides may name the same tree, which
-checks that every row's result is reproducible.
+per row and side, each run's fastest call (ms), their median, minimum and
+quartile distance ``iqr_ms`` (null below 4 runs), the ratios of the medians and
+of the minima (second side over first; on a shared host the minima spread less)
+and whether both sides gave bitwise the same result.  Where they did not,
+``max_rel_diff`` gives, per compared part, the largest |a - b| / max |a| between
+the sides' first runs (a from the first side): U(T) and the snapshots of a
+``propagate`` row, the occupations and residuals of the evolve row.  Both sides
+may name the same tree, which checks that every row's result is reproducible.
+A ratio counts only where the two medians differ by more than the first side's
+``iqr_ms``: a difference within the spread of unchanged code is noise.
 
 The ``propagate`` rows are the batch shapes the benchmark integrates at 64
 steps, digested over U(T) and every snapshot:
@@ -198,6 +200,14 @@ def run_once(src: str, repeats: int, dump: str | None = None) -> dict:
     return json.loads(result.stdout)
 
 
+def iqr(ms: list) -> float | None:
+    """Distance between the upper and lower quartiles of ``ms``, or None below 4 values."""
+    if len(ms) < 4:
+        return None
+    lower, _, upper = statistics.quantiles(ms, n=4)
+    return upper - lower
+
+
 def max_rel_diff(a: dict, b: dict, row: str) -> dict:
     """Largest |a - b| / max |a| of each COMPARED part of ``row`` in two saved results."""
     out = {}
@@ -248,6 +258,7 @@ def main() -> None:
             "ms": dict(zip(names, sides)),
             "median_ms": dict(zip(names, medians)),
             "min_ms": dict(zip(names, minima)),
+            "iqr_ms": dict(zip(names, map(iqr, sides))),
             "ratio": medians[1] / medians[0],
             "ratio_min": minima[1] / minima[0],
             "bitwise_equal": len(digests) == 1,

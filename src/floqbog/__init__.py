@@ -23,13 +23,10 @@ from .floquet import (
 from .topology import (
     InvariantResult,
     InvariantUndefinedError,
-    TrackedBands,
     TrackingError,
     evaluate_points,
     scan_path,
-    select_band_set,
     symplectic_winding,
-    track_bands,
     winding_undriven,
 )
 from .effective import (
@@ -64,7 +61,6 @@ __all__ = [
     "InvariantResult",
     "InvariantUndefinedError",
     "ModelParams",
-    "TrackedBands",
     "TrackingError",
     "bloch_blocks",
     "chain_blocks",
@@ -86,9 +82,7 @@ __all__ = [
     "phase_diagram",
     "propagate",
     "scan_path",
-    "select_band_set",
     "stability_grid",
     "symplectic_winding",
-    "track_bands",
     "winding_undriven",
 ]

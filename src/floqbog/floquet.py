@@ -27,6 +27,11 @@ MIN_STEPS = 64
 #: (``max_deps_vs_finest`` of ``--plane 201 --steps 64 512``, with the solve-free 4x4 step)
 DEFAULT_STEPS = 64
 TOL_IM = 1e-8
+#: smallest tol_im, in units of omega, at which round-off cannot decide a verdict: eps =
+#: (i omega/2pi) Log lambda, so an error of one machine epsilon in |lambda| = 1 is omega/2pi
+#: of it in Im eps; the stable branches of fig1b, fig1c, the 20-cell chain and a 61x61 fig2b
+#: plane reach |Im eps| <= 3.5e-16 omega, about 10 such units, and 16 keep a margin of 1.6
+RESOLUTION = 16.0 * np.finfo(float).eps / (2.0 * math.pi)
 #: Re eps distance, in units of omega, below which opposite-norm branches resonate
 RESONANCE_WINDOW = 1e-6
 #: Re eps distance, in units of omega, below which branches tie in the sort order
@@ -85,14 +90,23 @@ def mirror_half(values) -> tuple[np.ndarray, np.ndarray]:
     the axis to that tolerance: a lone entry is computed itself, and every
     other negative entry is left to its mirror.  ``take[i]`` is the position
     in ``half`` of entry i, or of its mirror image when entry i is not
-    computed itself.  A sum x_i + x_j that overflows is no mirror, and warns not.
+    computed itself.  The mirror of x_i is the entry nearest -x_i, on a tie
+    the lowest index (the argmin of |x_i + x_j|), found next to -x_i in a
+    sorted copy, so time and memory stay n log n and linear in the length n.
+    A sum x_i + x_j that overflows is no mirror, and warns not.
     """
     x = np.asarray(values, dtype=float)
     tol = 4.0 * np.spacing(np.abs(x).max(initial=0.0))
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    at = np.searchsorted(ordered, -x)
+    # the entries on either side of -x_i, each the first (lowest index) of its run of equals
+    near = order[np.searchsorted(ordered, ordered[np.clip([at - 1, at], 0, x.size - 1)])]
     with np.errstate(over="ignore"):
-        mirror = np.abs(x[:, None] + x).argmin(axis=1)
-        lone = np.abs(x + x[mirror]) > tol
-    keep = (x > -tol) | lone
+        dist = np.abs(x + x[near])
+    above = (dist[1] < dist[0]) | ((dist[1] == dist[0]) & (near[1] < near[0]))
+    mirror = np.where(above, near[1], near[0])
+    keep = (x > -tol) | (dist.min(axis=0) > tol)
     half = np.flatnonzero(keep)
     return half, np.searchsorted(half, np.where(keep, np.arange(x.size), mirror))
 
@@ -402,6 +416,16 @@ def _cell_errors(prop: Propagation, what: str, cell_axes: int) -> np.ndarray:
             f"{coarse[cell]:.3g} > {MAX_STEP_NORM}); increase the step count"
         )
     return error
+
+
+def fail_unresolved(error, omega, tol_im: float) -> None:
+    """Give each entry of a per-cell ``error`` array that is None, and whose ``tol_im``
+    lies below the quasienergy resolution RESOLUTION * omega (one omega or one per
+    cell), the message that says so, in place: round-off would decide its verdict."""
+    omega = np.broadcast_to(omega, error.shape)
+    for i in np.flatnonzero(np.equal(error, None) & (tol_im < RESOLUTION * omega)):
+        error[i] = (f"tol_im {tol_im:.3g} is below the quasienergy resolution "
+                    f"{RESOLUTION * omega[i]:.2g} at omega {omega[i]:.3g}")
 
 
 def check_cells(error) -> None:

@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .effective import choose_indices, effective_spectrum
-from .floquet import DEFAULT_STEPS, TOL_IM, mirror_half, quasienergies, solve_cells
+from .floquet import (DEFAULT_STEPS, TOL_IM, fail_unresolved, mirror_half, quasienergies,
+                      solve_cells)
 from .model import ModelParams, field_matrix, static_block
 from .topology import evaluate_points
 
@@ -43,7 +44,9 @@ def stability_grid(
     chunks (``solve_cells``) and only their eigenvalues are computed: a cell is
     Unstable when any |Im eps| exceeds ``tol_im``, and max_im is its largest
     Im eps (``quasienergies``, unpaired).  A cell that fails ``solve_cells``
-    is Failed with NaN max_im and carries the message in its ``error``.
+    is Failed with NaN max_im and carries the message in its ``error``; so
+    is every cell, with its computed max_im, when ``tol_im`` lies below the
+    quasienergy resolution at ``omega`` (``fail_unresolved``).
 
     With hy0 = 0 in ``static_field``, the plane has two mirror symmetries,
     and only one quadrant of it is integrated:
@@ -72,6 +75,7 @@ def stability_grid(
 
     error = solve_cells(lambda c: (static_block(*static_field, mu, g), field_matrix(x[c], y[c])),
                         x.shape, omega, steps, "drive plane", solve)
+    fail_unresolved(error, omega, tol_im)
     unstable = np.where((np.abs(eps.imag) > tol_im).any(axis=-1), "Unstable", "Stable")
     fill = (fill_rows[:, None] * len(cols) + fill_cols).ravel()
     verdict = np.where(np.equal(error, None), unstable, "Failed")[fill]

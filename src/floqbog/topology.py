@@ -18,8 +18,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .floquet import (CHUNK, DEFAULT_STEPS, TOL_IM, check_cells, classify_arrays, kgrid,
-                      kgrid_solve)
+from .floquet import (CHUNK, DEFAULT_STEPS, TOL_IM, IntegrationError, classify_arrays,
+                      fail_unresolved, kgrid, kgrid_solve)
 from .model import ModelParams, nambu_metric, static_fields
 
 #: matched-overlap magnitude below which a tracking is rejected
@@ -131,25 +131,6 @@ def _track(ks, eps, cnorm, states, omega) -> tuple[TrackedBands, np.ndarray]:
                         np.take_along_axis(cnorm, perm, axis=-1), st_t, closure, omega), error
 
 
-def track_bands(
-    params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS, tol_im: float = TOL_IM
-) -> TrackedBands:
-    """Match quasienergy branches continuously across the momentum grid.
-
-    Every pair of adjacent grid points is matched by maximal |Sigma_z overlap|
-    over all 4! assignments, and the pairs' permutations are composed along
-    the grid (``_track``, P = 1); requires a globally strongly stable system.
-    """
-    ks, eps, cnorm, states, error = kgrid_solve([params], nk, steps)
-    check_cells(error)
-    if (classify_arrays(eps, cnorm, params.omega, tol_im) != 0).any():
-        raise InvariantUndefinedError(UNDEFINED)
-    t, (message,) = _track(ks, eps, cnorm, states, np.array([params.omega]))
-    if message is not None:
-        raise TrackingError(message)
-    return TrackedBands(t.eps[0], t.cnorm[0], t.states[0], t.closure[0], params.omega)
-
-
 def select_band_set(tracked: TrackedBands) -> list[int]:
     """Bands with 0 < Re eps < omega/2 and symplectic norm +1 at every k; with a
     leading point axis, the flat indices p nbands + b of the (point, band) pairs."""
@@ -200,6 +181,26 @@ def _winding_from_tracked(tracked: TrackedBands):
             for r, w, n in zip(raw.tolist(), np.round(raw).tolist(), bands.sum(axis=1))], error
 
 
+def _evaluate_pass(ks, eps, cnorm, states, error, omega, tol_im: float):
+    """(stable, results) of P solved points, writing their (P,) ``error`` in place; results
+    holds an InvariantResult where W^S is defined, else None.  A point failing
+    ``fail_unresolved`` or with NaN branches is unstable, and a stable one is UNDEFINED
+    unless strongly stable: those are tracked and wound at once."""
+    fail_unresolved(error, omega, tol_im)
+    code = classify_arrays(eps, cnorm, omega[:, None], tol_im)
+    code[~np.equal(error, None)] = 2
+    stable = (code != 2).all(axis=1)
+    error[stable] = UNDEFINED
+    results = np.full(len(eps), None, dtype=object)
+    strong = np.flatnonzero((code == 0).all(axis=1))
+    if strong.size:
+        tracked, error[strong] = _track(ks, *(x[strong] for x in (eps, cnorm, states, omega)))
+        for i, result, message in zip(strong, *_winding_from_tracked(tracked)):
+            error[i] = error[i] or message
+            results[i] = None if error[i] else result
+    return stable, results
+
+
 def symplectic_winding(
     params: ModelParams, nk: int = 256, steps: int = DEFAULT_STEPS, tol_im: float = TOL_IM
 ) -> InvariantResult:
@@ -207,13 +208,18 @@ def symplectic_winding(
 
     Evaluated as a discrete Wilson loop of the Sigma_z inner product over
     the band set S (positive quasienergies with norm +1 at every k), summed
-    and divided by pi.  Refuses when the system is not globally strongly
-    stable.
+    and divided by pi: ``evaluate_points``' pass at one point.  Raises
+    InvariantUndefinedError where W^S is undefined, and else the point's
+    error, as TrackingError if it is stable and IntegrationError if not.
     """
-    (result,), (message,) = _winding_from_tracked(track_bands(params, nk, steps, tol_im))
-    if message is not None:
-        raise TrackingError(message)
-    return result
+    solved = kgrid_solve([params], nk, steps)
+    (stable,), (result,) = _evaluate_pass(*solved, np.array([params.omega]), tol_im)
+    (message,) = solved[-1]
+    if result is not None:
+        return result
+    if message in (None, UNDEFINED):
+        raise InvariantUndefinedError(UNDEFINED)
+    raise (TrackingError if stable else IntegrationError)(message)
 
 
 def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelParams:
@@ -229,12 +235,12 @@ def interpolate(start: ModelParams, end: ModelParams, fraction: float) -> ModelP
 def evaluate_points(points, nk: int = 128, steps: int = DEFAULT_STEPS, tol_im: float = TOL_IM):
     """Columns stable, max_im, ws and error (None where undefined) of a sequence of points.
 
-    One ``kgrid_solve`` serves all points; one ``classify_arrays``, ``_track`` and
-    ``_winding_from_tracked`` serve each pass over CHUNK // nk of them, which bounds
-    the temporaries.  A point that fails to solve is unstable with NaN max_im; one
-    that fails later, or whose W^S is undefined, carries the message it raises
-    alone in its error, so grid and path drivers complete; any other exception
-    propagates.
+    One ``kgrid_solve`` serves all points, and one ``_evaluate_pass`` (classify,
+    track, wind) each pass over CHUNK // nk of them, which bounds the temporaries.
+    A point that fails to solve or to resolve its verdict is unstable with its
+    message (NaN max_im if unsolved); one that fails later, or whose W^S is
+    undefined, carries the message it raises alone in its error, so grid and path
+    drivers complete; any other exception propagates.
     """
     ks, eps, cnorm, states, error = kgrid_solve(points, nk, steps)
     omega = np.array([p.omega for p in points])
@@ -242,16 +248,9 @@ def evaluate_points(points, nk: int = 128, steps: int = DEFAULT_STEPS, tol_im: f
     ws = np.full(len(points), None, dtype=object)
     size = max(1, CHUNK // nk)
     for at in (slice(i, i + size) for i in range(0, len(points), size)):
-        code = classify_arrays(eps[at], cnorm[at], omega[at, None], tol_im)
-        code[~np.equal(error[at], None)] = 2  # NaN branches
-        stable[at] = (code != 2).all(axis=1)
-        error[at][stable[at]] = UNDEFINED
-        strong = at.start + np.flatnonzero((code == 0).all(axis=1))
-        if strong.size:
-            tracked, error[strong] = _track(ks, *(x[strong] for x in (eps, cnorm, states, omega)))
-            for i, result, message in zip(strong, *_winding_from_tracked(tracked)):
-                error[i] = error[i] or message
-                ws[i] = None if error[i] else result.ws
+        stable[at], results = _evaluate_pass(ks, eps[at], cnorm[at], states[at], error[at],
+                                             omega[at], tol_im)
+        ws[at] = [None if r is None else r.ws for r in results]
     return stable, eps.imag.max(axis=(1, 2)), ws, error
 
 

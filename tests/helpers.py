@@ -12,8 +12,9 @@ rebuilt from its parity sectors entry by entry, band tracking matches one
 momentum at a time against the already-tracked states, the Wilson loop
 takes one band of one point at a time, the vacuum
 evolution forms the whole U(tau) U(T)^n of every sample on its own, the
-CSV writer formats every cell of every row on its own, and Bessel values
-come from mpmath's arbitrary precision series.
+CSV writer formats every cell of every row on its own, the axis mirrors
+come from the full n x n table of |x_i + x_j|, and Bessel values come from
+mpmath's arbitrary precision series.
 """
 
 from __future__ import annotations
@@ -363,6 +364,19 @@ def write_rows(path, table) -> None:
         writer.writerow(table.dtype.names)
         for row in table.tolist():
             writer.writerow([fmt(v) for v in row])
+
+
+def mirror_half_quadratic(values):
+    """(half, take) of ``floquet.mirror_half`` from the n x n table |x_i + x_j|: the
+    mirror of x_i is its argmin over j.  Memory grows as n^2, so keep n small."""
+    x = np.asarray(values, dtype=float)
+    tol = 4.0 * np.spacing(np.abs(x).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        mirror = np.abs(x[:, None] + x).argmin(axis=1)
+        lone = np.abs(x + x[mirror]) > tol
+    keep = (x > -tol) | lone
+    half = np.flatnonzero(keep)
+    return half, np.searchsorted(half, np.where(keep, np.arange(x.size), mirror))
 
 
 def bessel_series(n: int, x: float) -> float:

@@ -29,10 +29,10 @@ from floqbog.floquet import fold, kgrid_solve, propagate, sympl_residual
 from floqbog.model import ModelParams, bloch_blocks
 from floqbog.topology import (
     _band_phase,
+    _track,
     scan_path,
     select_band_set,
     symplectic_winding,
-    track_bands,
     winding_undriven,
     evaluate_points,
 )
@@ -245,9 +245,11 @@ def test_acceptance_7_property_suite():
         ssh_ok &= winding_undriven(p) == (1 if abs(nu0p) > abs(nu0) else 0)
 
     # gauge invariance of the Wilson loop under random per-k phases
-    tracked = track_bands(PA, nk=128, steps=1024)
-    (band,) = select_band_set(tracked)
-    states = tracked.states[:, band]
+    ks, eps, cnorm, states, _ = kgrid_solve([PA], 128, 1024)
+    tracked, (message,) = _track(ks, eps, cnorm, states, np.array([PA.omega]))
+    assert message is None, message
+    (band,) = select_band_set(tracked)  # the flat index p nbands + band at p = 0
+    states = tracked.states[0, :, band]
     base = _band_phase(states)[0]
     gauge = max(
         abs(_band_phase(states * np.exp(1j * rng.uniform(-math.pi, math.pi, 128))[:, None])[0]

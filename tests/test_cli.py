@@ -480,6 +480,19 @@ class TestGrids:
         assert all((r[2] == "Failed") == ("too coarse" in r[-1]) for r in rows)
         assert sum(r[2] == "Failed" for r in rows) == 126
 
+    def test_unresolved_plane_fails(self, capsys):
+        """At omega = 1e9 the default tol_im lies below the quasienergy resolution
+        (5.7e-07): every cell fails with that message and keeps its max_im, and
+        none reads Unstable on round-off."""
+        assert entry(["stability-grid", "--recipe", "fig2b", "--set", "model.omega=1e9",
+                      "--set", "task.hx1.points=5", "--set", "task.hy1.points=5",
+                      "--output", "out"]) == 0
+        assert capsys.readouterr().out.startswith("stability-grid: 0/25 unstable cells, 25 failed")
+        rows = read_csv("out.csv")[1:]
+        assert {r[-1] for r in rows} == {
+            "tol_im 1e-08 is below the quasienergy resolution 5.7e-07 at omega 1e+09"}
+        assert all(math.isfinite(float(r[3])) for r in rows)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv, key", [
         (["stability-grid", "--recipe", "fig2b", "--set", "task.hx1.points=3",
@@ -783,19 +796,30 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+def assert_resolved(rows, tol_im: float) -> None:
+    """No row without an error reads unstable (verdict Unstable, or stable False)
+    with max_im at or below ``tol_im``."""
+    header = rows[0]
+    for row in map(dict, (zip(header, r) for r in rows[1:])):
+        unstable = row["verdict"] == "Unstable" if "verdict" in row else row["stable"] == "False"
+        assert not (unstable and row["error"] == "" and float(row["max_im"]) <= tol_im), row
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:effective Hamiltonian")
 @pytest.mark.parametrize("seed", [0, 1])
 def test_entry_fuzz(seed):
     """Random configs with extreme model values end in a documented exit code with
-    no RuntimeWarning, and a successful run writes strict JSON and, for evolve,
-    finite occupations."""
+    no RuntimeWarning, and a successful run writes strict JSON, grid and path rows
+    whose unstable verdicts lie above tol_im and, for evolve, finite occupations."""
     rng = np.random.default_rng(seed)
     for _ in range(FUZZ_RUNS):
         argv = fuzz_argv(rng)
         code = entry(argv)
         assert code in (0, 2, 3, 4), argv
         if code == 0:
-            strict_json(Path("out.meta.json").read_text())
+            sidecar = strict_json(Path("out.meta.json").read_text())
+            if argv[0] in ("stability-grid", "phase-diagram", "scan-path"):
+                assert_resolved(read_csv("out.csv"), sidecar["config"]["numerics"]["tol_im"])
             if argv[0] == "evolve":
                 rows = read_csv("out.csv")
                 occ = np.array([r[1:-1] for r in rows[1:]], dtype=float)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,7 @@ from helpers import (
     expm_monodromy,
     folded_monodromy,
     magnus6_monodromy,
+    mirror_half_quadratic,
     static_energies,
 )
 
@@ -120,12 +122,21 @@ class TestFold:
 
 class TestMirrorHalf:
     @staticmethod
-    def check(values):
+    def like_quadratic(x):
+        """(half, take) of ``mirror_half``, asserted equal to the full n x n search's."""
+        got = mirror_half(x)
+        for a, b in zip(got, mirror_half_quadratic(x)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), x
+        return got
+
+    @classmethod
+    def check(cls, values):
         """Every entry is computed or copied from its mirror, to four ulp, and
         the entries left out are exactly the negative ones whose mirror is on
-        the axis; returns the number of entries computed."""
+        the axis, as the n x n search finds them; returns the number of
+        entries computed."""
         x = np.asarray(values, dtype=float)
-        half, take = mirror_half(x)
+        half, take = cls.like_quadratic(x)
         tol = 4.0 * np.spacing(np.abs(x).max())
         got = x[half][take]
         own = np.isin(np.arange(x.size), half)
@@ -145,11 +156,46 @@ class TestMirrorHalf:
         axis = np.linspace(offset * step, (offset + n - 1) * step, n)
         self.check(np.random.default_rng(seed).permutation(axis))
 
+    @given(ints=st.lists(st.integers(-12, 12), min_size=1, max_size=40),
+           step=st.floats(1e-3, 10.0), offset=st.sampled_from([0.0, 1e-17, 0.3, -2.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_entries(self, ints, step, offset):
+        """Axes in any order with repeated entries, exact and inexact mirrors and
+        ties: the nearest entry and, on a tie, the lowest index."""
+        self.check(np.array(ints) * step + offset)
+
     def test_shipped_axes(self):
         assert self.check(np.linspace(-15.0, 9.0, 41)) == 26
         assert self.check(np.linspace(-12.0, 12.0, 41)) == 21
-        for nk in (64, 65, 128, 256):
+        assert self.check(np.linspace(-15.0, 9.0, 201)) == 126
+        assert self.check(np.linspace(-12.0, 12.0, 201)) == 101
+        for points in (3, 5, 21, 61):
+            self.check(np.linspace(-15.0, 9.0, points))
+            self.check(np.linspace(-12.0, 12.0, points))
+        for nk in (64, 65, 128, 256, 257):
             assert self.check(kgrid(nk)) == nk // 2 + 1
+
+    def test_float_range_ends(self):
+        """Axes whose sums overflow or underflow, where no entry mirrors another
+        beyond four ulp."""
+        for lo, hi in ((1e308, 1.7e308), (-1.7e308, -1e308), (-1e-300, 1e-300),
+                       (-5e-324, 5e-324), (0.0, 0.0)):
+            for points in (2, 3, 4):
+                self.like_quadratic(np.linspace(lo, hi, points))
+        self.like_quadratic(np.array([1.7e308, -1e308, 1e308, -1.7e308, 0.0, -0.0]))
+
+    def test_memory_linear_in_length(self):
+        """A k-grid of 1e5 momenta, shuffled, in far less than the 75 GiB of the
+        n x n table; each entry is computed or copied from its exact mirror."""
+        x = np.random.default_rng(5).permutation(kgrid(100_000))
+        tracemalloc.start()
+        try:
+            half, take = mirror_half(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert half.size == 50_001 and np.array_equal(np.abs(x[half][take]), np.abs(x))
 
 
 class TestKgrid:

@@ -1,5 +1,6 @@
 """The tooling scripts under ``scripts/`` run: their help, and same-tree comparisons."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -44,7 +45,8 @@ def test_compare_outputs_same_tree():
 
 def test_layer_time_same_tree():
     """Both sides on one tree, one run of one repeat: every row, the W^S and
-    overlay rows included, gives bitwise the same result on both sides."""
+    overlay rows included, gives bitwise the same result on both sides, and its
+    quartile distance is null below 4 runs."""
     done = run_script(ROOT / "scripts" / "layer_time.py", "--src", "src", "src",
                       "--runs", "1", "--repeats", "1")
     assert done.returncode == 0, done.stderr
@@ -52,3 +54,8 @@ def test_layer_time_same_tree():
     assert {"evaluate-scan-16", "evaluate-phase-3x3", "overlay-3x3"} <= set(rows)
     assert {name: row["bitwise_equal"] for name, row in rows.items()} == dict.fromkeys(rows, True)
     assert rows["evaluate-scan-16"]["points"] == 16 and rows["overlay-3x3"]["points"] == 9
+    assert all(row["iqr_ms"] == {"src": None, "src#2": None} for row in rows.values())
+    spec = importlib.util.spec_from_file_location("layer_time", ROOT / "scripts" / "layer_time.py")
+    layer_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_time)
+    assert layer_time.iqr([4.0, 1.0, 3.0, 2.0]) == 2.5 and layer_time.iqr([1.0, 2.0, 3.0]) is None
