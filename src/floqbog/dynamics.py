@@ -270,7 +270,10 @@ def evolve_vacuum(
     CHUNK // 2 samples at a time.  Row for row this is the full product.  The
     trace is truncated after the first sample whose occupation exceeds 1e12,
     where exponential growth has left the linear regime, or before the first
-    with non-finite occupations (U(T)^n overflowed); no later period is formed.
+    with non-finite occupations (U(T)^n overflowed); at most 64 periods after U(T)^n
+    stops being finite no later period is formed, so an unstable chain stops within
+    a few thousand periods whatever t_max.  A t_max whose step marks t_max * steps_per_period do not fit in
+    int64 is refused before anything is integrated.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -279,6 +282,9 @@ def evolve_vacuum(
     step_weights(params.omega, steps_per_period)  # propagate's step check, before the time grid
     period = params.period
     dt = period / steps_per_period
+    if not t_max * period / dt < 2.0 ** 63:  # the last mark, before linspace; NaN and inf too
+        raise ValueError(f"t_max {t_max} drive periods at {steps_per_period} steps each "
+                         "overflow the int64 step marks")
     total = np.linspace(0.0, t_max * period, n_samples)
     marks = np.rint(total / dt).astype(int)
     wraps, offs = np.divmod(marks, steps_per_period)
@@ -295,7 +301,9 @@ def evolve_vacuum(
         while start < n_samples and not truncated:
             stop = min(int(np.searchsorted(wraps, wraps[start], side="right")),
                        start + CHUNK // len(mono))
-            while done < wraps[start]:
+            # a non-finite U(T)^n stays so, and a check every 64th period costs
+            # nothing on short traces and forms at most 63 periods past overflow
+            while done < wraps[start] and (done % 64 or np.isfinite(power).all()):
                 power = mono @ power
                 done += 1
             tops = np.stack([prop.snapshots[s][:, :m] for s in offs[start:stop].tolist()], axis=1)
@@ -319,11 +327,13 @@ def growth_rate_fit(trace: EvolutionTrace) -> float | None:
 
     The fit skips the first 40 percent of the trace as transient, decided on
     the integer step marks so that a sample on its bound stays in under any
-    choice of units.  It needs at least 8 samples with occupation above 1e-6
-    in that window; with fewer there is no exponential regime, and no rate.
+    choice of units; its first mark ceil(2 L / 5), L the last mark, is formed in
+    Python integers, so it cannot overflow.  The fit needs at least 8 samples with
+    occupation above 1e-6 in that window; with fewer there is no exponential
+    regime, and no rate.
     """
     n = trace.occupations[:, 0]
-    mask = (5 * trace.marks >= 2 * trace.marks[-1]) & (n > 1e-6)
+    mask = (trace.marks >= -(-2 * int(trace.marks[-1]) // 5)) & (n > 1e-6)
     if mask.sum() < 8:
         return None
     slope, _ = np.polyfit(trace.times[mask], np.log(n[mask]), 1)

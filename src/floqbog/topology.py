@@ -43,23 +43,6 @@ class InvariantUndefinedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrackedBands:
-    """Quasienergy bands matched continuously across the momentum grid.
-
-    ``eps``, ``cnorm`` have shape (nk, nbands); ``states`` is
-    (nk, nbands, dim) with symplectically normalized vectors; ``closure``
-    holds the |Sigma_z overlap| between the last and first grid point per
-    band.  In the batched W^S path every field has a leading point axis.
-    """
-
-    eps: np.ndarray
-    cnorm: np.ndarray
-    states: np.ndarray
-    closure: np.ndarray
-    omega: float
-
-
-@dataclass(frozen=True)
 class InvariantResult:
     """Symplectic winding with its pre-rounding value as a trust metric."""
 
@@ -97,16 +80,17 @@ def _best_matching(ov: np.ndarray) -> np.ndarray:
     return PERMS[ov[..., np.arange(4), PERMS].sum(axis=-1).argmax(axis=-1)]
 
 
-def _track(ks, eps, cnorm, states, omega) -> tuple[TrackedBands, np.ndarray]:
+def _track(ks, eps, cnorm, states):
     """Match the bands of P strongly stable points across the k-grid at once.
 
-    ``eps``, ``cnorm`` are (P, nk, nb), ``states`` (P, nk, nb, dim), ``omega`` (P,).
+    ``eps``, ``cnorm`` are (P, nk, nb) and ``states`` (P, nk, nb, dim).
     The |Sigma_z overlaps| of all neighbouring raw states are matched at once.
     Where every pair of a point passes the overlap and ambiguity checks, each
     row's match beats its runner-up by AMBIGUITY_GAP, so the matching is unique
     and composing the pairs' permutations (a doubling scan) orders the bands at
-    every k.  Returns the tracked bands and, per point, None or the message of
-    its first failing pair, a lost overlap before an ambiguity.
+    every k.  Returns the tracked (eps, cnorm, states, closure), closure the (P, nb)
+    |Sigma_z overlap| of each band's last and first k, and, per point, None or
+    the message of its first failing pair, a lost overlap before an ambiguity.
     """
     sz = nambu_metric(states.shape[-1])
     ov = np.abs(np.einsum("pjim,m,pjnm->pjin", states[:, :-1].conj(), sz, states[:, 1:]))
@@ -127,16 +111,8 @@ def _track(ks, eps, cnorm, states, omega) -> tuple[TrackedBands, np.ndarray]:
         perm[:, shift:] = np.take_along_axis(perm[:, shift:], perm[:, :-shift], axis=-1)
     st_t = np.take_along_axis(states, perm[..., None], axis=-2)
     closure = np.abs(np.einsum("pim,m,pim->pi", st_t[:, -1].conj(), sz, st_t[:, 0]))
-    return TrackedBands(np.take_along_axis(eps, perm, axis=-1),
-                        np.take_along_axis(cnorm, perm, axis=-1), st_t, closure, omega), error
-
-
-def select_band_set(tracked: TrackedBands) -> list[int]:
-    """Bands with 0 < Re eps < omega/2 and symplectic norm +1 at every k; with a
-    leading point axis, the flat indices p nbands + b of the (point, band) pairs."""
-    re = tracked.eps.real
-    half = np.asarray(tracked.omega)[..., None, None] / 2.0
-    return np.flatnonzero(((re > 0) & (re < half) & (tracked.cnorm == 1)).all(axis=-2)).tolist()
+    return (np.take_along_axis(eps, perm, axis=-1), np.take_along_axis(cnorm, perm, axis=-1),
+            st_t, closure), error
 
 
 def _band_phase(states: np.ndarray):
@@ -165,16 +141,16 @@ def _band_phase(states: np.ndarray):
     return args.sum(axis=-1), error
 
 
-def _winding_from_tracked(tracked: TrackedBands):
-    """W^S of tracked points: (results, error), per point an InvariantResult and None
-    or the message of its first band in S whose Wilson loop fails.  S is a (points,
-    bands) mask; all its phases come from one ``_band_phase`` and add up band by band."""
-    nb = tracked.eps.shape[-1]
-    states = np.swapaxes(tracked.states, -2, -3).reshape(-1, nb, *tracked.states.shape[-3::2])
-    bands = np.zeros(states.shape[:2], dtype=bool)
-    bands.flat[select_band_set(tracked)] = True
+def _winding_from_tracked(eps, cnorm, states, omega):
+    """W^S of P tracked points, ``eps``, ``cnorm`` (P, nk, nb), ``states`` (P, nk, nb, dim)
+    and ``omega`` (P,): (results, error), per point an InvariantResult and None or the
+    message of its first band in S whose Wilson loop fails.  S is the (P, nb) mask of
+    bands with 0 < Re eps < omega/2 and norm +1 at every k; all its phases come from
+    one ``_band_phase`` and add up band by band."""
+    re = eps.real
+    bands = ((re > 0) & (re < omega[:, None, None] / 2.0) & (cnorm == 1)).all(axis=1)
     phase, failed = np.zeros(bands.shape), np.full(bands.shape, None, dtype=object)
-    phase[bands], failed[bands] = _band_phase(states[bands])
+    phase[bands], failed[bands] = _band_phase(np.swapaxes(states, 1, 2)[bands])
     raw = sum(phase.T, 0.0) / math.pi
     error = [next((m for m in row if m is not None), None) for row in failed]
     return [InvariantResult(int(w), r, abs(r - w), int(n))
@@ -185,7 +161,7 @@ def _evaluate_pass(ks, eps, cnorm, states, error, omega, tol_im: float):
     """(stable, results) of P solved points, writing their (P,) ``error`` in place; results
     holds an InvariantResult where W^S is defined, else None.  A point failing
     ``fail_unresolved`` or with NaN branches is unstable, and a stable one is UNDEFINED
-    unless strongly stable: those are tracked and wound at once."""
+    unless strongly stable: ``_track`` and ``_winding_from_tracked`` take those at once."""
     fail_unresolved(error, omega, tol_im)
     code = classify_arrays(eps, cnorm, omega[:, None], tol_im)
     code[~np.equal(error, None)] = 2
@@ -194,8 +170,8 @@ def _evaluate_pass(ks, eps, cnorm, states, error, omega, tol_im: float):
     results = np.full(len(eps), None, dtype=object)
     strong = np.flatnonzero((code == 0).all(axis=1))
     if strong.size:
-        tracked, error[strong] = _track(ks, *(x[strong] for x in (eps, cnorm, states, omega)))
-        for i, result, message in zip(strong, *_winding_from_tracked(tracked)):
+        tracked, error[strong] = _track(ks, eps[strong], cnorm[strong], states[strong])
+        for i, result, message in zip(strong, *_winding_from_tracked(*tracked[:3], omega[strong])):
             error[i] = error[i] or message
             results[i] = None if error[i] else result
     return stable, results

@@ -285,17 +285,23 @@ def track_loop(ks, eps, cnorm, states):
     return eps_t, cn_t, st_t, closure
 
 
+def band_set(eps, cnorm, omega: float) -> np.ndarray:
+    """The band set S of one tracked point: the (nb,) mask of the bands with
+    0 < Re eps < omega/2 and cnorm +1 at every k."""
+    re = eps.real
+    return ((re > 0) & (re < omega / 2.0) & (cnorm == 1)).all(axis=0)
+
+
 def wilson_loop(eps, cnorm, states, omega: float) -> float:
     """Pre-rounding W^S of one tracked point, one band at a time.
 
-    Over the bands with 0 < Re eps < omega/2 and cnorm +1 at every k, in
-    index order, each band's Sigma_z Wilson-loop phase in the gauge with a
-    real positive first component is summed; raises the library's
-    TrackingError messages for the first band that fails.
+    Over the bands of ``band_set``, in index order, each band's Sigma_z
+    Wilson-loop phase in the gauge with a real positive first component is
+    summed; raises the library's TrackingError messages for the first band
+    that fails.
     """
-    re = eps.real
     total = 0
-    for band in np.flatnonzero(((re > 0) & (re < omega / 2.0) & (cnorm == 1)).all(axis=0)):
+    for band in np.flatnonzero(band_set(eps, cnorm, omega)):
         section = states[:, band]
         amp = section[:, 0]
         if np.abs(amp).min() < 1e-3:

@@ -31,13 +31,12 @@ from floqbog.topology import (
     _band_phase,
     _track,
     scan_path,
-    select_band_set,
     symplectic_winding,
     winding_undriven,
     evaluate_points,
 )
 
-from helpers import chiral_residual, static_energies
+from helpers import band_set, chiral_residual, static_energies
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PB = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=6.0, mu=-5.0, omega=5.2)
@@ -246,10 +245,10 @@ def test_acceptance_7_property_suite():
 
     # gauge invariance of the Wilson loop under random per-k phases
     ks, eps, cnorm, states, _ = kgrid_solve([PA], 128, 1024)
-    tracked, (message,) = _track(ks, eps, cnorm, states, np.array([PA.omega]))
+    ((t_eps,), (t_cnorm,), (t_states,), _), (message,) = _track(ks, eps, cnorm, states)
     assert message is None, message
-    (band,) = select_band_set(tracked)  # the flat index p nbands + band at p = 0
-    states = tracked.states[0, :, band]
+    (band,) = np.flatnonzero(band_set(t_eps, t_cnorm, PA.omega))
+    states = t_states[:, band]
     base = _band_phase(states)[0]
     gauge = max(
         abs(_band_phase(states * np.exp(1j * rng.uniform(-math.pi, math.pi, 128))[:, None])[0]

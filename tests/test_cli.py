@@ -244,6 +244,17 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert err.startswith("config error: effective coefficient 1e+300 exceeds 1e+76")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_step_marks_overflow_exits_2(self, in_tmp, capsys):
+        """At t_max 1e300 the step marks t_max * 64 do not fit in int64: evolve
+        refuses the t_max before integrating, and writes no CSV."""
+        argv = ["evolve", "--recipe", "fig3b", "--set", "task.t_max=1e300",
+                "--set", "task.samples=3"]
+        assert entry(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_max 1e+300 drive periods at 64 steps each")
+        assert not list(in_tmp.glob("*.csv"))
+
     def test_unwritable_prefix_checked_before_compute(self, in_tmp, capsys, monkeypatch):
         import floqbog.cli as cli
 

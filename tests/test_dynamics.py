@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +310,19 @@ class TestEvolution:
         assert far.times.size == 1
         assert np.isfinite(far.occupations).all() and np.isfinite(far.sympl_residual).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_stops_forming_periods(self):
+        """fig3b at t_max 1e6 with 3 samples: U(T)^n overflows at period 2067, and
+        at most 63 periods are formed after that, not the half-million up to the
+        second sample, which took some 13 s to multiply on a 2-core host."""
+        recipe = load_recipe("fig3b")
+        start = time.perf_counter()
+        trace = evolve_vacuum(ModelParams(**recipe["model"]), recipe["task"]["cells"], 1e6, 3,
+                              recipe["numerics"]["steps"])
+        assert time.perf_counter() - start < 5.0
+        assert trace.truncated and trace.times.size == 1
+        assert np.isfinite(trace.occupations).all()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             evolve_vacuum(PA, cells=8, n_samples=1)
@@ -323,4 +337,15 @@ class TestGrowthRateFit:
         occ = np.exp(2.0 * lam * np.outer(times, [1.0, 2.0, 3.0]))  # site 1 is fitted
         trace = EvolutionTrace(times, occ, np.zeros(101), False, np.arange(101))
         assert growth_rate_fit(trace) == pytest.approx(2 * lam, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_window_at_int64_marks(self):
+        """Marks up to the int64 limit: the window starts at 8/20 of the trace as at
+        any other scale, with no overflow; the flat start before it is left out."""
+        marks = np.arange(21, dtype=np.int64) * (np.iinfo(np.int64).max // 20)
+        times = np.arange(21.0)
+        lam = 0.37
+        occ = np.exp(2.0 * lam * np.maximum(times, 8.0))[:, None] * np.ones(3)
+        trace = EvolutionTrace(times, occ, np.zeros(21), False, marks)
+        assert growth_rate_fit(trace) == pytest.approx(2 * lam, abs=1e-9)
 

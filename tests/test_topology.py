@@ -15,7 +15,6 @@ from floqbog.floquet import TOL_IM, IntegrationError, classify_arrays, kgrid, kg
 from floqbog.model import ModelParams
 from floqbog.topology import (
     InvariantUndefinedError,
-    TrackedBands,
     TrackingError,
     _band_phase,
     _best_matching,
@@ -24,12 +23,11 @@ from floqbog.topology import (
     evaluate_points,
     interpolate,
     scan_path,
-    select_band_set,
     symplectic_winding,
     winding_undriven,
 )
 
-from helpers import track_loop, wilson_loop
+from helpers import band_set, track_loop, wilson_loop
 
 PA = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=11.0, mu=-5.0, omega=5.2)
 PB = ModelParams(nu0=1.5, nu0p=0.0, nu1=3.0, nu1p=6.0, mu=-5.0, omega=5.2)
@@ -93,10 +91,13 @@ class TestBandTracking:
         assert (tr.cnorm[tr.cnorm != 0] ** 2 == 1).all()
 
     def test_band_set_selection(self):
+        """On the fig1b point ``_winding_from_tracked`` winds one band, and the one
+        S picks has norm +1 and 0 < Re eps < omega/2 at every k."""
         tr = track_pa()
-        sel = select_band_set(tr)
-        assert len(sel) == 1
-        (band,) = sel
+        (result,), _ = _winding_from_tracked(tr.eps[None], tr.cnorm[None], tr.states[None],
+                                             np.array([PA.omega]))
+        assert result.bandset_size == 1
+        (band,) = np.flatnonzero(band_set(tr.eps, tr.cnorm, PA.omega))
         assert (tr.cnorm[:, band] == 1).all()
         assert (tr.eps[:, band].real > 0).all()
         assert (tr.eps[:, band].real < PA.omega / 2).all()
@@ -104,7 +105,7 @@ class TestBandTracking:
     def test_gauge_invariance(self):
         """Random per-k phases on the section leave the loop phase unchanged."""
         tr = track_pa()
-        (band,) = select_band_set(tr)
+        (band,) = np.flatnonzero(band_set(tr.eps, tr.cnorm, PA.omega))
         states = tr.states[:, band]
         base = _band_phase(states)[0]
         rng = np.random.default_rng(42)
@@ -113,24 +114,25 @@ class TestBandTracking:
             assert _band_phase(states * phases[:, None])[0] == pytest.approx(base, abs=1e-9)
 
 
-def track_one(ks, eps, cnorm, states, omega):
-    """``_track`` of one point (P = 1): its bands, or its message raised as TrackingError."""
-    tracked, (message,) = _track(ks, eps[None], cnorm[None], states[None], np.array([omega]))
+def track_one(ks, eps, cnorm, states):
+    """``_track`` of one point (P = 1): its tracked eps, cnorm, states and closure,
+    or its message raised as TrackingError."""
+    tracked, (message,) = _track(ks, eps[None], cnorm[None], states[None])
     if message is not None:
         raise TrackingError(message)
-    return TrackedBands(tracked.eps[0], tracked.cnorm[0], tracked.states[0], tracked.closure[0],
-                        omega)
+    return SimpleNamespace(**{name: x[0] for name, x in
+                              zip(("eps", "cnorm", "states", "closure"), tracked)})
 
 
 def track_pa():
     """The tracked bands of the fig1b point at nk 128 and 1024 steps."""
     ks, (eps,), (cnorm,), (states,), _ = kgrid_solve([PA], 128, 1024)
-    return track_one(ks, eps, cnorm, states, PA.omega)
+    return track_one(ks, eps, cnorm, states)
 
 
-def assert_tracks_like_oracle(ks, eps, cnorm, states, omega):
+def assert_tracks_like_oracle(ks, eps, cnorm, states):
     """``_track`` gives the oracle's eps, cnorm, states and closure bitwise."""
-    tracked = track_one(ks, eps, cnorm, states, omega)
+    tracked = track_one(ks, eps, cnorm, states)
     got = (tracked.eps, tracked.cnorm, tracked.states, tracked.closure)
     for a, b in zip(got, track_loop(ks, eps, cnorm, states)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -145,7 +147,7 @@ class TestTrackingOracle:
 
     def test_fig1b_point(self):
         ks, (eps,), (cnorm,), (states,), _ = kgrid_solve([PA], 256)
-        assert_tracks_like_oracle(ks, eps, cnorm, states, PA.omega)
+        assert_tracks_like_oracle(ks, eps, cnorm, states)
 
     @pytest.mark.parametrize("grid", ["scan", "phase"])
     def test_every_stable_point(self, grid):
@@ -162,7 +164,7 @@ class TestTrackingOracle:
                   and (classify_arrays(eps[i], cnorm[i], p.omega, TOL_IM) == 0).all()]
         assert len(strong) >= 3
         for i in strong:
-            assert_tracks_like_oracle(ks, eps[i], cnorm[i], states[i], points[i].omega)
+            assert_tracks_like_oracle(ks, eps[i], cnorm[i], states[i])
 
     def test_winding_like_band_loop(self):
         """All strongly stable points of the scan and the 3x3 grid, tracked by
@@ -177,14 +179,13 @@ class TestTrackingOracle:
         strong = np.flatnonzero((classify_arrays(eps, cnorm, omega[:, None], TOL_IM) == 0)
                                 .all(axis=1))
         assert len(strong) >= 10
-        tracked, error = _track(ks, eps[strong], cnorm[strong], states[strong], omega[strong])
-        results, failed = _winding_from_tracked(tracked)
+        tracked, error = _track(ks, eps[strong], cnorm[strong], states[strong])
+        results, failed = _winding_from_tracked(*tracked[:3], omega[strong])
         assert list(error) == failed == [None] * len(strong)
-        for i, result in enumerate(results):
-            raw = wilson_loop(tracked.eps[i], tracked.cnorm[i], tracked.states[i], omega[i])
+        for result, e, c, st, w in zip(results, *tracked[:3], omega[strong]):
+            raw = wilson_loop(e, c, st, w)
             assert result.raw == raw and result.ws == round(raw)
-            assert result.bandset_size == len(select_band_set(TrackedBands(
-                tracked.eps[i], tracked.cnorm[i], tracked.states[i], None, omega[i])))
+            assert result.bandset_size == band_set(e, c, w).sum()
 
     def failure(self, breaks):
         """(oracle, batched) TrackingError messages of a 12-point grid of unit
@@ -202,7 +203,7 @@ class TestTrackingOracle:
         with pytest.raises(TrackingError) as oracle:
             track_loop(ks, eps, cnorm, states)
         with pytest.raises(TrackingError) as batched:
-            track_one(ks, eps, cnorm, states, PA.omega)
+            track_one(ks, eps, cnorm, states)
         return str(oracle.value), str(batched.value), ks
 
     #: band 0 keeps only overlap 0.4, with no runner-up near it: lost
@@ -239,9 +240,9 @@ class TestTrackingOracle:
         order = np.random.default_rng(3).permuted(np.tile(np.arange(4), (64, 1)), axis=1)
         shuffled = (np.take_along_axis(eps, order, 1), np.take_along_axis(cnorm, order, 1),
                     np.take_along_axis(states, order[..., None], 1))
-        assert_tracks_like_oracle(ks, *shuffled, PA.omega)
-        tracked = track_one(ks, *shuffled, PA.omega)
-        sorted_ = track_one(ks, eps, cnorm, states, PA.omega)
+        assert_tracks_like_oracle(ks, *shuffled)
+        tracked = track_one(ks, *shuffled)
+        sorted_ = track_one(ks, eps, cnorm, states)
         first = order[0]
         assert np.array_equal(tracked.eps, sorted_.eps[:, first])
         assert np.array_equal(tracked.states, sorted_.states[:, first])
