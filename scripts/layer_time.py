@@ -27,9 +27,9 @@ steps, digested over U(T) and every snapshot:
 - ``kgrid-297``, ``kgrid-528``: 9 and 16 fig1b points of 33 momenta each
   (a 3x3 phase diagram and a 16-point scan path at nk 64);
 - ``chain-2x40x40``: ``dynamics._chain_propagation`` of the 20-cell fig3a
-  chain, with a snapshot every 8 steps: its two parity sectors, built by the
-  split ``chain`` and ``evolve`` use (the call includes that split and the
-  cell check).
+  chain with a snapshot every 8 steps, as ``chain`` and ``evolve`` call it:
+  the split into two 40x40 parity sectors, their propagation and the cell
+  check.
 
 The vacuum-evolution row ``evolve-fig3b`` calls ``evolve_vacuum`` at the fig3b
 recipe (its chain propagation included), digested over the trace's times,

@@ -106,9 +106,9 @@ def _chain_propagation(params: ModelParams, cells: int, steps: int, snapshots=()
     (|j> +- |N-1-j>)/sqrt2 of the first N/2 sites, particles then holes, the
     generator splits into an even and an odd sector, each Sigma_z-structured
     of dimension N, with blocks A +- B for A = H[near, near], B = H[near, far]
-    (``_mirror_halves``); each keeps S H S = H and C = 1, so ``propagate``
-    carries its particle columns alone and its U(T) and snapshots are exactly
-    Q-real (Q = S).  The two sectors propagate as one batch, so U(T) and
+    (``_mirror_halves``); each keeps S H S = H and is real (C = 1), so
+    ``propagate`` integrates it without a rotation and its U(T) and snapshots
+    are exactly Q-real (Q = S).  The two sectors propagate as one batch, so U(T) and
     every snapshot have shape (2, N, N), even sector first; the site matrix
     would be U[near, near] = U[far, far] = (U_e + U_o)/2 and U[near, far] =
     U[far, near] = (U_e - U_o)/2.  The step-size guard bounds each sector's

@@ -23,14 +23,15 @@ MIN_STEPS = 64
 #: smallest power of two whose quasienergy error against an adaptive DOP853
 #: oracle stays at or below that of 256 fourth-order steps, the count the
 #: recipes were validated with, on every shipped recipe shape (scripts/convergence.py);
-#: |eps(64) - eps(512)| over the whole 201x201 fig2b plane is 5.7e-7 at worst
-#: (``max_deps_vs_finest`` of ``--plane 201 --steps 64 512``, with the solve-free 4x4 step)
+#: |eps(64) - eps(512)| over the whole 201x201 fig2b plane is 5.7318025e-7 at worst
+#: (``max_deps_vs_finest`` of ``--plane 201 --steps 64 512``, with the quadrature-form step)
 DEFAULT_STEPS = 64
 TOL_IM = 1e-8
 #: smallest tol_im, in units of omega, at which round-off cannot decide a verdict: eps =
 #: (i omega/2pi) Log lambda, so an error of one machine epsilon in |lambda| = 1 is omega/2pi
-#: of it in Im eps; the stable branches of fig1b, fig1c, the 20-cell chain and a 61x61 fig2b
-#: plane reach |Im eps| <= 3.5e-16 omega, about 10 such units, and 16 keep a margin of 1.6
+#: of it in Im eps; the stable branches of fig1b, fig1c, the 20-cell chain and 41x41 and
+#: 61x61 fig2b planes reach |Im eps| <= 4.8e-16 omega, about 13.5 such units, so 16 keep
+#: a margin of 1.19
 RESOLUTION = 16.0 * np.finfo(float).eps / (2.0 * math.pi)
 #: Re eps distance, in units of omega, below which opposite-norm branches resonate
 RESONANCE_WINDOW = 1e-6
@@ -58,10 +59,11 @@ _INCREMENT = np.array([
     [[1440000, -3000, 1, 0], [0, -70, 0, 0], [600, 0, 0, 0], [0, 0, 0, 0]],
     [[0, -4320000, 7200, -1], [0, -72000, 120, 0], [0, -3600, 0, 0], [0, 0, 0, 0]],
 ]) / np.array([207360000.0, 8640000.0, 720000.0, 8640000.0, 103680000.0])[:, None, None]
-#: _INCREMENT in the variables tr(p) = -2a and tr(p)^2/2 - tr(p^2) = 4b, as [k, j, i, 1]
+#: _INCREMENT in the variables tr(p) = -2a and tr(p)^2/2 - tr(p^2) = 4b, as [k, j, i, 1],
+#: with j in the order Delta and the weights of Omega^2, Omega^3, 1 and Omega
 _HORNER = np.ascontiguousarray(
     (_INCREMENT * (-0.5) ** np.arange(4)[:, None] * 0.25 ** np.arange(4)).transpose(2, 0, 1)
-)[..., None]
+)[:, [0, 2, 3, 4, 1], :, None]
 
 #: index permutation p of CONJUGATION, (C X C)[i, j] = X[p[i], p[j]]
 _BLOCH_C = CONJUGATION.real.argmax(axis=-1)
@@ -146,22 +148,19 @@ def _conjugation(d: int, real: bool = False) -> np.ndarray:
     return _BLOCH_C if d == 4 and not real else np.arange(d)
 
 
-def _magnus_basis(m0: np.ndarray, m1: np.ndarray, shape) -> np.ndarray:
+def _magnus_basis(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """M0, M1 and the nested commutators a sixth-order Omega is built from.
 
-    Rows of the returned (8, *shape) array: M0, M1, K = [M0, M1], [M0, K],
-    [M1, K], [M0, [M0, K]], [M0, [M1, K]] = [M1, [M0, K]] and [M1, [M1, K]];
-    each [A, B] = A B - B A is formed by two real products (``propagate``).
+    Rows of the returned (8, *m0.shape) array: M0, M1, K = [M0, M1], [M0, K],
+    [M1, K], [M0, [M0, K]], [M0, [M1, K]] = [M1, [M0, K]] and [M1, [M1, K]],
+    each [A, B] = A B - B A formed by two real products of the real
+    generators of ``propagate``.
     """
-    basis = np.empty((8, *shape), dtype=complex)
+    basis = np.empty((8, *m0.shape))
     basis[0], basis[1] = m0, m1
-    right = np.empty((2, *shape[:-1], 2, shape[-1]), dtype=complex)  # R(B), R(A)
-    real = right.view(float).reshape(2, *shape[:-2], 2 * shape[-1], 2 * shape[-1])
     for out, a, b in ((2, 0, 1), (3, 0, 2), (4, 1, 2), (5, 0, 3), (6, 0, 4), (7, 1, 4)):
-        right[0, ..., 0, :], right[1, ..., 0, :] = basis[b], basis[a]
-        np.multiply(right[..., 0, :], 1j, out=right[..., 1, :])
-        np.matmul(basis[a].view(float), real[0], out=basis[out].view(float))
-        basis[out] -= (basis[b].view(float) @ real[1]).view(complex)
+        np.matmul(basis[a], basis[b], out=basis[out])
+        basis[out] -= basis[b] @ basis[a]
     return basis
 
 
@@ -212,27 +211,46 @@ def step_norm(h: float, h0, h1) -> np.ndarray:
         return h * (norms[0] + norms[1])
 
 
-def _pade_increment(om: np.ndarray, om2: np.ndarray, r_om: np.ndarray) -> np.ndarray:
-    """F = D^-1 (Omega + Omega^3/60) of the Pade step for a batch of 4x4 Omega, solve-free.
+def _generator(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Real generator G+ = [[0, h - Delta], [-(h + Delta), 0]] of S-symmetric blocks x.
 
-    ``om`` and ``om2`` are Omega and Omega^2, complex (n, 4, 4), and ``r_om`` the
-    real (n, 8, 8) R(Omega) of ``propagate``.  The Omega of ``propagate`` is
-    Sigma_z anti-Hermitian and Q-real, Q Omega* Q = Omega with Q = S C
-    (``real_form``), so its characteristic polynomial is even, x^4 + a x^2 + b,
-    with a = -tr(p)/2 and b = (tr(p)^2/2 - tr(p^2))/4 for p = Omega^2, both real.
-    D^-1 = N/(D N) with N(Omega) = D(-Omega), and D N = 1 - p/20 + p^2/600 -
-    p^3/14400, reduced modulo p^2 + a p + b, has a scalar inverse, so
-
-        F = (u0 + t0 Omega + u1 Omega^2 + t1 Omega^3) / Delta = u0/Delta + Y Omega,
-
-    Y = (t0 + u1 Omega + t1 Omega^2) / Delta, with the polynomials of _INCREMENT.
-    They are evaluated elementwise (Horner), so no matrix's arithmetic depends
-    on the rest of the batch, and F, a polynomial in Omega with no change of
-    basis, keeps every entry that vanishes in all powers of Omega exactly zero.
+    x = [[h, Delta], [Delta, h]] is taken in its real form H' = (1 + iC) x (1 - iC)/2,
+    C of ``perm`` (``_conjugation``; H' = x for C = 1), real as C x* C = x and still
+    S-symmetric.  Then Z+- = A +- B of U' = [[A, B], [B*, A*]] obey i dZ+-/dt = h Z+-
+    +- Delta Z+-*, so (Re Z+-; Im Z+-) evolve under G+- = [[0, h -+ Delta],
+    [-(h +- Delta), 0]], and G- = -G+^T.  The sums are ordered so that an exactly
+    Hermitian x gives exactly symmetric h and Delta: without pairing G+ = -G+^T.
     """
-    s = np.einsum("...ii->...", om2).real
+    d, x, im = x.shape[-1], x.real, x.imag
+    if (perm != np.arange(d)).any():
+        x = 0.5 * ((x + x[..., perm[:, None], perm]) + (im[..., :, perm] - im[..., perm, :]))
+    m = d // 2
+    g = np.zeros(x.shape)
+    g[..., :m, m:] = x[..., :m, :m] - x[..., :m, m:]
+    g[..., m:, :m] = -(x[..., :m, :m] + x[..., :m, m:])
+    return g
+
+
+def _pade_increment(om: np.ndarray, om2: np.ndarray) -> np.ndarray:
+    """(F+, F-) = (F(Omega), F(-Omega^T)), F = D^-1 (Omega + Omega^3/60), solve-free.
+
+    ``om`` and ``om2`` are Omega and Omega^2, real (n, 4, 4) and Hamiltonian
+    (``_generator``), so the characteristic polynomial is even, x^4 + a x^2 + b,
+    with a = -tr(p)/2 and b = (tr(p)^2/2 - tr(p^2))/4 for p = Omega^2.  D^-1 =
+    N/(D N) with N(Omega) = D(-Omega), and D N = 1 - p/20 + p^2/600 - p^3/14400,
+    reduced modulo p^2 + a p + b, has a scalar inverse, so
+
+        F(Omega) = (u0 + t0 Omega + u1 Omega^2 + t1 Omega^3) / Delta = E + Y Omega
+
+    with E, Y = (u0 + u1 Omega^2)/Delta, (t0 + t1 Omega^2)/Delta and the
+    polynomials of _INCREMENT evaluated elementwise (Horner), so no matrix
+    depends on the rest of the batch.  -Omega^T has the same a and b, so
+    F- = (E - Omega Y)^T; for an antisymmetric Omega (no pairing) F- = F+ bit
+    for bit.  F = 0 at Omega = 0 and F = Omega for a nilpotent Omega, exactly.
+    """
+    s = np.einsum("...ii->...", om2)
     w = 0.5 * s * s
-    w -= np.einsum("...ij,...ji->...", om2, om2).real
+    w -= np.einsum("...ij,...ji->...", om2, om2)
     r = _HORNER[3] * w
     for k in (2, 1):
         r += _HORNER[k]
@@ -243,13 +261,14 @@ def _pade_increment(om: np.ndarray, om2: np.ndarray, r_om: np.ndarray) -> np.nda
         q += r[:, i]
         q *= s
     q += r[:, 0]
-    t0, u1, t1, u0 = (q[1:] / q[0])[..., None]
-    y = om.view(float) * u1[..., None]
-    y += om2.view(float) * t1[..., None]
-    y.reshape(-1, 32)[:, ::10] += t0  # entries 10 i of a flattened (4, 8) real view: Re Y_ii
-    f = y @ r_om
-    f.reshape(-1, 32)[:, ::10] += u0
-    return f.view(complex)
+    weights = q[1:] / q[0]
+    ey = om2 * weights[:2, :, None, None]  # E and Y
+    ey.reshape(2, -1, 16)[..., ::5] += weights[2:, :, None]  # their diagonals, u0 and t0
+    e, y = ey
+    f = np.empty(ey.shape)
+    np.add(e, y @ om, out=f[0])
+    np.subtract(e, om @ y, out=np.swapaxes(f[1], -1, -2))
+    return f
 
 
 def propagate(
@@ -260,52 +279,43 @@ def propagate(
     h0, h1 have shape (..., d, d) and broadcast against each other; the
     leading axes are batched and integrate in one pass, whose temporaries
     grow with the batch (``solve_cells`` hands over CHUNK at a time), and
-    no propagator's arithmetic depends on the rest of the batch.  Each of
-    the ``steps`` equal steps h is the sixth-order Magnus step on the three
-    Gauss-Legendre nodes of the step (Blanes, Casas & Ros, BIT 40, 434
-    (2000)): with A = -i Sigma_z H, A_i its value at node i, alpha1 = h A2,
-    alpha2 = (sqrt(15) h/3)(A3 - A1) and alpha3 = (10 h/3)(A3 - 2 A2 + A1),
+    no propagator's arithmetic depends on the rest of the batch.
+
+    The integration is real (Colpa, Physica A 93, 327 (1978)): U' = [[A, B],
+    [B*, A*]] of the real form H' of h H is carried as Z+- = A +- B, whose
+    (Re Z; Im Z) evolve from (1; 0) under the real Hamiltonian generators G+
+    and G- = -G+^T (``_generator``).  Only U(T) and the snapshots are formed,
+    A, B = (Z+ +- Z-)/2 and U = (1 - iC) U' (1 + iC)/2, with weights that are
+    powers of two: U(0) is exactly 1, and without pairing Z+ = Z- bitwise, so
+    the particle-hole blocks are exactly 0.
+
+    Each of the ``steps`` equal steps h is the sixth-order Magnus step on the
+    three Gauss-Legendre nodes of the step (Blanes, Casas & Ros, BIT 40, 434
+    (2000)): with G_i the generator at node i, alpha1 = h G2,
+    alpha2 = (sqrt(15) h/3)(G3 - G1) and alpha3 = (10 h/3)(G3 - 2 G2 + G1),
 
         C1 = [alpha1, alpha2],  C2 = -[alpha1, 2 alpha3 + C1]/60,
         Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
 
-    Since A(t) = M0 + cos(omega t) M1, Omega is a fixed combination of h M0,
-    h M1 and five nested commutators, formed once (``_magnus_basis``); each step
-    only weighs them, by weights fixed by ``steps``.  As integrated blocks have
-    h (|H0| + |H1|) <= MAX_STEP_NORM, no finite scale of H overflows a commutator.
-    Omega is mapped onto the group by the diagonal (3,3) Pade approximant of
-    exp, applied as the increment
+    With G(t) = M0 + cos(omega t) M1, Omega weighs h M0, h M1 and five nested
+    commutators, formed once (``_magnus_basis``), by weights fixed by ``steps``;
+    as h (|H0| + |H1|) <= MAX_STEP_NORM, no finite scale of H overflows.  The
+    (3,3) Pade approximant of exp maps Omega onto the symplectic group
+    (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 215 (2000)), as
 
-        U <- U + D^-1 (Omega + Omega^3/60) U,  D = 1 - Omega/2 + Omega^2/10 - Omega^3/120.
+        Z <- Z + D^-1 (Omega + Omega^3/60) Z,  D = 1 - Omega/2 + Omega^2/10 - Omega^3/120,
 
-    That map sends the Lie algebra of U(n, n) into the group, so U stays
-    pseudo-unitary to round-off at any step size; the quasienergy error
-    falls as steps^-6.  For 4x4 blocks the increment D^-1 (Omega + Omega^3/60)
-    is a cubic in Omega with scalar weights, formed without a solve
-    (``_pade_increment``).  Larger blocks (the chain's parity sectors) carry
-    the particle columns U[..., :d/2] alone, an LU solve for d/2 right-hand
-    sides per step, and rebuild each full U from Q U* Q = U, Q = S C
-    (``real_form``), so U(T) and every snapshot are exactly Q-real.
+    so U stays pseudo-unitary to round-off at any step size; the quasienergy
+    error falls as steps^-6.  4x4 blocks take both increments from one Horner
+    evaluation (``_pade_increment``); larger blocks (the chain's parity
+    sectors) stack G+ and G- and solve for the d/2 columns of each Z.
 
-    Only the first half period is integrated.  H(T - t) = H(t), and the
-    blocks have a conjugation symmetry C H* C = H (``_conjugation``), so
-    C A* C = -A and the step maps of the second half are those of the
-    first, reflected.  With U_a = U(floor(steps/2) h) and U_b = U_a, or the
-    middle step applied to U_a when ``steps`` is odd, the period closes as
-
-        U(T) = C Sigma_z U_a^T Sigma_z C U_b,
-
-    using U^-1 = Sigma_z U^+ Sigma_z, and U(T - t) = C U(t)* C U(T) gives
-    the second-half snapshots.  This equals the full-period product of the
-    same steps up to round-off.
-
-    Every product of a step is real, which numpy computes faster at every
-    batch shape: the real view of a complex (d, d) Z is (d, 2d), Re and Im
-    interleaved, and that of Z W = Re(Z) W + Im(Z) (iW) is real(Z) R(W),
-    where rows 2k and 2k + 1 of the real (2d, 2d) R(W) are row k of real(W)
-    and of real(iW).  Only the LU solve of larger blocks is complex.  R(W)
-    changes no basis, so entries that vanish stay exactly zero and U(0) is
-    exactly 1.
+    Only the first half period is integrated.  H(T - t) = H(t) and
+    Sigma_z G Sigma_z = -G, so with the real symplectic propagators M+- =
+    [Z+-, K Sigma_z Z-+] (K swaps Re and Im) after floor(steps/2) steps, M_a,
+    and Z_b = Z_a, or the middle step applied to it when ``steps`` is odd,
+    the period closes as Z(T) = Sigma_z M_a^-1 Sigma_z Z_b = K M_a^T K Z_b,
+    and Z(T - t) = Sigma_z M(t) Sigma_z Z(T) gives the second-half snapshots.
 
     Before any arithmetic, each failing with a ValueError in this order:
     ``steps`` and omega must pass ``step_weights`` (finite h); ``snapshots``, the step
@@ -329,60 +339,50 @@ def propagate(
                          "or C = 1 (x) sx (4x4 Bloch blocks)")
     if not _invariant(h0, h1, swap):
         raise ValueError("propagate needs the Nambu swap symmetry S H S = H, S = sx (x) 1, of both "
-                         "blocks: the Pade step and the particle-column step hold only for them")
+                         "blocks: the real quadrature form holds only for them")
     sz = nambu_metric(d)[:, None]
-    q, w = perm[swap], (d if d == 4 else d // 2)  # Q = S C, and the columns carried
-
-    def full(x):  # U from U[..., :w] by Q U* Q = U
-        if x.shape[-1] == d:
-            return x
-        u = np.empty((*x.shape[:-1], d), dtype=complex)
-        u[..., :w], u[..., q[:w]] = x, x[..., q, :].conj()
-        return u
-
     norm = np.broadcast_to(step_norm(h, h0, h1), shape[:-2])
-    n = math.prod(shape[:-2])
+    n, m = math.prod(shape[:-2]), d // 2
     coarse = (norm > MAX_STEP_NORM).reshape(n, 1, 1)  # integrated as zero blocks: U = 1
     h0, h1 = (np.where(coarse, 0.0, np.broadcast_to(x, shape).reshape(n, d, d)) for x in (h0, h1))
-    half = steps // 2
-    forward = steps - half
-    direct = {s if s <= forward else steps - s for s in record}
-    rows, cols = perm[:, None], perm
-    basis = _magnus_basis(*(-1j * h * sz * x for x in (h0, h1)), (n, d, d)).view(float)
-    basis = basis.reshape(8, -1)
-    powers = np.empty((4, n, d, d), dtype=complex)  # Omega, Omega^2, Omega^3, 1
+    half, forward = steps // 2, steps - steps // 2
+    direct = {half} | {s if s <= forward else steps - s for s in record}
+    gens = [_generator(h * x, perm) for x in (h0, h1)]
+    if d > 4:
+        gens = [np.concatenate([g, -np.swapaxes(g, -1, -2)]) for g in gens]  # G+, then G-
+    basis = _magnus_basis(*gens).reshape(8, -1)
+    powers = np.empty((4, *gens[0].shape))  # Omega, Omega^2, Omega^3, 1
     powers[3] = np.eye(d)
-    pade = np.empty((2, n, d, d), dtype=complex)
-    rhs = np.empty((n, d, w), dtype=complex)
-    right = np.empty((n, d, 2, d), dtype=complex), np.empty((n, d, 2, w), dtype=complex)
-    r_om, r_u = (x.view(float).reshape(n, 2 * d, -1) for x in right)  # R(Omega), R(U)
-    om, om2, om3 = (x.view(float) for x in powers[:3])
-    u = powers[3][..., :w].copy()
-    seen = {0: u.copy()} if 0 in direct else {}
+    om = powers[0]
+    z = np.broadcast_to(np.eye(d, m), (2, n, d, m)).copy()  # (Re Z; Im Z) of Z+ and Z-
+
+    def full(z):  # the real propagators M+- = [Z+-, K Sigma_z Z-+] of G+-
+        return np.concatenate([z, (sz * z[::-1])[..., swap, :]], axis=-1)
+
+    def assemble(z):  # U = (1 - iC) U' (1 + iC)/2, U' = [[A, B], [B*, A*]], A, B = (Z+ +- Z-)/2
+        zc = np.stack([z[..., :m, :], z[..., m:, :]], axis=-1).view(complex)[..., 0]
+        a, b = 0.5 * (zc[0] + zc[1]), 0.5 * (zc[0] - zc[1])
+        u = np.block([[a, b], [b.conj(), a.conj()]])
+        if (perm != np.arange(d)).any():
+            u = 0.5 * ((u + u[..., perm[:, None], perm]) + 1j * (u[..., :, perm] - u[..., perm, :]))
+        return u.reshape(shape)
+
+    seen = {0: z.copy()} if 0 in direct else {}
     for s in range(forward):
         np.matmul(weights[s], basis, out=om.reshape(-1))
-        right[0][..., 0, :], right[1][..., 0, :] = powers[0], u
-        for x in right:
-            np.multiply(x[..., 0, :], 1j, out=x[..., 1, :])
-        np.matmul(om, r_om, out=om2)
+        np.matmul(om, om, out=powers[1])
         if d == 4:
-            np.matmul(_pade_increment(*powers[:2], r_om).view(float), r_u, out=rhs.view(float))
-            u += rhs
+            z += _pade_increment(om, powers[1]) @ z
         else:
-            np.matmul(om2, r_om, out=om3)
-            np.matmul(_PADE, powers.view(float).reshape(4, -1),
-                      out=pade.view(float).reshape(2, -1))
-            np.matmul(pade[0].view(float), r_u, out=rhs.view(float))
-            u += np.linalg.solve(pade[1], rhs)
-        if s + 1 == half:
-            u_half = u.copy()
+            np.matmul(powers[1], om, out=powers[2])
+            pade = (_PADE @ powers.reshape(4, -1)).reshape(2, *om.shape)
+            z += np.linalg.solve(pade[1], pade[0] @ z.reshape(-1, d, m)).reshape(z.shape)
         if s + 1 in direct:
-            seen[s + 1] = u.copy()
-    u = (sz * np.swapaxes(full(u_half), -1, -2) * sz.T)[..., rows, cols] @ u
-    snaps = {s: full(seen[s] if s <= forward else full(seen[steps - s])[..., rows, cols].conj() @ u)
+            seen[s + 1] = z.copy()
+    z = np.swapaxes(full(seen[half]), -1, -2)[..., swap[:, None], swap] @ z
+    snaps = {s: assemble(seen[s] if s <= forward else sz * full(seen[steps - s]) * sz.T @ z)
              for s in record}
-    u = full(u)
-    return Propagation(u.reshape(shape), {s: x.reshape(shape) for s, x in snaps.items()}, norm)
+    return Propagation(assemble(z), snaps, norm)
 
 
 def sympl_residual(u) -> np.ndarray:

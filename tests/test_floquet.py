@@ -249,10 +249,7 @@ class TestIntegrators:
             x, y = np.meshgrid(np.linspace(-15.0, 9.0, 7), np.linspace(-12.0, 12.0, 7))
             h0, h1 = static_block(-1.5, 0.0, -5.0, 1.0), field_matrix(x.ravel(), y.ravel())
         else:
-            seen = []
-            monkeypatch.setattr(dynamics, "propagate", lambda *a: seen.append(a) or propagate(*a))
-            _chain_propagation(PA, 20, 64)
-            (h0, h1, *_), = seen
+            h0, h1, _ = chain_sectors(monkeypatch, PA, 20)
         ref = propagate(h0, h1, PA.omega, 64).u
         for s in (1e-300, 1e-100, 1e100, 1e300):
             assert np.abs(propagate(s * h0, s * h1, s * PA.omega, 64).u - ref).max() < 1e-14
@@ -524,24 +521,21 @@ class TestBlockRule:
     def test_chain_parity_sectors(self, monkeypatch, cells):
         """Both sectors, as ``_chain_propagation`` hands them to ``propagate``:
         real, so C = 1 also for the 4x4 sectors of two cells."""
-        seen = []
-
-        def record(h0, h1, *args):
-            seen.append((h0, h1))
-            return propagate(h0, h1, *args)
-
-        monkeypatch.setattr(dynamics, "propagate", record)
-        _chain_propagation(PB, cells, 64)
-        (h0, h1), = seen
+        h0, h1, _ = chain_sectors(monkeypatch, PB, cells)
         assert h0.shape == h1.shape == (2, 2 * cells, 2 * cells)
         assert h0.dtype == h1.dtype == float
         assert_block_rule(h0, h1)
 
 
+def real_generator(h: np.ndarray) -> np.ndarray:
+    """G+ of complex 4x4 blocks with C H* C = H (C = 1 (x) sx), through the real-form
+    map of ``propagate`` (``floquet._generator``)."""
+    return floquet._generator(h, floquet._conjugation(4))
+
+
 def pade_increment(om: np.ndarray) -> np.ndarray:
-    """``floquet._pade_increment`` of a complex (n, 4, 4) Omega, given R(Omega) and Omega^2."""
-    r_om = np.stack([om, 1j * om], axis=-2).view(float).reshape(len(om), 8, 8)
-    return floquet._pade_increment(om, om @ om, r_om)
+    """(F+, F-) of ``floquet._pade_increment`` for a real (n, 4, 4) Omega, given Omega^2."""
+    return floquet._pade_increment(om, om @ om)
 
 
 def solved_increment(om: np.ndarray) -> np.ndarray:
@@ -561,46 +555,108 @@ def symmetric_blocks(rng, n: int) -> np.ndarray:
     return h + CONJUGATION @ h.conj() @ CONJUGATION
 
 
+def chain_sectors(monkeypatch, params: ModelParams, cells: int, *marks):
+    """The (2, 2 cells, 2 cells) parity-sector blocks ``_chain_propagation`` hands
+    to ``propagate``, and its propagation at 64 steps."""
+    seen = []
+    monkeypatch.setattr(dynamics, "propagate", lambda *a: seen.append(a[:2]) or propagate(*a))
+    prop = _chain_propagation(params, cells, 64, marks)
+    (h0, h1), = seen
+    return h0, h1, prop
+
+
 class TestPadeIncrement:
-    """The closed-form increment of the 4x4 step equals the LU-solved one."""
+    """The closed-form increments of the 4x4 step equal the LU-solved ones."""
 
     def test_random_generators_up_to_step_guard(self):
-        """Magnus-like exponents h (A0 + A1/2) + h^2/12 [A0, A1] of random C- and
-        S-symmetric blocks, at step norms h (|H0| + |H1|) up to MAX_STEP_NORM."""
+        """Magnus-like exponents h (A0 + A1/2) + h^2/12 [A0, A1] of the real
+        generators of random C- and S-symmetric blocks, at step norms
+        h (|H0| + |H1|) up to MAX_STEP_NORM; F- is the increment of -Omega^T."""
         rng = np.random.default_rng(11)
         h0, h1 = symmetric_blocks(rng, 200), symmetric_blocks(rng, 200)
-        sz = nambu_metric(4)[:, None]
-        a0, a1 = -1j * sz * h0, -1j * sz * h1
+        a0, a1 = real_generator(h0), real_generator(h1)
         norm = floquet.step_norm(1.0, h0, h1)
         h = (np.geomspace(1e-4, 1.0, 200) * MAX_STEP_NORM / norm)[:, None, None]
         om = h * (a0 + 0.5 * a1) + h * h / 12.0 * (a0 @ a1 - a1 @ a0)
-        ref = solved_increment(om)
-        err = np.abs(pade_increment(om) - ref).max(axis=(-2, -1))
-        assert (err <= 1e-14 * np.abs(ref).max(axis=(-2, -1))).all()
+        for got, ref in zip(pade_increment(om), (om, -np.swapaxes(om, -1, -2))):
+            ref = solved_increment(ref)
+            err = np.abs(got - ref).max(axis=(-2, -1))
+            assert (err <= 1e-14 * np.abs(ref).max(axis=(-2, -1))).all()
 
     def test_zero_exponent(self):
-        """Omega = 0 gives exactly F = 0."""
-        assert not pade_increment(np.zeros((3, 4, 4), dtype=complex)).any()
+        """Omega = 0 gives exactly F+ = F- = 0."""
+        assert not pade_increment(np.zeros((3, 4, 4))).any()
 
     @pytest.mark.parametrize("field, mu", [(0.0, -1.0), (1.0, 0.0)])
     def test_nilpotent(self, field, mu):
         """At band energy +-g the static block gives a nilpotent Omega (a = b = 0),
-        for which F = Omega."""
-        om = -1j * nambu_metric(4)[:, None] * static_block(field, 0.0, mu, 1.0)[None] / 8.0
-        assert not (om @ om).any()
-        assert np.abs(pade_increment(om) - solved_increment(om)).max() <= 1e-16
-        assert (pade_increment(om) == om).all()
+        for which F+ = Omega and F- = -Omega^T."""
+        om = real_generator(static_block(field, 0.0, mu, 1.0)[None]) / 8.0
+        assert om.any() and not (om @ om).any()
+        plus, minus = pade_increment(om)
+        assert np.abs(plus - solved_increment(om)).max() <= 1e-16
+        assert (plus == om).all() and (minus == -np.swapaxes(om, -1, -2)).all()
 
     @pytest.mark.parametrize("mu", [-5.0, -0.5])
     def test_double_root(self, mu):
         """With no field both sublattices share eps, so a^2 = 4b: a stable double
         pair +-i E (mu = -5) and an unstable one +-E (mu = -0.5)."""
-        om = -1j * nambu_metric(4)[:, None] * static_block(0.0, 0.0, mu, 1.0)[None] / 8.0
+        om = real_generator(static_block(0.0, 0.0, mu, 1.0)[None]) / 8.0
         p = (om @ om)[0]
-        a, b = -np.trace(p).real / 2.0, (np.trace(p).real ** 2 / 2.0 - np.trace(p @ p).real) / 4.0
+        a, b = -np.trace(p) / 2.0, (np.trace(p) ** 2 / 2.0 - np.trace(p @ p)) / 4.0
         assert a * a == pytest.approx(4.0 * b, rel=1e-14)
-        ref = solved_increment(om)
-        assert np.abs(pade_increment(om) - ref).max() <= 1e-14 * np.abs(ref).max()
+        for got, ref in zip(pade_increment(om), (om, -np.swapaxes(om, -1, -2))):
+            ref = solved_increment(ref)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestQuadratureForm:
+    """The real form ``propagate`` integrates in, and the chain's real LU step."""
+
+    @pytest.mark.parametrize("case", ["random-4x4", "chain-sectors"])
+    def test_real_form_and_hamiltonian_generators(self, monkeypatch, case):
+        """H' = (1 + iC) H (1 - iC)/2 is real, G+ is the [[0, h - Delta],
+        [-(h + Delta), 0]] of its blocks, and G+ and G- = -G+^T are Hamiltonian
+        (J G symmetric, bitwise): random C- and S-symmetric 4x4 blocks
+        (C = 1 (x) sx) and the real 20-cell chain sectors (C = 1)."""
+        if case == "random-4x4":
+            h = symmetric_blocks(np.random.default_rng(3), 50)
+            c = CONJUGATION
+        else:
+            h0, h1, _ = chain_sectors(monkeypatch, PA, 20)
+            h = np.concatenate([h0, h1])
+            c = np.eye(h.shape[-1])
+        rotated = (np.eye(len(c)) + 1j * c) @ h @ (np.eye(len(c)) - 1j * c) / 2.0
+        assert np.abs(rotated.imag).max() <= 1e-14 * np.abs(h).max()
+        g = floquet._generator(h, c.real.argmax(axis=-1))
+        m = h.shape[-1] // 2
+        x, delta = rotated.real[..., :m, :m], rotated.real[..., :m, m:]
+        zero = np.zeros_like(x)
+        want = np.block([[zero, x - delta], [-(x + delta), zero]])
+        assert np.abs(g - want).max() <= 1e-14 * np.abs(h).max()
+        j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(m))
+        for gen in (g, -np.swapaxes(g, -1, -2)):
+            assert np.array_equal(j @ gen, np.swapaxes(j @ gen, -1, -2))
+
+    def test_chain_solves_in_float64(self, monkeypatch):
+        """The chain's Pade step solves real systems only: every array
+        ``np.linalg.solve`` receives is float64."""
+        solve, dtypes = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: dtypes.append((a.dtype, b.dtype)) or solve(a, b))
+        _chain_propagation(PA, 20, 64, (0, 20, 40, 64))
+        assert len(dtypes) == 32 and set(dtypes) == {(np.dtype(float), np.dtype(float))}
+
+    def test_chain_sectors_equal_sectors_alone(self, monkeypatch):
+        """The chain's batch of 2 sectors x 2 signs gives each sector, U(T) and
+        snapshots, bitwise what that sector gives propagated alone."""
+        marks = (0, 13, 32, 33, 51, 64)
+        h0, h1, prop = chain_sectors(monkeypatch, PA, 20, *marks)
+        for i in range(2):
+            alone = propagate(h0[i], h1[i], PA.omega, 64, marks)
+            assert prop.u[i].tobytes() == alone.u.tobytes()
+            for s in marks:
+                assert prop.snapshots[s][i].tobytes() == alone.snapshots[s].tobytes()
 
 
 class TestQuasienergies:
