@@ -307,7 +307,7 @@ def propagate(
 
     so U stays pseudo-unitary to round-off at any step size; the quasienergy
     error falls as steps^-6.  4x4 blocks take both increments from one Horner
-    evaluation (``_pade_increment``); larger blocks (the chain's parity
+    evaluation (``_pade_increment``); other sizes (the chain's parity
     sectors) stack G+ and G- and solve for the d/2 columns of each Z.
 
     Only the first half period is integrated.  H(T - t) = H(t) and
@@ -348,7 +348,7 @@ def propagate(
     half, forward = steps // 2, steps - steps // 2
     direct = {half} | {s if s <= forward else steps - s for s in record}
     gens = [_generator(h * x, perm) for x in (h0, h1)]
-    if d > 4:
+    if d != 4:
         gens = [np.concatenate([g, -np.swapaxes(g, -1, -2)]) for g in gens]  # G+, then G-
     basis = _magnus_basis(*gens).reshape(8, -1)
     powers = np.empty((4, *gens[0].shape))  # Omega, Omega^2, Omega^3, 1

@@ -371,12 +371,13 @@ class TestIntegrators:
         errors = [e for e in whole[-1] if e is not None]
         assert errors and all("too coarse" in e for e in errors)
 
-    @pytest.mark.parametrize("case", ["k-grid", "drive-plane", "chain"])
+    @pytest.mark.parametrize("case", ["k-grid", "drive-plane", "chain", "2x2"])
     def test_matches_complex_products(self, case):
         """U(T) and every snapshot equal those of the same fold with complex
         products (``folded_monodromy``) to round-off: a two-point k-grid, a
-        drive plane with a broadcast H0 at an odd step count, and the chain's
-        parity sectors, whose U(T) and snapshots are exactly Q-real."""
+        drive plane with a broadcast H0 at an odd step count, the chain's
+        parity sectors, whose U(T) and snapshots are exactly Q-real, and real
+        2x2 blocks, which take the LU step too."""
         steps = 65 if case == "drive-plane" else 64
         marks = (0, 20, 32, 33, 51, steps)
         if case == "k-grid":
@@ -384,16 +385,19 @@ class TestIntegrators:
         elif case == "drive-plane":
             x, y = np.meshgrid(np.linspace(-9.0, 9.0, 5), np.linspace(-6.0, 6.0, 4))
             h0, h1 = static_block(1.5, 0.7, -5.0, 1.0), field_matrix(x, y)
-        else:
+        elif case == "chain":
             near, far = _mirror_halves(40)
             h0, h1 = (np.stack([h[np.ix_(near, near)] + sign * h[np.ix_(near, far)]
                                 for sign in (1.0, -1.0)]) for h in chain_blocks(PA, 20))
+        else:
+            h0 = np.array([[[-2.0, 0.7], [0.7, -2.0]], [[1.0, 0.0], [0.0, 1.0]]])
+            h1 = np.array([[[0.5, 0.2], [0.2, 0.5]], [[0.3, 0.1], [0.1, 0.3]]])
         prop = propagate(h0, h1, PA.omega, steps, snapshots=marks)
         ref, ref_snaps = folded_monodromy(h0, h1, PA.omega, steps, marks)
         assert np.abs(prop.u - ref).max() < 1e-13
         for s in marks:
             assert np.abs(prop.snapshots[s] - ref_snaps[s]).max() < 1e-13
-        if case == "chain":
+        if case in ("chain", "2x2"):
             for u in (prop.u, *prop.snapshots.values()):
                 assert_q_real(u)
 
